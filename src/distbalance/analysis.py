@@ -3,13 +3,20 @@
 A connected graph is distance-balanced when for every edge xy the number
 of vertices strictly closer to x equals the number strictly closer to y.
 The Szeged index sums, over all edges, the product of those two counts.
+
+Balance is decided as transmission-regularity: for an edge xy, |closer to
+x| - |closer to y| = D(y) - D(x), where D(v) is the sum of the distances
+from v, so a connected graph is balanced iff all D(v) are equal (Jerebic,
+Klavzar and Rall, "Distance-balanced graphs", Ann. Comb. 12 (2008)).
+Per-edge counts come from the BFS level masks L_i of ``graph._levels``:
+|closer to x| is the sum over i of |L_i(x) & L_{i+1}(y)|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, all_pairs_distances
+from .graph import Graph, _bits, _levels, _spanning_levels, _transmission
 
 
 @dataclass(frozen=True)
@@ -40,36 +47,44 @@ class ImbalanceReport:
 
 
 def _edge_balances(g: Graph) -> list[EdgeBalance]:
-    rows = all_pairs_distances(g).rows
-    out = []
-    for x, y in g.edges():
-        rx, ry = rows[x], rows[y]
-        cx = cy = 0
-        for dx, dy in zip(rx, ry):
-            if dx < dy:
-                cx += 1
-            elif dy < dx:
-                cy += 1
-        out.append(EdgeBalance(x, y, cx, cy))
+    # BFS order, dropping a vertex's levels after its last neighbour: about two
+    # layers hold levels at a time, where all n take memory cubic in n on a path
+    adj, held, seen, out = g.adj, {}, 0, []
+    for x in [v for mask in _spanning_levels(adj, 0) for v in _bits(mask)]:
+        levels = _levels(adj, x)
+        held[x] = levels, _transmission(levels)
+        seen |= 1 << x
+        for y in _bits(adj[x] & seen):
+            u, v = (x, y) if x < y else (y, x)
+            (lu, tu), (lv, tv) = held[u], held[v]
+            c = sum((a & b).bit_count() for a, b in zip(lu, lv[1:]))
+            out.append(EdgeBalance(u, v, c, c + tu - tv))
+        held = {v: h for v, h in held.items() if adj[v] & ~seen}
+    out.sort(key=lambda r: (r.x, r.y))
     return out
+
+
+def _transmission_regular(adj) -> bool:
+    """Balance of the graph with adjacency rows ``adj``, as transmission-regularity;
+    stops at the first vertex whose transmission differs from vertex 0's."""
+    target = _transmission(_spanning_levels(adj, 0))
+    for v in range(1, len(adj)):
+        if _transmission(_levels(adj, v)) != target:
+            return False
+    return True
 
 
 def is_distance_balanced(g: Graph) -> bool:
     """True when every edge has equal closer-set sizes; requires connectivity."""
-    return all(r.closer_to_x == r.closer_to_y for r in _edge_balances(g))
+    return _transmission_regular(g.adj)
 
 
 def imbalance_report(g: Graph) -> ImbalanceReport:
     records = _edge_balances(g)
     balanced = all(r.closer_to_x == r.closer_to_y for r in records)
-    worst = None
-    if not balanced:
-        best_gap = -1
-        for r in records:
-            if r.gap > best_gap:
-                best_gap = r.gap
-                worst = (r.x, r.y)
-    return ImbalanceReport(tuple(records), balanced, worst)
+    worst = None if balanced else max(records, key=lambda r: r.gap)  # first of ties
+    return ImbalanceReport(tuple(records), balanced,
+                           None if worst is None else (worst.x, worst.y))
 
 
 def szeged_index(g: Graph) -> int:

@@ -45,6 +45,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _checked(kind, accept, rule: str):
+    """An argparse type: ``kind`` of the text, refused unless ``accept`` holds."""
+    def parse(text: str):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _input_summary(path: str, g: Graph) -> dict:
     return {
         "path": str(path),
@@ -308,11 +319,11 @@ def _build_parser() -> _Parser:
     p_cl.add_argument("--mode", choices=["construct", "search"], default="construct")
     p_cl.add_argument("--prune", choices=["naive", "regular"], default="naive",
                       help="search mode: test everything, or only regular candidates")
-    p_cl.add_argument("--max-k", type=int, default=None, dest="max_k")
+    p_cl.add_argument("--max-k", type=_checked(int, lambda k: k >= 0, ">= 0"), dest="max_k")
     p_cl.add_argument("--all-witnesses", action="store_true", dest="all_witnesses")
-    p_cl.add_argument("--budget", type=float, default=None,
+    p_cl.add_argument("--budget", type=_checked(float, lambda s: s > 0, "> 0"),
                       help="wall-clock seconds before giving up")
-    p_cl.add_argument("--threads", type=int, default=1)
+    p_cl.add_argument("--threads", type=_checked(int, lambda t: t >= 1, ">= 1"), default=1)
     p_cl.add_argument("--json", action="store_true")
     p_cl.set_defaults(handler=_cmd_closure)
 

@@ -31,16 +31,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import is_distance_balanced
 from .errors import (
     DisconnectedGraphError,
+    GraphError,
     SizeMismatchError,
     UnsupportedFamilyError,
 )
 from .graph import (
     Graph,
+    _profiles,
     add_edges,
-    all_pairs_distances,
     complete_graph,
     is_connected,
     is_spanning_subgraph,
@@ -130,15 +130,14 @@ def verify_closure(t: Graph, candidate: Graph,
     if t.n != candidate.n:
         raise SizeMismatchError(f"vertex counts differ: {t.n} vs {candidate.n}")
     contains = is_spanning_subgraph(t, candidate)
-    dm = all_pairs_distances(candidate)
-    diam = max(max(row) for row in dm.rows)
+    transmissions, eccentricities = zip(*_profiles(candidate.adj))
     matches = None
     if expected_additions is not None:
         matches = candidate.edge_count - t.edge_count == expected_additions
     return Certificate(
         contains_input=contains,
-        distance_balanced=is_distance_balanced(candidate),
-        diameter=diam,
+        distance_balanced=len(set(transmissions)) == 1,  # transmission-regular
+        diameter=max(eccentricities),
         regular_degree=regular_degree(candidate),
         matches_formula=matches,
     )
@@ -176,8 +175,9 @@ def construct_closure(t: Graph) -> ClosureResult:
             canonical_tree = relabel(t, family.relabeling)
             found = search_minimum_additions(
                 canonical_tree, SearchConfig(prune_mode="regular"))
-            assert found.min_additions == expected, (
-                f"search found {found.min_additions}, formula says {expected}")
+            if found.min_additions != expected:
+                raise GraphError(
+                    f"search found {found.min_additions}, formula says {expected}")
             canonical = add_edges(canonical_tree, found.witnesses[0])
             via_search = True
         closure = relabel(canonical, _inverse(family.relabeling))

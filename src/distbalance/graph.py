@@ -5,6 +5,10 @@ vector: bit v of row u is set when uv is an edge.  This gives O(1) edge
 tests and word-parallel frontier unions during BFS, and because Python
 ints are arbitrary width the same representation works for any n.
 
+Distance rows, connectivity, transmissions and eccentricities are all
+read off the level masks of one BFS, ``_levels``.  The analysis module
+decides balance as transmission-regularity (Jerebic, Klavzar and Rall,
+Ann. Comb. 12 (2008)) and takes per-edge counts from the same masks.
 All distance computations reject disconnected graphs; there are no
 infinite distances anywhere in the API.
 """
@@ -136,54 +140,60 @@ def cycle_graph(n: int) -> Graph:
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _bfs_row(adj, n: int, source: int) -> list[int]:
-    """Hop distances from ``source``; unreachable vertices keep the sentinel n."""
-    dist = [n] * n
-    dist[source] = 0
+def _levels(adj, source: int) -> list[int]:
+    """BFS level masks: bit u of entry i is set when d(source, u) = i; the list
+    ends at the eccentricity of ``source`` and leaves out unreachable vertices."""
     seen = frontier = 1 << source
-    d = 0
-    while frontier:
+    levels = [frontier]
+    while True:
         nxt = 0
         m = frontier
         while m:
             low = m & -m
             nxt |= adj[low.bit_length() - 1]
             m ^= low
-        nxt &= ~seen
-        if not nxt:
-            break
-        seen |= nxt
-        d += 1
-        m = nxt
-        while m:
-            low = m & -m
-            dist[low.bit_length() - 1] = d
-            m ^= low
-        frontier = nxt
-    return dist
+        frontier = nxt & ~seen
+        if not frontier:
+            return levels
+        seen |= frontier
+        levels.append(frontier)
+
+
+def _spanning_levels(adj, source: int) -> list[int]:
+    """``_levels`` of a connected graph; raises DisconnectedGraphError otherwise."""
+    levels = _levels(adj, source)
+    if sum(mask.bit_count() for mask in levels) != len(adj):
+        raise DisconnectedGraphError("graph is not connected")
+    return levels
+
+
+def _transmission(levels: list[int]) -> int:
+    """D(v) = sum of d(v, u) over all u, from the level masks of v."""
+    total = 0
+    for d, mask in enumerate(levels):  # a plain loop: this is the search's inner loop
+        total += d * mask.bit_count()
+    return total
+
+
+def _profiles(adj) -> Iterator[tuple[int, int]]:
+    """(transmission, eccentricity) of each vertex in order; connected graphs only."""
+    for v in range(len(adj)):
+        levels = _spanning_levels(adj, v)
+        yield _transmission(levels), len(levels) - 1
 
 
 def is_connected(g: Graph) -> bool:
-    seen = frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= g.adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return sum(mask.bit_count() for mask in _levels(g.adj, 0)) == g.n
 
 
 def distances_from(g: Graph, source: int) -> list[int]:
     """BFS distances from one vertex of a connected graph."""
     if not 0 <= source < g.n:
         raise VertexOutOfRangeError(f"vertex {source} outside 0..{g.n - 1}")
-    row = _bfs_row(g.adj, g.n, source)
-    if g.n in row:
-        raise DisconnectedGraphError("graph is not connected")
+    row = [0] * g.n
+    for d, mask in enumerate(_spanning_levels(g.adj, source)):
+        for v in _bits(mask):
+            row[v] = d
     return row
 
 
@@ -200,18 +210,12 @@ class DistanceMatrix:
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; raises DisconnectedGraphError if any pair is unreachable."""
-    rows = []
-    for v in range(g.n):
-        row = _bfs_row(g.adj, g.n, v)
-        if g.n in row:
-            raise DisconnectedGraphError("graph is not connected")
-        rows.append(tuple(row))
-    return DistanceMatrix(g.n, tuple(rows))
+    return DistanceMatrix(g.n, tuple(tuple(distances_from(g, v)) for v in range(g.n)))
 
 
 def diameter(g: Graph) -> int:
-    dm = all_pairs_distances(g)
-    return max(max(row) for row in dm.rows)
+    """The largest eccentricity; raises DisconnectedGraphError when disconnected."""
+    return max(ecc for _, ecc in _profiles(g.adj))
 
 
 @dataclass(frozen=True)

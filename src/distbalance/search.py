@@ -24,9 +24,11 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator
 
+from .analysis import _transmission_regular
 from .errors import (
     DisconnectedGraphError,
     GraphTooLargeError,
@@ -34,7 +36,7 @@ from .errors import (
     PruneModeUnjustifiedError,
     SearchBudgetError,
 )
-from .graph import Graph, _bfs_row, add_edges, complement_edges, diameter, is_connected
+from .graph import Graph, add_edges, complement_edges, diameter, is_connected
 from .trees import is_tree
 
 MAX_SEARCH_VERTICES = 64
@@ -89,26 +91,13 @@ class SearchResult:
     mode_used: str
 
 
-def _balanced(adj: list[int], n: int, base_edges, added) -> bool:
-    """Distance-balance check on raw adjacency rows, lazy in BFS rows."""
-    rows: list[list[int] | None] = [None] * n
-    for seq in (base_edges, added):
-        for x, y in seq:
-            rx = rows[x]
-            if rx is None:
-                rx = rows[x] = _bfs_row(adj, n, x)
-            ry = rows[y]
-            if ry is None:
-                ry = rows[y] = _bfs_row(adj, n, y)
-            cx = cy = 0
-            for dx, dy in zip(rx, ry):
-                if dx < dy:
-                    cx += 1
-                elif dy < dx:
-                    cy += 1
-            if cx != cy:
-                return False
-    return True
+def _balanced_with(adj: tuple[int, ...], added: Witness) -> bool:
+    """Whether the adjacency rows ``adj`` plus the edges ``added`` are balanced."""
+    rows = list(adj)
+    for u, v in added:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return _transmission_regular(rows)
 
 
 def _regular_additions(degrees: list[int], comp: list[Edge], r: int,
@@ -222,22 +211,13 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
             "regular pruning needs diameter <= 2 or a tree with max degree >= n-3")
 
     comp = complement_edges(g)
-    base_edges = g.edges()
-    base_adj = g.adj
-    n = g.n
     degrees = g.degrees()
     max_deg = max(degrees)
     k_cap = len(comp) if config.max_k is None else min(config.max_k, len(comp))
     deadline = (None if config.time_budget is None
                 else time.monotonic() + config.time_budget)
     threads = max(1, config.threads)
-
-    def check(added: Witness) -> bool:
-        adj = list(base_adj)
-        for u, v in added:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return _balanced(adj, n, base_edges, added)
+    check = partial(_balanced_with, g.adj)
 
     explored = 0
     exhausted = -1
@@ -247,7 +227,7 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
             if progress is not None:
                 progress.current_k = k
             if config.prune_mode == "regular":
-                r = _regular_target(n, g.edge_count, k, max_deg)
+                r = _regular_target(g.n, g.edge_count, k, max_deg)
                 if r is None:
                     # no regular graph with this many edges: provably empty level
                     exhausted = k
@@ -311,15 +291,4 @@ def count_balanced_additions(g: Graph, k: int) -> int:
     comp = complement_edges(g)
     if not 0 <= k <= len(comp):
         raise ValueError(f"k must lie in 0..{len(comp)}, got {k}")
-    base_edges = g.edges()
-    base_adj = g.adj
-    n = g.n
-    count = 0
-    for added in combinations(comp, k):
-        adj = list(base_adj)
-        for u, v in added:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if _balanced(adj, n, base_edges, added):
-            count += 1
-    return count
+    return sum(map(partial(_balanced_with, g.adj), combinations(comp, k)))

@@ -8,6 +8,7 @@ the package's own algorithms wherever feasible.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
@@ -28,6 +29,36 @@ def all_connected_graphs(n: int) -> list[Graph]:
         if is_connected(g):
             out.append(g)
     return out
+
+
+def bfs_distances(n: int, edges, source: int) -> list[int | None]:
+    """Hop distances from ``source`` by a plain queue BFS over an edge list;
+    None marks an unreachable vertex."""
+    neighbors = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    dist: list[int | None] = [None] * n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in neighbors[u]:
+            if dist[v] is None:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def edge_balance_oracle(g: Graph) -> list[tuple[int, int, int, int]]:
+    """(x, y, |closer to x|, |closer to y|) for every edge in lexicographic
+    order, from the per-edge definition and ``bfs_distances`` alone."""
+    edges = g.edges()
+    rows = [bfs_distances(g.n, edges, v) for v in range(g.n)]
+    return [(x, y,
+             sum(dx < dy for dx, dy in zip(rows[x], rows[y])),
+             sum(dy < dx for dx, dy in zip(rows[x], rows[y])))
+            for x, y in edges]
 
 
 def _tree_centers(g: Graph) -> list[int]:

@@ -99,6 +99,28 @@ def test_report_agrees_with_predicate(g):
     assert rep.balanced == all(r.closer_to_x == r.closer_to_y for r in rep.records)
 
 
+def _assert_matches_oracle(g):
+    expected = helpers.edge_balance_oracle(g)
+    records = [(r.x, r.y, r.closer_to_x, r.closer_to_y)
+               for r in imbalance_report(g).records]
+    assert records == expected
+    assert szeged_index(g) == sum(cx * cy for _, _, cx, cy in expected)
+    assert is_distance_balanced(g) == all(cx == cy for _, _, cx, cy in expected)
+
+
+def test_per_edge_counts_match_oracle_exhaustively(small_connected_graphs):
+    """Level-mask counts and transmission-regularity against the per-edge
+    definition, on every labeled connected graph with n <= 6."""
+    for graphs in small_connected_graphs.values():
+        for g in graphs:
+            _assert_matches_oracle(g)
+
+
+@given(helpers.connected_graphs())
+def test_per_edge_counts_match_oracle(g):
+    _assert_matches_oracle(g)
+
+
 def test_report_agrees_on_random_corpus(random_corpus):
     for g in random_corpus:
         rep = imbalance_report(g)

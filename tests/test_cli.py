@@ -169,6 +169,15 @@ class TestClosure:
         assert code == 0
         assert len(report["result"]["witnesses"]) == 3
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-k", "-1"), ("--budget", "0"), ("--threads", "0")])
+    def test_search_flag_out_of_range(self, capsys, star3_file, flag, value):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["closure", star3_file, "--mode", "search", flag, value])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}" in err
+
     def test_threads_flag(self, capsys, tmp_path):
         path = tmp_path / "p5.el"
         write_edge_list(path_graph(5), path)

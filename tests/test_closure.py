@@ -1,5 +1,6 @@
 """Closed-form closures, their formulas, and certificates."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import helpers
 from distbalance import (
     DisconnectedGraphError,
     FamilyTag,
+    GraphError,
     SizeMismatchError,
     TreeFamily,
     UnsupportedFamilyError,
@@ -102,6 +104,19 @@ class TestConstruct:
         assert res.via_search
         assert res.min_additions == 8
         assert res.certificate.ok
+
+    def test_fallback_disagreeing_with_formula_raises(self, monkeypatch):
+        import distbalance.search as search
+
+        real = search.search_minimum_additions
+
+        def off_by_one(g, config=search.SearchConfig(), progress=None):
+            found = real(g, config, progress)
+            return dataclasses.replace(found, min_additions=found.min_additions + 1)
+
+        monkeypatch.setattr(search, "search_minimum_additions", off_by_one)
+        with pytest.raises(GraphError, match="search found 5, formula says 4"):
+            construct_closure(canonical_family_tree(FamilyTag.S3, 3))
 
     def test_p5_fallback_gives_five_cycle(self):
         res = construct_closure(path_graph(5))
