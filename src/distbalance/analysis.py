@@ -9,14 +9,15 @@ x| - |closer to y| = D(y) - D(x), where D(v) is the sum of the distances
 from v, so a connected graph is balanced iff all D(v) are equal (Jerebic,
 Klavzar and Rall, "Distance-balanced graphs", Ann. Comb. 12 (2008)).
 Per-edge counts come from the BFS level masks L_i of ``graph._levels``:
-|closer to x| is the sum over i of |L_i(x) & L_{i+1}(y)|.
+|closer to x| is the sum over i of |L_i(x) & L_{i+1}(y)|.  Every report
+takes one BFS per vertex, and its diameter comes from the same pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, _bits, _levels, _spanning_levels, _transmission
+from .graph import Graph, _bits, _levels, _profiles, _spanning_levels, _transmission
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,15 @@ class ImbalanceReport:
     worst_edge: tuple[int, int] | None
 
 
-def _edge_balances(g: Graph) -> list[EdgeBalance]:
+def _edge_balances(g: Graph) -> tuple[list[EdgeBalance], int]:
+    """The per-edge records in lexicographic order, and the diameter."""
     # BFS order, dropping a vertex's levels after its last neighbour: about two
     # layers hold levels at a time, where all n take memory cubic in n on a path
-    adj, held, seen, out = g.adj, {}, 0, []
+    adj, held, seen, out, diam = g.adj, {}, 0, [], 0
     for x in [v for mask in _spanning_levels(adj, 0) for v in _bits(mask)]:
         levels = _levels(adj, x)
         held[x] = levels, _transmission(levels)
+        diam = max(diam, len(levels) - 1)
         seen |= 1 << x
         for y in _bits(adj[x] & seen):
             u, v = (x, y) if x < y else (y, x)
@@ -61,7 +64,11 @@ def _edge_balances(g: Graph) -> list[EdgeBalance]:
             out.append(EdgeBalance(u, v, c, c + tu - tv))
         held = {v: h for v, h in held.items() if adj[v] & ~seen}
     out.sort(key=lambda r: (r.x, r.y))
-    return out
+    return out, diam
+
+
+def _szeged(records) -> int:
+    return sum(r.closer_to_x * r.closer_to_y for r in records)
 
 
 def _transmission_regular(adj) -> bool:
@@ -79,12 +86,28 @@ def is_distance_balanced(g: Graph) -> bool:
     return _transmission_regular(g.adj)
 
 
+def report_with_diameter(g: Graph, records: bool = True) -> tuple[ImbalanceReport, int]:
+    """The imbalance report and the diameter of a connected graph, from one
+    BFS per vertex.
+
+    Without ``records`` no per-edge records are built and the report's
+    ``records`` is empty: balance and the worst edge come from the
+    transmissions alone, since the gap of an edge xy is |D(x) - D(y)|.
+    """
+    if records:
+        recs, diam = _edge_balances(g)
+        gaps = ((r.x, r.y, r.gap) for r in recs)
+    else:
+        recs, profiles = (), list(_profiles(g.adj))
+        diam = max(ecc for _, ecc in profiles)
+        gaps = ((x, y, abs(profiles[x][0] - profiles[y][0])) for x, y in g.edges())
+    x, y, gap = max(gaps, key=lambda t: t[2], default=(0, 0, 0))  # first of ties
+    worst = (x, y) if gap else None
+    return ImbalanceReport(tuple(recs), worst is None, worst), diam
+
+
 def imbalance_report(g: Graph) -> ImbalanceReport:
-    records = _edge_balances(g)
-    balanced = all(r.closer_to_x == r.closer_to_y for r in records)
-    worst = None if balanced else max(records, key=lambda r: r.gap)  # first of ties
-    return ImbalanceReport(tuple(records), balanced,
-                           None if worst is None else (worst.x, worst.y))
+    return report_with_diameter(g)[0]
 
 
 def szeged_index(g: Graph) -> int:
@@ -92,4 +115,4 @@ def szeged_index(g: Graph) -> int:
 
     Exact for any size (Python integers do not overflow).
     """
-    return sum(r.closer_to_x * r.closer_to_y for r in _edge_balances(g))
+    return _szeged(_edge_balances(g)[0])

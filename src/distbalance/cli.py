@@ -2,9 +2,9 @@
 
 Subcommands: check, szeged, gen, closure, verify.  Exit codes: 0 ok/true,
 1 error, 2 not distance-balanced, 3 unsupported family, 4 budget exceeded.
-With --json every command prints a single report object with the keys
-command, input, result, timing, version; timing is the only
-non-deterministic field.
+With --json every command prints a single report object, as one line of
+compact JSON with sorted keys, with the keys command, input, result,
+timing, version; timing is the only non-deterministic field.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .analysis import imbalance_report, szeged_index
+from .analysis import _szeged, report_with_diameter
 from .closure import construct_closure, minimum_additions_formula
 from .edgelist import format_edge_list, read_edge_list, write_edge_list
 from .errors import GraphError, SearchBudgetError, UnsupportedFamilyError
@@ -56,13 +56,13 @@ def _checked(kind, accept, rule: str):
     return parse
 
 
-def _input_summary(path: str, g: Graph) -> dict:
+def _input_summary(path: str, g: Graph, diam: int) -> dict:
     return {
         "path": str(path),
         "n": g.n,
         "edge_count": g.edge_count,
         "max_degree": g.max_degree(),
-        "diameter": diameter(g),
+        "diameter": diam,
     }
 
 
@@ -76,7 +76,8 @@ def _emit(args, command: str, input_obj, result: dict, started: float,
             "timing": time.perf_counter() - started,
             "version": __version__,
         }
-        print(json.dumps(report, indent=2, sort_keys=True))
+        # one line: an indent would switch json to its pure-Python encoder
+        print(json.dumps(report, sort_keys=True))
     else:
         for line in human:
             print(line)
@@ -85,7 +86,7 @@ def _emit(args, command: str, input_obj, result: dict, started: float,
 def _cmd_check(args) -> int:
     started = time.perf_counter()
     g = read_edge_list(args.path)
-    report = imbalance_report(g)
+    report, diam = report_with_diameter(g, records=args.report)
     result = {
         "balanced": report.balanced,
         "worst_edge": list(report.worst_edge) if report.worst_edge else None,
@@ -100,15 +101,16 @@ def _cmd_check(args) -> int:
             for r in report.records)
     if not report.balanced:
         human.append(f"worst edge: {report.worst_edge}")
-    _emit(args, "check", _input_summary(args.path, g), result, started, human)
+    _emit(args, "check", _input_summary(args.path, g, diam), result, started, human)
     return EXIT_OK if report.balanced else EXIT_UNBALANCED
 
 
 def _cmd_szeged(args) -> int:
     started = time.perf_counter()
     g = read_edge_list(args.path)
-    value = szeged_index(g)
-    _emit(args, "szeged", _input_summary(args.path, g),
+    report, diam = report_with_diameter(g)
+    value = _szeged(report.records)
+    _emit(args, "szeged", _input_summary(args.path, g, diam),
           {"szeged_index": value}, started, [str(value)])
     return EXIT_OK
 
@@ -209,7 +211,8 @@ def _cmd_closure(args) -> int:
         ]
         if args.all_witnesses:
             human.append(f"witness count: {len(res.witnesses)}")
-    _emit(args, "closure", _input_summary(args.path, g), result, started, human)
+    _emit(args, "closure", _input_summary(args.path, g, diameter(g)), result,
+          started, human)
     return EXIT_OK
 
 

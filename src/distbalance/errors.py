@@ -50,7 +50,8 @@ class PruneModeUnjustifiedError(GraphError):
 
 
 class GraphTooLargeError(GraphError):
-    """Vertex count exceeds the search representation bound."""
+    """Vertex count exceeds a documented bound (graph.MAX_VERTICES, or
+    search.MAX_SEARCH_VERTICES for the exhaustive search)."""
 
 
 class SearchBudgetError(GraphError):

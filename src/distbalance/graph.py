@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     DisconnectedGraphError,
+    GraphTooLargeError,
     ParameterTooSmallError,
     SelfLoopError,
     SizeMismatchError,
@@ -28,6 +29,10 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+
+# the largest vertex count from_edge_list accepts; an edge-list file names its
+# own count, so this bounds what one line of input can make it allocate
+MAX_VERTICES = 1 << 16
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -75,11 +80,14 @@ class Graph:
 def from_edge_list(n: int, edges: Iterable[Iterable[int]]) -> Graph:
     """Build a simple graph; duplicates and both orientations collapse.
 
-    Raises VertexOutOfRangeError for an endpoint outside 0..n-1 and
-    SelfLoopError for a pair with equal endpoints.
+    Raises VertexOutOfRangeError for an endpoint outside 0..n-1,
+    SelfLoopError for a pair with equal endpoints and GraphTooLargeError
+    for n above MAX_VERTICES.
     """
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphTooLargeError(f"at most {MAX_VERTICES} vertices are supported, got {n}")
     adj = [0] * n
     for pair in edges:
         u, v = pair

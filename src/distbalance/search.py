@@ -53,10 +53,12 @@ class SearchConfig:
 
     prune_mode: "naive" tests every subset, "regular" restricts to regular
         candidates (see module docstring for when that is legal).
-    max_k: stop after exhausting this many added edges.
+    max_k: stop after exhausting this many added edges (>= 0).
     all_witnesses: collect every minimal witness instead of the first.
-    time_budget: wall-clock seconds before giving up with a certified bound.
+    time_budget: wall-clock seconds before giving up with a certified bound
+        (> 0).
     threads: worker threads for candidate checking (1 = run in-line).
+    Out-of-range values are refused with ValueError, not clamped.
     """
 
     prune_mode: str = "naive"
@@ -204,6 +206,12 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
             f"search supports at most {MAX_SEARCH_VERTICES} vertices, got {g.n}")
     if config.prune_mode not in ("naive", "regular"):
         raise ValueError(f"unknown prune mode {config.prune_mode!r}")
+    if config.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {config.threads}")
+    if config.max_k is not None and config.max_k < 0:
+        raise ValueError(f"max_k must be >= 0, got {config.max_k}")
+    if config.time_budget is not None and config.time_budget <= 0:
+        raise ValueError(f"time_budget must be > 0, got {config.time_budget}")
     if not is_connected(g):
         raise DisconnectedGraphError("search requires a connected graph")
     if config.prune_mode == "regular" and not _regular_mode_justified(g):
@@ -216,12 +224,12 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
     k_cap = len(comp) if config.max_k is None else min(config.max_k, len(comp))
     deadline = (None if config.time_budget is None
                 else time.monotonic() + config.time_budget)
-    threads = max(1, config.threads)
     check = partial(_balanced_with, g.adj)
 
     explored = 0
     exhausted = -1
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = (ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1
+            else None)
     try:
         for k in range(k_cap + 1):
             if progress is not None:

@@ -61,6 +61,19 @@ def edge_balance_oracle(g: Graph) -> list[tuple[int, int, int, int]]:
             for x, y in edges]
 
 
+def plain_check_oracle(g: Graph) -> tuple[bool, tuple[int, int] | None, int]:
+    """(balanced, worst edge, diameter) as a plain ``check`` reports them,
+    from ``edge_balance_oracle`` and ``bfs_distances`` alone: the worst edge
+    is the first record with the largest gap, None when every gap is 0."""
+    records = edge_balance_oracle(g)
+    gaps = [abs(cx - cy) for _, _, cx, cy in records]
+    top = max(gaps, default=0)
+    worst = records[gaps.index(top)][:2] if top else None
+    edges = g.edges()
+    diam = max(max(bfs_distances(g.n, edges, v)) for v in range(g.n))
+    return top == 0, worst, diam
+
+
 def _tree_centers(g: Graph) -> list[int]:
     """Iterative leaf stripping down to the 1- or 2-vertex core."""
     degree = g.degrees()

@@ -18,6 +18,7 @@ from distbalance import (
     regular_degree,
     szeged_index,
 )
+from distbalance.analysis import report_with_diameter
 from distbalance.trees import FamilyTag, canonical_family_tree
 
 
@@ -119,6 +120,27 @@ def test_per_edge_counts_match_oracle_exhaustively(small_connected_graphs):
 @given(helpers.connected_graphs())
 def test_per_edge_counts_match_oracle(g):
     _assert_matches_oracle(g)
+
+
+def test_transmission_route_matches_oracle_exhaustively(small_connected_graphs):
+    """Plain ``check`` builds no records: its balance, worst edge and diameter
+    come from transmissions and eccentricities, on every labeled connected
+    graph with n <= 6."""
+    for graphs in small_connected_graphs.values():
+        for g in graphs:
+            report, diam = report_with_diameter(g, records=False)
+            expected = helpers.plain_check_oracle(g)
+            assert report.records == ()
+            assert (report.balanced, report.worst_edge, diam) == expected
+
+
+@given(helpers.connected_graphs())
+def test_record_route_diameter_matches_transmission_route(g):
+    with_records, diam = report_with_diameter(g)
+    without, diam_without = report_with_diameter(g, records=False)
+    assert diam == diam_without == diameter(g)
+    assert with_records.balanced == without.balanced
+    assert with_records.worst_edge == without.worst_edge
 
 
 def test_report_agrees_on_random_corpus(random_corpus):

@@ -1,16 +1,24 @@
 """CLI integration: exit codes, JSON schema, round trips."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
 
+import helpers
+from distbalance import analysis, graph
 from distbalance import (
     broom,
     canonical_family_tree,
     complete_graph,
     cycle_graph,
+    diameter,
     parse_edge_list,
     path_graph,
     read_edge_list,
@@ -70,12 +78,56 @@ class TestCheck:
         path.write_text("4\n0 1\n2 3\n")
         assert main(["check", str(path)]) == 1
 
+    def test_vertex_count_over_cap(self, capsys, tmp_path):
+        path = tmp_path / "huge.el"
+        path.write_text("1000000000000\n0 1\n")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_json_report(self, capsys, star3_file):
         code, report = run_json(capsys, ["check", star3_file, "--report", "--json"])
         assert code == 2
         assert set(report) == {"command", "input", "result", "timing", "version"}
         assert report["result"]["balanced"] is False
         assert report["result"]["records"] == [[0, 1, 3, 1], [0, 2, 3, 1], [0, 3, 3, 1]]
+
+
+@given(helpers.connected_graphs())
+def test_plain_check_matches_oracle(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.el"
+        write_edge_list(g, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", str(path), "--json"])
+    report = json.loads(out.getvalue())
+    balanced, worst, diam = helpers.plain_check_oracle(g)
+    assert code == (0 if balanced else 2)
+    assert report["result"] == {"balanced": balanced,
+                                "worst_edge": list(worst) if worst else None}
+    assert report["input"]["diameter"] == diam
+
+
+@pytest.mark.parametrize("command", [["check"], ["check", "--report"], ["szeged"]])
+@pytest.mark.parametrize("g", [cycle_graph(9), complete_graph(6), broom(4)],
+                         ids=["C9", "K6", "broom4"])
+def test_one_bfs_pass_per_report(monkeypatch, capsys, tmp_path, command, g):
+    """One BFS per source plus the BFS-order sweep of the per-edge route;
+    the input's diameter is read off the same pass."""
+    expected_diameter = diameter(g)
+    calls = []
+
+    def counted(adj, source, levels=graph._levels):
+        calls.append(source)
+        return levels(adj, source)
+
+    monkeypatch.setattr(graph, "_levels", counted)
+    monkeypatch.setattr(analysis, "_levels", counted)
+    path = tmp_path / "g.el"
+    write_edge_list(g, path)
+    main([command[0], str(path), *command[1:], "--json"])
+    assert json.loads(capsys.readouterr().out)["input"]["diameter"] == expected_diameter
+    assert 0 < len(calls) <= g.n + 1
 
 
 class TestSzeged:
@@ -233,6 +285,21 @@ class TestReportContract:
             report.pop("timing")
             return report
         assert snapshot() == snapshot()
+
+    def test_json_is_one_line_every_command(self, capsys, c4_file, star3_file,
+                                            tmp_path):
+        out = tmp_path / "g.el"
+        for argv in (["check", star3_file, "--report", "--json"],
+                     ["szeged", c4_file, "--json"],
+                     ["gen", "cycle", "5", "--json"],
+                     ["gen", "path", "4", "--out", str(out), "--json"],
+                     ["closure", star3_file, "--json"],
+                     ["closure", c4_file, "--mode", "search", "--json"],
+                     ["verify", "--family", "star", "--m", "3..4", "--json"]):
+            main(argv)
+            text = capsys.readouterr().out
+            assert text.endswith("\n") and text.count("\n") == 1, argv
+            assert isinstance(json.loads(text), dict)
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -6,6 +6,7 @@ from hypothesis import given
 import helpers
 from distbalance import (
     DisconnectedGraphError,
+    GraphTooLargeError,
     SelfLoopError,
     SizeMismatchError,
     VertexOutOfRangeError,
@@ -23,6 +24,7 @@ from distbalance import (
     relabel,
     remove_edges,
 )
+from distbalance.graph import MAX_VERTICES
 from distbalance.trees import FamilyTag, canonical_family_tree
 
 
@@ -53,6 +55,11 @@ class TestFromEdgeList:
     def test_self_loop(self):
         with pytest.raises(SelfLoopError):
             from_edge_list(3, [(1, 1)])
+
+    def test_vertex_count_capped(self):
+        assert from_edge_list(MAX_VERTICES, []).n == MAX_VERTICES
+        with pytest.raises(GraphTooLargeError):
+            from_edge_list(MAX_VERTICES + 1, [])
 
     def test_empty_vertex_set_rejected(self):
         with pytest.raises(ValueError):

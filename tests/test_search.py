@@ -74,6 +74,13 @@ class TestErrors:
         with pytest.raises(ValueError):
             search_minimum_additions(path_graph(3), SearchConfig(prune_mode="fast"))
 
+    @pytest.mark.parametrize("field,value", [
+        ("threads", 0), ("threads", -2), ("max_k", -1),
+        ("time_budget", 0.0), ("time_budget", -1.0)])
+    def test_out_of_range_config_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            search_minimum_additions(path_graph(5), SearchConfig(**{field: value}))
+
     def test_regular_mode_refused_off_domain(self):
         # P_6: diameter 5 and max degree 2 < n-3 = 3
         with pytest.raises(PruneModeUnjustifiedError):
