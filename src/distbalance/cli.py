@@ -21,7 +21,14 @@ from .edgelist import format_edge_list, read_edge_list, write_edge_list
 from .errors import GraphError, SearchBudgetError, UnsupportedFamilyError
 from .graph import Graph, complete_graph, cycle_graph, diameter, path_graph
 from .search import SearchConfig, search_minimum_additions
-from .trees import FamilyTag, StarlikeSpec, broom, canonical_family_tree, starlike
+from .trees import (
+    FAMILIES,
+    FamilyTag,
+    StarlikeSpec,
+    broom,
+    canonical_family_tree,
+    starlike,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -29,13 +36,7 @@ EXIT_UNBALANCED = 2
 EXIT_UNSUPPORTED_FAMILY = 3
 EXIT_BUDGET_EXCEEDED = 4
 
-_VERIFY_FAMILIES = {
-    "star": (FamilyTag.STAR, 1),
-    "s2": (FamilyTag.S2, 2),
-    "s22": (FamilyTag.S22, 2),
-    "s3": (FamilyTag.S3, 3),
-    "broom": (FamilyTag.BROOM, 3),
-}
+_VERIFY_FAMILIES = [tag.value for tag in FAMILIES]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,7 +231,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
     rows = []
     for name in family_names:
-        tag, min_m = _VERIFY_FAMILIES[name]
+        tag = FamilyTag(name)
+        min_m = FAMILIES[tag].verify_min_m
         if lo < min_m:
             raise ValueError(f"family {name} needs m >= {min_m}, got range start {lo}")
         for m in range(lo, hi + 1):
@@ -267,7 +269,7 @@ def _cmd_verify(args) -> int:
     lo, hi = _parse_range(args.m)
     if lo > hi:
         raise ValueError(f"empty range {args.m!r}")
-    names = list(_VERIFY_FAMILIES) if args.family == "all" else [args.family]
+    names = _VERIFY_FAMILIES if args.family == "all" else [args.family]
     rows = _verify_rows(names, lo, hi, args.oracle)
     all_pass = all(row["pass"] for row in rows)
     header = (f"{'family':<7}{'m':>3}{'n':>4}{'b':>5}  {'edges':<6}{'DB':<6}"
@@ -326,13 +328,14 @@ def _build_parser() -> _Parser:
     p_cl.add_argument("--all-witnesses", action="store_true", dest="all_witnesses")
     p_cl.add_argument("--budget", type=_checked(float, lambda s: s > 0, "> 0"),
                       help="wall-clock seconds before giving up")
-    p_cl.add_argument("--threads", type=_checked(int, lambda t: t >= 1, ">= 1"), default=1)
+    p_cl.add_argument("--threads", type=_checked(int, lambda t: t >= 1, ">= 1"), default=1,
+                      help="worker processes, capped at usable CPUs")
     p_cl.add_argument("--json", action="store_true")
     p_cl.set_defaults(handler=_cmd_closure)
 
     p_ver = sub.add_parser("verify",
                            help="certify the family constructions over an m range")
-    p_ver.add_argument("--family", choices=list(_VERIFY_FAMILIES) + ["all"],
+    p_ver.add_argument("--family", choices=_VERIFY_FAMILIES + ["all"],
                        required=True)
     p_ver.add_argument("--m", required=True, help="range A..B (inclusive)")
     p_ver.add_argument("--oracle", action="store_true",

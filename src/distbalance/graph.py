@@ -222,7 +222,14 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 
 def diameter(g: Graph) -> int:
-    """The largest eccentricity; raises DisconnectedGraphError when disconnected."""
+    """The largest eccentricity; raises DisconnectedGraphError when disconnected.
+
+    A connected graph with n - 1 edges is a tree, where a vertex farthest
+    from any vertex ends a longest path, so two sweeps suffice.
+    """
+    if g.edge_count == g.n - 1:
+        far = _spanning_levels(g.adj, 0)[-1]
+        return len(_levels(g.adj, far.bit_length() - 1)) - 1
     return max(ecc for _, ecc in _profiles(g.adj))
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     EmptySpecError,
@@ -89,29 +90,30 @@ class TreeFamily:
     relabeling: tuple[int, ...] | None
 
 
-_FAMILY_ORDER_OFFSET = {
-    FamilyTag.STAR: 1,
-    FamilyTag.S2: 2,
-    FamilyTag.S22: 3,
-    FamilyTag.S3: 3,
-    FamilyTag.BROOM: 3,
-}
+class FamilyRow(NamedTuple):
+    order_offset: int  # n - m
+    min_m: int  # the smallest m with a canonical tree
+    verify_min_m: int  # the smallest m >= 1 whose canonical tree classifies as this family
 
-_FAMILY_MIN_M = {
-    FamilyTag.STAR: 0,
-    FamilyTag.S2: 2,
-    FamilyTag.S22: 2,
-    FamilyTag.S3: 2,
-    FamilyTag.BROOM: 3,
+
+# The one family table, in classification precedence.  Below verify_min_m
+# families coincide (P_5 is the s3 tree with m = 2 but classifies as s22),
+# so `verify` starts each family there.
+FAMILIES = {
+    FamilyTag.STAR: FamilyRow(1, 0, 1),
+    FamilyTag.S2: FamilyRow(2, 2, 2),
+    FamilyTag.S22: FamilyRow(3, 2, 2),
+    FamilyTag.S3: FamilyRow(3, 2, 3),
+    FamilyTag.BROOM: FamilyRow(3, 3, 3),
 }
 
 
 def canonical_family_tree(tag: FamilyTag, m: int) -> Graph:
     """The canonically labeled tree of a recognized family."""
-    if tag not in _FAMILY_ORDER_OFFSET:
+    if tag not in FAMILIES:
         raise UnsupportedFamilyError(f"{tag.value} has no canonical tree")
-    if m < _FAMILY_MIN_M[tag]:
-        raise ParameterTooSmallError(f"{tag.value} needs m >= {_FAMILY_MIN_M[tag]}, got {m}")
+    if m < FAMILIES[tag].min_m:
+        raise ParameterTooSmallError(f"{tag.value} needs m >= {FAMILIES[tag].min_m}, got {m}")
     spokes = [(0, i) for i in range(1, m + 1)]
     if tag is FamilyTag.STAR:
         return from_edge_list(m + 1, spokes)
@@ -147,7 +149,7 @@ def starlike(spec: StarlikeSpec) -> Graph:
         named = FamilyTag.S22
     elif set(counts) <= {1, 3} and counts[3] == 1:
         named = FamilyTag.S3
-    if named is not None and m >= _FAMILY_MIN_M[named]:
+    if named is not None and m >= FAMILIES[named].min_m:
         return canonical_family_tree(named, m)
     edges = []
     nxt = 1
@@ -266,10 +268,6 @@ _MATCHERS = {
     FamilyTag.BROOM: _match_broom,
 }
 
-# Precedence for overlapping small orders: pick the family whose closure
-# construction is defined at that m.
-_PRECEDENCE = (FamilyTag.STAR, FamilyTag.S2, FamilyTag.S22, FamilyTag.S3, FamilyTag.BROOM)
-
 
 def classify_tree(t: Graph) -> TreeFamily:
     """Identify the family of a tree and the relabeling to canonical form.
@@ -287,8 +285,8 @@ def classify_tree(t: Graph) -> TreeFamily:
     if m < t.n - 3:
         return TreeFamily(FamilyTag.OTHER, m, None)
     hubs = [v for v in range(t.n) if degs[v] == m]
-    for tag in _PRECEDENCE:
-        if t.n != m + _FAMILY_ORDER_OFFSET[tag] or m < _FAMILY_MIN_M[tag]:
+    for tag, row in FAMILIES.items():  # precedence for overlapping small orders
+        if t.n != m + row.order_offset or m < row.min_m:
             continue
         for hub in hubs:
             perm = _MATCHERS[tag](t, hub, m)

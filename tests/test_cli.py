@@ -265,6 +265,22 @@ class TestVerify:
         assert main(["verify", "--family", "star", "--m", "5..3"]) == 1
         assert main(["verify", "--family", "star", "--m", "x"]) == 1
 
+    @pytest.mark.parametrize("family,first_m", [
+        ("star", 1), ("s2", 2), ("s22", 2), ("s3", 3), ("broom", 3)])
+    def test_range_start_per_family(self, capsys, family, first_m):
+        """Each family's range may start at first_m and at no smaller m."""
+        assert main(["verify", "--family", family, "--m", f"{first_m}..{first_m}"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--family", family,
+                     "--m", f"{first_m - 1}..{first_m}"]) == 1
+        assert f"needs m >= {first_m}" in capsys.readouterr().err
+
+    def test_all_families_start_at_the_latest_first_m(self, capsys):
+        assert main(["verify", "--family", "all", "--m", "3..3"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--family", "all", "--m", "2..3"]) == 1
+        assert "family s3 needs m >= 3" in capsys.readouterr().err
+
 
 class TestReportContract:
     def test_required_keys_every_command(self, capsys, c4_file, tmp_path):

@@ -1,7 +1,10 @@
 """Graph construction, distances, partitions, and their invariants."""
 
+import random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from distbalance import (
@@ -24,7 +27,7 @@ from distbalance import (
     relabel,
     remove_edges,
 )
-from distbalance.graph import MAX_VERTICES
+from distbalance.graph import MAX_VERTICES, _profiles
 from distbalance.trees import FamilyTag, canonical_family_tree
 
 
@@ -107,6 +110,35 @@ class TestDiameter:
 
     def test_k6_minus_matching(self):
         assert diameter(k6_minus_perfect_matching()) == 2
+
+    def test_tree_sweeps_match_all_sources(self):
+        """The two-sweep tree route agrees with the largest eccentricity over
+        every source, on every tree with n <= 8 under two labelings."""
+        rng = random.Random(8)
+        for n in range(1, 9):
+            for t in helpers.all_trees(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for g in (t, relabel(t, perm)):
+                    assert diameter(g) == max(ecc for _, ecc in _profiles(g.adj))
+
+    @given(helpers.trees(max_n=40), st.randoms(use_true_random=False))
+    def test_random_tree_sweeps_match_all_sources(self, t, rng):
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        g = relabel(t, perm)
+        assert diameter(g) == max(ecc for _, ecc in _profiles(g.adj))
+
+    @pytest.mark.parametrize("n,edges", [
+        (4, [(1, 2), (2, 3), (1, 3)]),          # vertex 0 isolated, a triangle
+        (4, [(0, 1), (1, 2), (0, 2)]),          # the triangle holds vertex 0
+        (6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]),
+    ])
+    def test_disconnected_with_n_minus_1_edges_raises(self, n, edges):
+        g = from_edge_list(n, edges)
+        assert g.edge_count == n - 1
+        with pytest.raises(DisconnectedGraphError):
+            diameter(g)
 
 
 class TestEdgePartition:

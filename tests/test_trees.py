@@ -193,3 +193,18 @@ def test_classifier_total_on_random_trees(t):
         assert relabel(t, fam.relabeling) == canonical_family_tree(fam.tag, fam.m)
     else:
         assert fam.tag is FamilyTag.OTHER
+
+
+def test_family_table_verify_start_is_first_self_classifying_m():
+    """verify_min_m is the smallest m >= 1 at which the canonical tree
+    classifies back to its own family; min_m is the smallest m with a tree."""
+    from distbalance.trees import FAMILIES as TABLE
+
+    assert list(TABLE) == FAMILIES
+    for tag, row in TABLE.items():
+        with pytest.raises(ParameterTooSmallError):
+            canonical_family_tree(tag, row.min_m - 1)
+        first = next(m for m in range(max(1, row.min_m), 10)
+                     if classify_tree(canonical_family_tree(tag, m)).tag is tag)
+        assert first == row.verify_min_m, tag
+        assert canonical_family_tree(tag, first).n == first + row.order_offset
