@@ -329,7 +329,7 @@ def _build_parser() -> _Parser:
     p_cl.add_argument("--budget", type=_checked(float, lambda s: s > 0, "> 0"),
                       help="wall-clock seconds before giving up")
     p_cl.add_argument("--threads", type=_checked(int, lambda t: t >= 1, ">= 1"), default=1,
-                      help="worker processes, capped at usable CPUs")
+                      help="accepted (>= 1); the search runs in one process")
     p_cl.add_argument("--json", action="store_true")
     p_cl.set_defaults(handler=_cmd_closure)
 

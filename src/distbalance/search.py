@@ -14,26 +14,19 @@ with maximum degree at least n-3; the mode is refused elsewhere.  For a
 fixed k the handshake identity pins the only possible degree to
 r = 2(|E|+k)/n, so most levels are skipped without enumerating anything.
 
-A naive level is scanned by lexicographic rank: the candidate of rank i is
-the i-th k-subset in lex order, the order of the combinatorial number
-system (Knuth, TAOCP 4A, 7.2.1.3).  The search uses min(threads, usable
-CPUs) workers.  With one worker, or on a level of fewer than ``_SHARD_MIN``
-candidates, the level runs in-line as the single slice 0..end.  Otherwise
-worker processes scan about ``_SLICES_PER_WORKER`` rank slices each, and
-the parent takes the smallest-rank hit (every hit, in rank order, with
-all_witnesses).  ``explored`` counts the candidates in lex order up to and
-including the first hit, so it is the same for every worker count.
-Regular-mode levels hold a handful of candidates and always run in-line.
+Every level runs in this process, in lex order.  Checking a candidate is
+Python computation, which a thread pool cannot overlap; worker processes
+wait for a multi-CPU benchmark workload that can show their gain.
+``explored`` counts the candidates in lex order up to and including the
+first hit, so it does not depend on ``SearchConfig.threads``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
-from math import comb
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .analysis import _transmission_regular
@@ -49,14 +42,9 @@ from .trees import is_tree
 
 MAX_SEARCH_VERTICES = 64
 _DEADLINE_STRIDE = 512  # candidates, or regular-mode recursion steps, per clock read
-# about 0.4 s in-line at n = 8, twice what starting a spawned pool costs;
-# smaller levels do not pay for one
-_SHARD_MIN = 50_000
-_SLICES_PER_WORKER = 8
 
 Edge = tuple[int, int]
 Witness = tuple[Edge, ...]
-Hit = tuple[int, Witness]  # (lex rank within its level, added edges)
 
 
 @dataclass(frozen=True)
@@ -69,10 +57,8 @@ class SearchConfig:
     all_witnesses: collect every minimal witness instead of the first.
     time_budget: wall-clock seconds before giving up with a certified bound
         (> 0).
-    threads: worker processes for large naive levels, capped at the usable
-        CPUs (1, or one usable CPU, = run in-line).  Results, ``explored``
-        included, do not depend on it.  Workers are spawned, so a script
-        that sets it above 1 needs the ``if __name__ == "__main__":`` guard.
+    threads: accepted (>= 1) and otherwise unused: every level runs
+        in-line, so results, ``explored`` included, do not depend on it.
     Out-of-range values are refused with ValueError, not clamped.
     """
 
@@ -111,17 +97,6 @@ class SearchResult:
 
 class _Expired(Exception):
     """The deadline passed inside the regular-mode recursion."""
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker_count(threads: int) -> int:
-    return min(threads, _usable_cpus())
 
 
 def _balanced_with(adj: tuple[int, ...], added: Witness) -> bool:
@@ -200,77 +175,27 @@ def _regular_mode_justified(g: Graph) -> bool:
     return diameter(g) <= 2 or (is_tree(g) and g.max_degree() >= g.n - 3)
 
 
-def _scan(adj: tuple[int, ...], candidates: Iterable[Witness], lo: int,
-          deadline: float | None, all_witnesses: bool) -> tuple[list[Hit], int, bool]:
-    """Test ``candidates``, the first of which has rank ``lo``.
+def _scan(adj: tuple[int, ...], candidates: Iterable[Witness],
+          deadline: float | None, all_witnesses: bool) -> tuple[list[Witness], int, bool]:
+    """Test ``candidates`` in order.
 
-    Returns the hits as (rank, witness) in rank order, the number tested and
-    whether the deadline passed; stops at the first hit unless
-    ``all_witnesses``.
+    Returns the hits, the number tested and whether the deadline passed;
+    stops at the first hit unless ``all_witnesses``.
     """
-    hits: list[Hit] = []
-    rank = lo - 1
-    try:
-        for rank, cand in enumerate(candidates, lo):
-            if _balanced_with(adj, cand):
-                hits.append((rank, cand))
-                if not all_witnesses:
-                    break
-            if (deadline is not None and not (rank + 1) % _DEADLINE_STRIDE
-                    and time.monotonic() > deadline):
-                return hits, rank + 1 - lo, True
-    except _Expired:
-        return hits, rank + 1 - lo, True
-    return hits, rank + 1 - lo, False
-
-
-def _scan_slice(adj: tuple[int, ...], comp: list[Edge], k: int, lo: int,
-                hi: int | None, deadline: float | None,
-                all_witnesses: bool) -> tuple[list[Hit], int, bool]:
-    """``_scan`` of the naive level-k candidates of rank lo..hi-1 (None: to the
-    end); islice skips the first lo subsets in C."""
-    return _scan(adj, islice(combinations(comp, k), lo, hi), lo, deadline,
-                 all_witnesses)
-
-
-def _scan_sharded(pool, workers: int, adj: tuple[int, ...], comp: list[Edge],
-                  k: int, size: int, deadline: float | None,
-                  all_witnesses: bool) -> tuple[list[Hit], int, bool]:
-    """Naive level k as rank slices on ``pool``, merged in rank order.
-
-    The merge stops at the first slice with a hit, unless ``all_witnesses``,
-    so that hit has the smallest rank and ``tested`` counts the candidates up
-    to it, as in-line; the slices not yet started are cancelled.
-    """
-    step = -(-size // (workers * _SLICES_PER_WORKER))
-    futures = [pool.submit(_scan_slice, adj, comp, k, lo, min(lo + step, size),
-                           deadline, all_witnesses)
-               for lo in range(0, size, step)]
-    hits: list[Hit] = []
+    hits: list[Witness] = []
     tested = 0
     try:
-        for future in futures:
-            slice_hits, slice_tested, timed_out = future.result()
-            hits += slice_hits
-            tested += slice_tested
-            if timed_out or (hits and not all_witnesses):
-                return hits, tested, timed_out
-        return hits, tested, False
-    finally:
-        for future in futures:
-            future.cancel()
-
-
-def _start_pool(workers: int):
-    # imported here: concurrent.futures.process costs tens of milliseconds
-    # to import, which every in-line search and every other command would pay
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # spawned workers start from a fresh import: fork is unsafe when the
-    # caller runs threads of its own
-    return ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("spawn"))
+        for tested, cand in enumerate(candidates, 1):
+            if _balanced_with(adj, cand):
+                hits.append(cand)
+                if not all_witnesses:
+                    break
+            if (deadline is not None and not tested % _DEADLINE_STRIDE
+                    and time.monotonic() > deadline):
+                return hits, tested, True
+    except _Expired:
+        return hits, tested, True
+    return hits, tested, False
 
 
 def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
@@ -303,50 +228,38 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
     k_cap = len(comp) if config.max_k is None else min(config.max_k, len(comp))
     deadline = (None if config.time_budget is None
                 else time.monotonic() + config.time_budget)
-    workers = _worker_count(config.threads)
 
     explored = 0
     exhausted = -1
-    pool = None  # started by the first level that is sharded
-    try:
-        for k in range(k_cap + 1):
-            if progress is not None:
-                progress.current_k = k
-            if config.prune_mode == "regular":
-                r = _regular_target(g.n, g.edge_count, k, max_deg)
-                if r is None:
-                    # no regular graph with this many edges: provably empty level
-                    exhausted = k
-                    continue
-                hits, tested, timed_out = _scan(
-                    g.adj, _regular_additions(degrees, comp, r, k, deadline), 0,
-                    deadline, config.all_witnesses)
-            elif workers == 1 or (size := comb(len(comp), k)) < _SHARD_MIN:
-                hits, tested, timed_out = _scan_slice(
-                    g.adj, comp, k, 0, None, deadline, config.all_witnesses)
-            else:
-                if pool is None:
-                    pool = _start_pool(workers)
-                hits, tested, timed_out = _scan_sharded(
-                    pool, workers, g.adj, comp, k, size, deadline, config.all_witnesses)
-            explored += tested
-            if progress is not None:
-                progress.explored = explored
-            if timed_out:
-                raise SearchBudgetError(
-                    f"time budget exhausted inside level k={k}", exhausted, explored)
-            if hits:
-                return SearchResult(k, tuple(w for _, w in hits), explored,
-                                    config.prune_mode)
-            exhausted = k
-            if deadline is not None and time.monotonic() > deadline:
-                raise SearchBudgetError(
-                    f"time budget exhausted after level k={k}", exhausted, explored)
-        raise SearchBudgetError(
-            f"no witness with at most {k_cap} added edges", exhausted, explored)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for k in range(k_cap + 1):
+        if progress is not None:
+            progress.current_k = k
+        if config.prune_mode == "regular":
+            r = _regular_target(g.n, g.edge_count, k, max_deg)
+            if r is None:
+                # no regular graph with this many edges: provably empty level
+                exhausted = k
+                continue
+            candidates: Iterable[Witness] = _regular_additions(
+                degrees, comp, r, k, deadline)
+        else:
+            candidates = combinations(comp, k)
+        hits, tested, timed_out = _scan(g.adj, candidates, deadline,
+                                        config.all_witnesses)
+        explored += tested
+        if progress is not None:
+            progress.explored = explored
+        if timed_out:
+            raise SearchBudgetError(
+                f"time budget exhausted inside level k={k}", exhausted, explored)
+        if hits:
+            return SearchResult(k, tuple(hits), explored, config.prune_mode)
+        exhausted = k
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchBudgetError(
+                f"time budget exhausted after level k={k}", exhausted, explored)
+    raise SearchBudgetError(
+        f"no witness with at most {k_cap} added edges", exhausted, explored)
 
 
 def enumerate_regular_supergraphs(g: Graph, r: int) -> Iterator[Graph]:

@@ -1,7 +1,5 @@
 """The exhaustive search oracle: witnesses, pruning, budgets, determinism."""
 
-import multiprocessing
-import os
 from itertools import combinations
 from math import comb
 
@@ -292,160 +290,31 @@ def _non_family_graphs():
             from_edge_list(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)])]
 
 
-@pytest.fixture
-def sharded(monkeypatch):
-    """Every naive level with more than one worker goes to worker processes,
-    whatever the level's size and the machine's CPU count; returns the list
-    of worker counts of the pools started."""
-    started = []
-    start_pool = search._start_pool
-
-    def spy(workers):
-        started.append(workers)
-        return start_pool(workers)
-
-    monkeypatch.setattr(search, "_SHARD_MIN", 1)
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(search, "_start_pool", spy)
-    return started
-
-
-class _KeptPool:
-    """A real pool that outlives the searches it serves, so that one set of
-    spawned workers runs many searches; its owner shuts it down."""
-
-    def __init__(self, pool):
-        self.pool = pool
-
-    def submit(self, *args):
-        return self.pool.submit(*args)
-
-    def shutdown(self, cancel_futures=False):
-        pass
+def test_results_do_not_depend_on_threads(high_degree_trees):
+    """explored, the witnesses and all_witnesses are the same for threads 1, 2
+    and 3, in either mode, on the high-degree trees with n <= 7 and on two
+    non-family trees."""
+    cases = [(t, mode) for t in high_degree_trees for mode in ("naive", "regular")]
+    cases += [(t, "naive") for t in _non_family_graphs()]
+    for t, mode in cases:
+        for all_witnesses in (False, True):
+            if all_witnesses and mode == "naive" and t.n > 6:
+                continue  # whole n = 7 levels; the first-witness runs cover n = 7
+            serial = search_minimum_additions(
+                t, SearchConfig(prune_mode=mode, all_witnesses=all_witnesses))
+            for threads in (2, 3):
+                assert search_minimum_additions(
+                    t, SearchConfig(prune_mode=mode, all_witnesses=all_witnesses,
+                                    threads=threads)) == serial, (t, mode, threads)
 
 
-@pytest.fixture
-def kept_pools(monkeypatch):
-    """Like ``sharded``, but every search with the same worker count shares
-    one pool; returns the pools by worker count."""
-    pools = {}
-    start_pool = search._start_pool
-
-    def kept(workers):
-        if workers not in pools:
-            pools[workers] = _KeptPool(start_pool(workers))
-        return pools[workers]
-
-    monkeypatch.setattr(search, "_SHARD_MIN", 1)
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(search, "_start_pool", kept)
-    yield pools
-    for kept_pool in pools.values():
-        kept_pool.pool.shutdown()
-
-
-class _FailingProgress(SearchProgress):
-    """A progress slot that fails once the first level has been counted."""
-
-    def __setattr__(self, name, value):
-        if name == "explored" and value:
-            raise RuntimeError("progress sink failed")
-        super().__setattr__(name, value)
-
-
-class TestRankShards:
-    def test_slices_partition_a_level(self):
-        """Rank slices of a level, scanned apart, give the whole level's hits
-        under the same ranks."""
-        tree = canonical_family_tree(FamilyTag.S2, 4)
-        comp = complement_edges(tree)
-        k = 7
-        whole, tested, timed_out = search._scan_slice(
-            tree.adj, comp, k, 0, None, None, True)
-        assert (tested, timed_out) == (comb(len(comp), k), False)
-        assert len(whole) == 3
-        second = whole[1][0]
-        cuts = sorted({0, 1, second, second + 1, tested // 2, tested})
-        parts = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            hits, count, _ = search._scan_slice(tree.adj, comp, k, lo, hi, None, True)
-            assert count == hi - lo
-            parts += hits
-        assert parts == whole
-        assert [w for _, w in whole] == list(
-            search_minimum_additions(tree, SearchConfig(all_witnesses=True)).witnesses)
-
-    def test_same_results_for_every_worker_count(self, kept_pools, high_degree_trees):
-        """explored, the witnesses and all_witnesses do not depend on the worker
-        count, in either mode, on the high-degree trees with n <= 7 and on two
-        non-family trees."""
-        cases = [(t, mode) for t in high_degree_trees for mode in ("naive", "regular")]
-        cases += [(t, "naive") for t in _non_family_graphs()]
-        for t, mode in cases:
-            for all_witnesses in (False, True):
-                if all_witnesses and mode == "naive" and t.n > 6:
-                    continue  # whole n = 7 levels; the first-witness runs cover n = 7
-                config = SearchConfig(prune_mode=mode, all_witnesses=all_witnesses)
-                serial = search_minimum_additions(t, config)
-                for threads in (2, 3):
-                    sharded_result = search_minimum_additions(
-                        t, SearchConfig(prune_mode=mode, all_witnesses=all_witnesses,
-                                        threads=threads))
-                    assert sharded_result == serial, (t, mode, threads)
-        assert set(kept_pools) == {2, 3}
-
-    def test_explored_is_the_lex_count(self, sharded):
-        """explored = the earlier levels' sizes + the first hit's rank + 1."""
-        t = _non_family_graphs()[0]
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_explored_is_the_lex_count(threads):
+    """explored = the earlier levels' sizes + the first hit's rank + 1."""
+    for t in _non_family_graphs() + [canonical_family_tree(FamilyTag.S22, 3)]:
         comp = complement_edges(t)
-        res = search_minimum_additions(t, SearchConfig(threads=2))
+        res = search_minimum_additions(t, SearchConfig(threads=threads))
         before = sum(comb(len(comp), j) for j in range(res.min_additions))
         level = combinations(comp, res.min_additions)
         rank = next(i for i, cand in enumerate(level) if cand == res.witnesses[0])
         assert res.explored == before + rank + 1
-        assert sharded == [2]
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_budget_error_carries_last_exhausted_level(self, sharded, threads):
-        tree = canonical_family_tree(FamilyTag.S22, 3)  # needs 4 added edges
-        comp = complement_edges(tree)
-        with pytest.raises(SearchBudgetError) as exc_info:
-            search_minimum_additions(tree, SearchConfig(max_k=3, threads=threads))
-        assert exc_info.value.exhausted_k == 3
-        assert exc_info.value.explored == sum(comb(len(comp), j) for j in range(4))
-        assert multiprocessing.active_children() == []
-
-    def test_no_worker_outlives_the_search(self, sharded):
-        tree = canonical_family_tree(FamilyTag.S22, 3)
-        search_minimum_additions(tree, SearchConfig(threads=2))
-        assert multiprocessing.active_children() == []
-        with pytest.raises(SearchBudgetError):
-            search_minimum_additions(tree, SearchConfig(threads=2, time_budget=1e-9))
-        assert multiprocessing.active_children() == []
-        with pytest.raises(RuntimeError, match="progress sink"):
-            search_minimum_additions(tree, SearchConfig(threads=2),
-                                     progress=_FailingProgress())
-        assert multiprocessing.active_children() == []
-        assert sharded == [2, 2, 2]
-
-    def test_one_worker_runs_in_line(self, sharded, monkeypatch):
-        tree = canonical_family_tree(FamilyTag.S22, 3)
-        search_minimum_additions(tree, SearchConfig(threads=1))
-        monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
-        search_minimum_additions(tree, SearchConfig(threads=4))
-        assert sharded == []
-
-    def test_small_levels_run_in_line(self, monkeypatch):
-        monkeypatch.setattr(search, "_usable_cpus", lambda: 8)
-        monkeypatch.setattr(search, "_start_pool", None)  # any pool would fail
-        tree = canonical_family_tree(FamilyTag.S22, 3)  # largest level: 3003
-        assert search_minimum_additions(tree, SearchConfig(threads=4)).min_additions == 4
-
-    def test_worker_count_is_capped_at_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
-        assert search._worker_count(100000) == 3
-        assert search._worker_count(2) == 2
-        assert search._worker_count(1) == 1
-
-    def test_usable_cpus(self):
-        assert 1 <= search._usable_cpus() <= (os.cpu_count() or 1)

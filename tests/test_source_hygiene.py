@@ -41,8 +41,8 @@ def _imported_modules(node):
 
 def test_no_import_time_concurrency_modules():
     """concurrent.futures, multiprocessing and threading cost tens of
-    milliseconds to import, which every command would pay at start-up; only
-    the code path that starts worker processes may import them."""
+    milliseconds to import, which every command would pay at start-up; a
+    function that needs one imports it in its body."""
     offenders = [
         f"{path.name}:{node.lineno} {name}"
         for path in sorted(PACKAGE.rglob("*.py"))
