@@ -18,8 +18,20 @@ from . import __version__
 from .analysis import _szeged, report_with_diameter
 from .closure import construct_closure, minimum_additions_formula
 from .edgelist import format_edge_list, read_edge_list, write_edge_list
-from .errors import GraphError, SearchBudgetError, UnsupportedFamilyError
-from .graph import Graph, complete_graph, cycle_graph, diameter, path_graph
+from .errors import (
+    GraphError,
+    GraphTooLargeError,
+    SearchBudgetError,
+    UnsupportedFamilyError,
+)
+from .graph import (
+    MAX_VERTICES,
+    Graph,
+    complete_graph,
+    cycle_graph,
+    diameter,
+    path_graph,
+)
 from .search import SearchConfig, search_minimum_additions
 from .trees import (
     FAMILIES,
@@ -229,12 +241,20 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
+    # refuse the whole range before building any row: the closures of the
+    # largest trees are near-complete graphs
+    for name in family_names:
+        row = FAMILIES[FamilyTag(name)]
+        if lo < row.verify_min_m:
+            raise ValueError(
+                f"family {name} needs m >= {row.verify_min_m}, got range start {lo}")
+        if hi + row.order_offset > MAX_VERTICES:
+            raise GraphTooLargeError(
+                f"family {name} with m = {hi} has {hi + row.order_offset} vertices; "
+                f"at most {MAX_VERTICES} are supported")
     rows = []
     for name in family_names:
         tag = FamilyTag(name)
-        min_m = FAMILIES[tag].verify_min_m
-        if lo < min_m:
-            raise ValueError(f"family {name} needs m >= {min_m}, got range start {lo}")
         for m in range(lo, hi + 1):
             tree = canonical_family_tree(tag, m)
             res = construct_closure(tree)

@@ -14,18 +14,34 @@ with maximum degree at least n-3; the mode is refused elsewhere.  For a
 fixed k the handshake identity pins the only possible degree to
 r = 2(|E|+k)/n, so most levels are skipped without enumerating anything.
 
+In both modes a search for the first witness skips candidates by the
+twin rule, a cheap form of orderly generation (Read 1978; McKay,
+J. Algorithms 26 (1998)).  Two vertices are twins when they have the same
+neighbours, adjacent to each other (true twins) or not (false twins);
+swapping them is an automorphism of the input, so it maps witnesses to
+witnesses.  Each twin class contributes the swaps of its label-adjacent
+members, and a candidate that one of these swaps maps to a
+lexicographically smaller candidate is skipped before any BFS.  The
+lex-first witness is the minimum of its orbit, so no swap makes it
+smaller: it is never skipped, and the first witness and the minimum are
+those of the plain scan.  The rule tests each generating swap alone, not
+the whole group, so some non-minimal members of an orbit are still tested
+(325 candidates on the m = 6 star, whose 2^15 candidates fall into 156
+orbits).  ``all_witnesses`` scans without the rule, and inputs without
+twins get no swaps and take the plain path.
+
 Every level runs in this process, in lex order.  Checking a candidate is
 Python computation, which a thread pool cannot overlap; worker processes
 wait for a multi-CPU benchmark workload that can show their gain.
 ``explored`` counts the candidates in lex order up to and including the
-first hit, so it does not depend on ``SearchConfig.threads``.
+first hit, skipped ones included, so it does not depend on
+``SearchConfig.threads`` or on the twin rule.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -41,7 +57,9 @@ from .graph import Graph, add_edges, complement_edges, diameter, is_connected
 from .trees import is_tree
 
 MAX_SEARCH_VERTICES = 64
-_DEADLINE_STRIDE = 512  # candidates, or regular-mode recursion steps, per clock read
+# enumerated candidates (skipped ones too), or regular-mode recursion steps,
+# per clock read
+_DEADLINE_STRIDE = 512
 
 Edge = tuple[int, int]
 Witness = tuple[Edge, ...]
@@ -97,15 +115,6 @@ class SearchResult:
 
 class _Expired(Exception):
     """The deadline passed inside the regular-mode recursion."""
-
-
-def _balanced_with(adj: tuple[int, ...], added: Witness) -> bool:
-    """Whether the adjacency rows ``adj`` plus the edges ``added`` are balanced."""
-    rows = list(adj)
-    for u, v in added:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return _transmission_regular(rows)
 
 
 def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
@@ -175,27 +184,64 @@ def _regular_mode_justified(g: Graph) -> bool:
     return diameter(g) <= 2 or (is_tree(g) and g.max_degree() >= g.n - 3)
 
 
-def _scan(adj: tuple[int, ...], candidates: Iterable[Witness],
-          deadline: float | None, all_witnesses: bool) -> tuple[list[Witness], int, bool]:
-    """Test ``candidates`` in order.
+def _twin_swaps(adj: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Transpositions (a, b), a < b, of twins of the adjacency rows ``adj``.
 
-    Returns the hits, the number tested and whether the deadline passed;
-    stops at the first hit unless ``all_witnesses``.
+    a and b are false twins when their rows are equal and true twins when
+    their closed rows (the row plus the vertex itself) are; swapping twins
+    is an automorphism of any graph.  Each twin class gives the swaps of its
+    label-adjacent members, which generate the symmetric group on it.
     """
+    classes: dict[tuple[bool, int], list[int]] = {}
+    for v, row in enumerate(adj):
+        classes.setdefault((False, row), []).append(v)
+        classes.setdefault((True, row | 1 << v), []).append(v)
+    return sorted(pair for members in classes.values()
+                  for pair in zip(members, members[1:]))
+
+
+def _scan(adj: tuple[int, ...], candidates: Iterable[Witness],
+          deadline: float | None, all_witnesses: bool,
+          swaps: list[tuple[int, int]]) -> tuple[list[Witness], int, bool]:
+    """Test ``candidates`` in order, skipping those a swap makes smaller.
+
+    A candidate is skipped when a swap (a, b) of ``swaps`` maps it to a
+    lexicographically smaller one: after the swap the two rows trade their
+    bits outside {a, b}, and the smallest edge the swap moves is the one
+    from a to the lowest vertex x whose bit differs, so the candidate is the
+    smaller of the two iff x lies in its row of a.  The first witness is
+    the minimum of its orbit and is never skipped; skipped candidates are
+    not hits, so callers that want every witness pass no swaps.
+
+    Returns the hits, the number of candidates enumerated (skipped ones
+    included) and whether the deadline passed; stops at the first hit unless
+    ``all_witnesses``.
+    """
+    filters = [(a, b, ~(1 << a | 1 << b)) for a, b in swaps]
     hits: list[Witness] = []
-    tested = 0
+    enumerated = 0
     try:
-        for tested, cand in enumerate(candidates, 1):
-            if _balanced_with(adj, cand):
-                hits.append(cand)
-                if not all_witnesses:
-                    break
-            if (deadline is not None and not tested % _DEADLINE_STRIDE
+        for enumerated, cand in enumerate(candidates, 1):
+            rows = list(adj)
+            for u, v in cand:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            for a, b, outside in filters:
+                ra = rows[a] & outside
+                d = ra ^ (rows[b] & outside)
+                if d and not ra & d & -d:
+                    break  # the swap gives a smaller candidate: skip this one
+            else:
+                if _transmission_regular(rows):
+                    hits.append(cand)
+                    if not all_witnesses:
+                        break
+            if (deadline is not None and not enumerated % _DEADLINE_STRIDE
                     and time.monotonic() > deadline):
-                return hits, tested, True
+                return hits, enumerated, True
     except _Expired:
-        return hits, tested, True
-    return hits, tested, False
+        return hits, enumerated, True
+    return hits, enumerated, False
 
 
 def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
@@ -229,6 +275,7 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
     deadline = (None if config.time_budget is None
                 else time.monotonic() + config.time_budget)
 
+    swaps = [] if config.all_witnesses else _twin_swaps(g.adj)
     explored = 0
     exhausted = -1
     for k in range(k_cap + 1):
@@ -244,9 +291,9 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
                 degrees, comp, r, k, deadline)
         else:
             candidates = combinations(comp, k)
-        hits, tested, timed_out = _scan(g.adj, candidates, deadline,
-                                        config.all_witnesses)
-        explored += tested
+        hits, enumerated, timed_out = _scan(g.adj, candidates, deadline,
+                                            config.all_witnesses, swaps)
+        explored += enumerated
         if progress is not None:
             progress.explored = explored
         if timed_out:
@@ -287,10 +334,12 @@ def enumerate_regular_supergraphs(g: Graph, r: int) -> Iterator[Graph]:
 
 
 def count_balanced_additions(g: Graph, k: int) -> int:
-    """How many k-subsets of the complement edges balance ``g`` (exact count)."""
+    """How many k-subsets of the complement edges balance ``g`` (exact count:
+    every subset is tested, without the twin rule)."""
     if not is_connected(g):
         raise DisconnectedGraphError("count requires a connected graph")
     comp = complement_edges(g)
     if not 0 <= k <= len(comp):
         raise ValueError(f"k must lie in 0..{len(comp)}, got {k}")
-    return sum(map(partial(_balanced_with, g.adj), combinations(comp, k)))
+    hits, _, _ = _scan(g.adj, combinations(comp, k), None, True, [])
+    return len(hits)

@@ -191,14 +191,15 @@ def _finish_perm(t: Graph, hub: int, m: int, special: dict[int, int]) -> tuple[i
     return tuple(perm)
 
 
-def _match_star(t: Graph, hub: int, m: int) -> tuple[int, ...] | None:
+def _match_star(t: Graph, hub: int, m: int,
+                outside: list[int]) -> tuple[int, ...] | None:
     # order m+1 with hub degree m: everything else is a leaf on the hub
     return _finish_perm(t, hub, m, {})
 
 
-def _match_s2(t: Graph, hub: int, m: int) -> tuple[int, ...] | None:
+def _match_s2(t: Graph, hub: int, m: int,
+              outside: list[int]) -> tuple[int, ...] | None:
     hub_adj = t.adj[hub]
-    outside = [v for v in range(t.n) if v != hub and not hub_adj >> v & 1]
     if len(outside) != 1:
         return None
     tail = outside[0]
@@ -210,9 +211,9 @@ def _match_s2(t: Graph, hub: int, m: int) -> tuple[int, ...] | None:
     return _finish_perm(t, hub, m, {carrier: 1, tail: m + 1})
 
 
-def _match_s22(t: Graph, hub: int, m: int) -> tuple[int, ...] | None:
+def _match_s22(t: Graph, hub: int, m: int,
+               outside: list[int]) -> tuple[int, ...] | None:
     hub_adj = t.adj[hub]
-    outside = [v for v in range(t.n) if v != hub and not hub_adj >> v & 1]
     if len(outside) != 2 or any(t.degree(v) != 1 for v in outside):
         return None
     carriers = [next(t.neighbors(v)) for v in outside]
@@ -227,9 +228,9 @@ def _match_s22(t: Graph, hub: int, m: int) -> tuple[int, ...] | None:
     })
 
 
-def _match_s3(t: Graph, hub: int, m: int) -> tuple[int, ...] | None:
+def _match_s3(t: Graph, hub: int, m: int,
+              outside: list[int]) -> tuple[int, ...] | None:
     hub_adj = t.adj[hub]
-    outside = [v for v in range(t.n) if v != hub and not hub_adj >> v & 1]
     if len(outside) != 2:
         return None
     by_degree = sorted(outside, key=t.degree)
@@ -245,9 +246,9 @@ def _match_s3(t: Graph, hub: int, m: int) -> tuple[int, ...] | None:
     return _finish_perm(t, hub, m, {carrier: 1, mid: m + 1, tip: m + 2})
 
 
-def _match_broom(t: Graph, hub: int, m: int) -> tuple[int, ...] | None:
+def _match_broom(t: Graph, hub: int, m: int,
+                 outside: list[int]) -> tuple[int, ...] | None:
     hub_adj = t.adj[hub]
-    outside = [v for v in range(t.n) if v != hub and not hub_adj >> v & 1]
     if len(outside) != 2 or any(t.degree(v) != 1 for v in outside):
         return None
     carriers = {next(t.neighbors(v)) for v in outside}
@@ -284,12 +285,14 @@ def classify_tree(t: Graph) -> TreeFamily:
     m = max(degs)
     if m < t.n - 3:
         return TreeFamily(FamilyTag.OTHER, m, None)
-    hubs = [v for v in range(t.n) if degs[v] == m]
+    # for each candidate hub, the vertices outside its closed neighbourhood
+    outside = {hub: [v for v in range(t.n) if v != hub and not t.adj[hub] >> v & 1]
+               for hub in range(t.n) if degs[hub] == m}
     for tag, row in FAMILIES.items():  # precedence for overlapping small orders
         if t.n != m + row.order_offset or m < row.min_m:
             continue
-        for hub in hubs:
-            perm = _MATCHERS[tag](t, hub, m)
+        for hub, rest in outside.items():
+            perm = _MATCHERS[tag](t, hub, m, rest)
             if perm is not None:
                 return TreeFamily(tag, m, perm)
     return TreeFamily(FamilyTag.OTHER, m, None)

@@ -74,6 +74,33 @@ def plain_check_oracle(g: Graph) -> tuple[bool, tuple[int, int] | None, int]:
     return top == 0, worst, diam
 
 
+def naive_search_oracle(g: Graph) -> tuple[int, tuple, int]:
+    """(k, first witness, lex count) of a plain exhaustive search: the
+    k-subsets of the missing edges in lexicographic order, k = 0, 1, ...,
+    each decided by the per-edge definition on ``bfs_distances`` rows; the
+    lex count is the number of subsets up to and including the witness."""
+    edges = g.edges()
+    present = set(edges)
+    missing = [p for p in combinations(range(g.n), 2) if p not in present]
+    count = 0
+    for k in range(len(missing) + 1):
+        for added in combinations(missing, k):
+            count += 1
+            full = edges + list(added)
+            rows = {}
+            for x, y in full:
+                for v in (x, y):
+                    if v not in rows:
+                        rows[v] = bfs_distances(g.n, full, v)
+                closer_x = sum(a < b for a, b in zip(rows[x], rows[y]))
+                closer_y = sum(b < a for a, b in zip(rows[x], rows[y]))
+                if closer_x != closer_y:
+                    break
+            else:
+                return k, added, count
+    raise AssertionError("the complete graph is distance-balanced")
+
+
 def _tree_centers(g: Graph) -> list[int]:
     """Iterative leaf stripping down to the 1- or 2-vertex core."""
     degree = g.degrees()

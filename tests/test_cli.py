@@ -281,6 +281,20 @@ class TestVerify:
         assert main(["verify", "--family", "all", "--m", "2..3"]) == 1
         assert "family s3 needs m >= 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,m_range", [
+        ("all", "3..70000"), ("s22", "3..65534"), ("star", "65536..65536")])
+    def test_range_beyond_the_vertex_cap_refused_before_any_row(
+            self, capsys, monkeypatch, family, m_range):
+        """A range whose largest tree has more than graph.MAX_VERTICES
+        vertices (s22 with m = 65534 has 65537) exits 1 before any closure
+        of the range is built."""
+        def no_closure(tree):
+            raise AssertionError(f"built a row for n = {tree.n}")
+        monkeypatch.setattr("distbalance.cli.construct_closure", no_closure)
+        assert main(["verify", "--family", family, "--m", m_range]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"at most {graph.MAX_VERTICES}" in err
+
 
 class TestReportContract:
     def test_required_keys_every_command(self, capsys, c4_file, tmp_path):

@@ -1,10 +1,13 @@
 """The exhaustive search oracle: witnesses, pruning, budgets, determinism."""
 
+import random
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given
 
+import helpers
 from distbalance import (
     DisconnectedGraphError,
     FamilyTag,
@@ -25,9 +28,11 @@ from distbalance import (
     is_distance_balanced,
     path_graph,
     regular_degree,
+    relabel,
     search_minimum_additions,
 )
 from distbalance import search
+from distbalance.trees import FAMILIES
 
 
 class TestBasics:
@@ -318,3 +323,115 @@ def test_explored_is_the_lex_count(threads):
         level = combinations(comp, res.min_additions)
         rank = next(i for i, cand in enumerate(level) if cand == res.witnesses[0])
         assert res.explored == before + rank + 1
+
+
+# graphs outside the families with twins: true twins (K4_tail: 0, 1, 2;
+# diamond_tail: 0, 2) and false twins (C4_two_pendants: 1, 3; double_broom:
+# 1, 2 and 5, 6)
+TWIN_GRAPHS = {
+    "K4_tail": from_edge_list(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                                  (3, 4), (4, 5)]),
+    "diamond_tail": from_edge_list(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2),
+                                       (1, 4), (4, 5)]),
+    "C4_two_pendants": from_edge_list(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4),
+                                          (2, 5)]),
+    "double_broom": from_edge_list(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5),
+                                       (4, 6)]),
+}
+
+
+def _two_labelings(g):
+    """``g`` and a seeded relabeling of it."""
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    return [g, relabel(g, perm)]
+
+
+def _family_trees(order):
+    """The five family trees of this order, each under two labelings."""
+    return [t for tag, row in FAMILIES.items()
+            for t in _two_labelings(canonical_family_tree(tag, order - row.order_offset))]
+
+
+def _assert_matches_plain_scan(g):
+    res = search_minimum_additions(g)
+    assert (res.min_additions, res.witnesses[0], res.explored) == \
+        helpers.naive_search_oracle(g), g
+
+
+class TestTwinPruning:
+    """The twin rule changes no witness, no minimum and no ``explored``."""
+
+    def test_every_connected_graph_up_to_five_vertices(self):
+        for n in range(1, 6):
+            for g in helpers.all_connected_graphs(n):
+                _assert_matches_plain_scan(g)
+
+    @pytest.mark.parametrize("order", [6, 7])
+    def test_family_trees_under_two_labelings(self, order):
+        for t in _family_trees(order):
+            _assert_matches_plain_scan(t)
+
+    @pytest.mark.parametrize("name", list(TWIN_GRAPHS))
+    def test_graphs_with_twins(self, name):
+        for g in _two_labelings(TWIN_GRAPHS[name]):
+            _assert_matches_plain_scan(g)
+
+    def test_all_witnesses_equal_the_unfiltered_scan(self):
+        cases = [(t, mode) for t in _family_trees(6) for mode in ("naive", "regular")]
+        cases += [(g, "naive") for name, g in TWIN_GRAPHS.items() if g.n <= 6]
+        cases += [(g, "naive") for n in range(1, 6) for g in helpers.all_connected_graphs(n)]
+        for g, mode in cases:
+            res = search_minimum_additions(
+                g, SearchConfig(prune_mode=mode, all_witnesses=True))
+            unfiltered = tuple(
+                added for added in combinations(complement_edges(g), res.min_additions)
+                if is_distance_balanced(add_edges(g, added)))
+            assert res.witnesses == unfiltered, (g, mode)
+            assert count_balanced_additions(g, res.min_additions) == len(unfiltered)
+
+    def test_twin_swaps_of_named_graphs(self):
+        assert search._twin_swaps(canonical_family_tree(FamilyTag.STAR, 6).adj) == [
+            (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+        assert search._twin_swaps(canonical_family_tree(FamilyTag.BROOM, 4).adj) == [
+            (2, 3), (3, 4), (5, 6)]
+        assert search._twin_swaps(TWIN_GRAPHS["K4_tail"].adj) == [(0, 1), (1, 2)]
+        assert search._twin_swaps(TWIN_GRAPHS["diamond_tail"].adj) == [(0, 2)]
+        assert search._twin_swaps(TWIN_GRAPHS["C4_two_pendants"].adj) == [(1, 3)]
+        assert search._twin_swaps(TWIN_GRAPHS["double_broom"].adj) == [(1, 2), (5, 6)]
+        spider = from_edge_list(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        assert search._twin_swaps(spider.adj) == []
+
+    @given(helpers.connected_graphs(max_n=9))
+    def test_every_swap_is_an_automorphism(self, g):
+        for a, b in search._twin_swaps(g.adj):
+            perm = list(range(g.n))
+            perm[a], perm[b] = b, a
+            assert relabel(g, perm) == g
+
+    def test_star_balance_tests_only_twin_minimal_candidates(self, monkeypatch):
+        """The m = 6 star enumerates all 2^15 candidates; its spokes are one
+        twin class, and a candidate reaches the BFS only when no swap of two
+        label-adjacent spokes makes it smaller: 325 of them, against 156
+        orbits under all permutations of the spokes."""
+        calls = []
+        check = search._transmission_regular
+        monkeypatch.setattr(search, "_transmission_regular",
+                            lambda rows: calls.append(1) or check(rows))
+        res = search_minimum_additions(canonical_family_tree(FamilyTag.STAR, 6))
+        assert res.explored == 2 ** 15
+        assert len(calls) == 325
+
+    def test_budget_holds_while_candidates_are_skipped(self, monkeypatch):
+        """The m = 6 star skips 99% of its candidates; the clock is still read
+        every _DEADLINE_STRIDE enumerated ones, so a late clock stops the
+        search inside level 4, the first level of more than one stride."""
+        # the deadline and the checks after levels 0-3 read 0.0; later reads are late
+        reads = iter([0.0] * 5)
+        monkeypatch.setattr(search.time, "monotonic", lambda: next(reads, 2.0))
+        star6 = canonical_family_tree(FamilyTag.STAR, 6)
+        with pytest.raises(SearchBudgetError, match="inside level k=4") as exc_info:
+            search_minimum_additions(star6, SearchConfig(time_budget=1.0))
+        assert exc_info.value.exhausted_k == 3
+        assert exc_info.value.explored == sum(comb(15, j) for j in range(4)) \
+            + search._DEADLINE_STRIDE
