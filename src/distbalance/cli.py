@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from math import comb
 
 from . import __version__
 from .analysis import _szeged, report_with_diameter
@@ -49,6 +50,9 @@ EXIT_UNSUPPORTED_FAMILY = 3
 EXIT_BUDGET_EXCEEDED = 4
 
 _VERIFY_FAMILIES = [tag.value for tag in FAMILIES]
+# each verify row builds a near-complete closure, in about 2 us and 190 bytes
+# per vertex pair; this bounds the pairs, summed over the rows, of one range
+_VERIFY_MAX_PAIRS = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,6 +247,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
     # refuse the whole range before building any row: the closures of the
     # largest trees are near-complete graphs
+    pairs = 0
     for name in family_names:
         row = FAMILIES[FamilyTag(name)]
         if lo < row.verify_min_m:
@@ -252,6 +257,12 @@ def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
             raise GraphTooLargeError(
                 f"family {name} with m = {hi} has {hi + row.order_offset} vertices; "
                 f"at most {MAX_VERTICES} are supported")
+        # the sum of C(n, 2) over n = lo + offset .. hi + offset
+        pairs += comb(hi + row.order_offset + 1, 3) - comb(lo + row.order_offset, 3)
+    if pairs > _VERIFY_MAX_PAIRS:
+        raise ValueError(
+            f"the closures of m = {lo}..{hi} have {pairs} vertex pairs in all; "
+            f"at most {_VERIFY_MAX_PAIRS} are supported")
     rows = []
     for name in family_names:
         tag = FamilyTag(name)
@@ -349,7 +360,7 @@ def _build_parser() -> _Parser:
     p_cl.add_argument("--budget", type=_checked(float, lambda s: s > 0, "> 0"),
                       help="wall-clock seconds before giving up")
     p_cl.add_argument("--threads", type=_checked(int, lambda t: t >= 1, ">= 1"), default=1,
-                      help="accepted (>= 1); the search runs in one process")
+                      help="deprecated; ignored (accepted when >= 1)")
     p_cl.add_argument("--json", action="store_true")
     p_cl.set_defaults(handler=_cmd_closure)
 

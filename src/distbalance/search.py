@@ -14,36 +14,47 @@ with maximum degree at least n-3; the mode is refused elsewhere.  For a
 fixed k the handshake identity pins the only possible degree to
 r = 2(|E|+k)/n, so most levels are skipped without enumerating anything.
 
-In both modes a search for the first witness skips candidates by the
-twin rule, a cheap form of orderly generation (Read 1978; McKay,
-J. Algorithms 26 (1998)).  Two vertices are twins when they have the same
-neighbours, adjacent to each other (true twins) or not (false twins);
-swapping them is an automorphism of the input, so it maps witnesses to
-witnesses.  Each twin class contributes the swaps of its label-adjacent
-members, and a candidate that one of these swaps maps to a
-lexicographically smaller candidate is skipped before any BFS.  The
-lex-first witness is the minimum of its orbit, so no swap makes it
-smaller: it is never skipped, and the first witness and the minimum are
-those of the plain scan.  The rule tests each generating swap alone, not
-the whole group, so some non-minimal members of an orbit are still tested
-(325 candidates on the m = 6 star, whose 2^15 candidates fall into 156
-orbits).  ``all_witnesses`` scans without the rule, and inputs without
-twins get no swaps and take the plain path.
+A search for the first witness prunes by orderly generation (Read 1978;
+McKay, J. Algorithms 26 (1998)).  It takes a few automorphisms of the
+input, which map witnesses to witnesses:
 
-Every level runs in this process, in lex order.  Checking a candidate is
-Python computation, which a thread pool cannot overlap; worker processes
-wait for a multi-CPU benchmark workload that can show their gain.
-``explored`` counts the candidates in lex order up to and including the
-first hit, skipped ones included, so it does not depend on
-``SearchConfig.threads`` or on the twin rule.
+- for a tree, the branch swaps of its rooted canonical code (Aho, Hopcroft
+  and Ullman 1974): the swap of two label-adjacent sibling subtrees with
+  equal codes, and the swap of the two halves of a bicentral tree whose
+  halves are equal.  These generate the automorphism group and include
+  every swap of two twin leaves;
+- for any other graph, the swaps of label-adjacent twins, vertices with
+  the same neighbours, adjacent to each other (true twins) or not (false
+  twins).
+
+A set of added edges is dropped when one of these automorphisms maps it to
+a lexicographically smaller set.  The lex-first witness is the minimum of
+its orbit, so it is never dropped, and the first witness and the minimum
+are those of the plain scan.  The test is hereditary: when it drops a
+prefix of a k-subset, every extension of that prefix by larger edges is
+dropped too, so the naive mode walks the k-subsets depth first and drops a
+prefix together with its whole lex subtree.  Each automorphism is tested
+alone, not the whole group, so some non-minimal members of an orbit are
+still tested: the m = 6 star balance-tests 325 of its 2^15 candidates,
+which fall into 156 orbits.  The order-7 spider with three legs of length
+2 has no twins; labelled with legs 0-1-2, 0-3-4 and 0-5-6, its two leg
+swaps leave 3,999 balance tests of the 19,274 candidates up to its first
+witness.  The regular mode applies the same test to its degree-feasible
+candidates.  ``all_witnesses`` and ``count_balanced_additions`` scan
+without it.
+
+Every level runs in this process, in lex order.  ``explored`` counts the
+candidates in lex order up to and including the first hit, dropped ones
+included (the earlier levels' sizes plus the hit's lex rank + 1), so it
+does not depend on ``SearchConfig.threads`` or on the pruning.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator
+from math import comb
+from typing import Iterator, NamedTuple, Sequence
 
 from .analysis import _transmission_regular
 from .errors import (
@@ -53,13 +64,16 @@ from .errors import (
     PruneModeUnjustifiedError,
     SearchBudgetError,
 )
-from .graph import Graph, add_edges, complement_edges, diameter, is_connected
+from .graph import Graph, _bits, add_edges, complement_edges, diameter, is_connected
 from .trees import is_tree
 
 MAX_SEARCH_VERTICES = 64
-# enumerated candidates (skipped ones too), or regular-mode recursion steps,
+# naive-mode enumeration nodes (dropped ones too), or regular-mode steps,
 # per clock read
 _DEADLINE_STRIDE = 512
+# bound on the packed image tables, which take about 2 W^2 bits per
+# permutation for W - 1 complement edges: 4 MiB, or 4 of the m = 63 star's 62
+_MAX_TABLE_BITS = 1 << 25
 
 Edge = tuple[int, int]
 Witness = tuple[Edge, ...]
@@ -75,7 +89,7 @@ class SearchConfig:
     all_witnesses: collect every minimal witness instead of the first.
     time_budget: wall-clock seconds before giving up with a certified bound
         (> 0).
-    threads: accepted (>= 1) and otherwise unused: every level runs
+    threads: deprecated; accepted (>= 1) and ignored: every level runs
         in-line, so results, ``explored`` included, do not depend on it.
     Out-of-range values are refused with ValueError, not clamped.
     """
@@ -114,16 +128,18 @@ class SearchResult:
 
 
 class _Expired(Exception):
-    """The deadline passed inside the regular-mode recursion."""
+    """The deadline passed inside the regular-mode enumeration."""
 
 
 def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
-                       deadline: float | None = None) -> Iterator[Witness]:
-    """k-subsets of ``comp`` (lex order) raising every degree to exactly r.
+                       deadline: float | None = None) -> Iterator[tuple[int, ...]]:
+    """Index sets of the k-subsets of ``comp`` (lex order) raising every
+    degree to exactly r.
 
-    The recursion can run long without yielding, so it reads the clock
-    itself, at its first step and every _DEADLINE_STRIDE steps after, and
-    raises _Expired once ``deadline`` has passed.
+    A depth-first walk with an explicit stack, so k is not bounded by the
+    interpreter's recursion limit.  It can run long without yielding, so it
+    reads the clock itself, at its first step and every _DEADLINE_STRIDE
+    steps after, and raises _Expired once ``deadline`` has passed.
     """
     nv = len(degrees)
     deficit = [r - d for d in degrees]
@@ -138,34 +154,34 @@ def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
         row[v] += 1
         suffix.append(row)
     suffix.reverse()
-    chosen: list[Edge] = []
+    chosen: list[int] = []
     steps = 0
-
-    def rec(start: int, need: int) -> Iterator[Witness]:
-        nonlocal steps
-        if need == 0:
+    i = 0
+    while True:
+        need = k - len(chosen)
+        if not need:
             yield tuple(chosen)
-            return
-        for i in range(start, m - need + 1):
+        elif i <= m - need:
             if deadline is not None:
                 if not steps % _DEADLINE_STRIDE and time.monotonic() > deadline:
                     raise _Expired
                 steps += 1
-            srow = suffix[i]
-            for v in range(nv):
-                if deficit[v] > srow[v]:
-                    return  # some vertex can no longer be saturated
-            u, w = comp[i]
-            if deficit[u] and deficit[w]:
-                deficit[u] -= 1
-                deficit[w] -= 1
-                chosen.append(comp[i])
-                yield from rec(i + 1, need - 1)
-                chosen.pop()
-                deficit[u] += 1
-                deficit[w] += 1
-
-    yield from rec(0, k)
+            # past here some vertex can no longer be saturated: backtrack
+            if all(d <= s for d, s in zip(deficit, suffix[i])):
+                u, w = comp[i]
+                if deficit[u] and deficit[w]:
+                    deficit[u] -= 1
+                    deficit[w] -= 1
+                    chosen.append(i)
+                i += 1
+                continue
+        if not chosen:
+            return
+        i = chosen.pop()
+        u, w = comp[i]
+        deficit[u] += 1
+        deficit[w] += 1
+        i += 1
 
 
 def _regular_target(n: int, edge_count: int, k: int, max_deg: int) -> int | None:
@@ -200,45 +216,234 @@ def _twin_swaps(adj: tuple[int, ...]) -> list[tuple[int, int]]:
                   for pair in zip(members, members[1:]))
 
 
-def _scan(adj: tuple[int, ...], candidates: Iterable[Witness],
-          deadline: float | None, all_witnesses: bool,
-          swaps: list[tuple[int, int]]) -> tuple[list[Witness], int, bool]:
-    """Test ``candidates`` in order, skipping those a swap makes smaller.
+def _tree_branch_swaps(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Vertex permutations generating the automorphism group of the tree
+    with adjacency rows ``adj``.
 
-    A candidate is skipped when a swap (a, b) of ``swaps`` maps it to a
-    lexicographically smaller one: after the swap the two rows trade their
-    bits outside {a, b}, and the smallest edge the swap moves is the one
-    from a to the lowest vertex x whose bit differs, so the candidate is the
-    smaller of the two iff x lies in its row of a.  The first witness is
-    the minimum of its orbit and is never skipped; skipped candidates are
-    not hits, so callers that want every witness pass no swaps.
-
-    Returns the hits, the number of candidates enumerated (skipped ones
-    included) and whether the deadline passed; stops at the first hit unless
-    ``all_witnesses``.
+    The tree is rooted at its centre, or at both ends of its central edge,
+    and each vertex gets an id for its rooted subtree's canonical code.  For
+    each vertex in BFS order from the root, the children with equal ids give
+    the swaps of the subtrees of their label-adjacent members; a bicentral
+    tree whose halves have equal ids adds the swap of the halves.
     """
-    filters = [(a, b, ~(1 << a | 1 << b)) for a, b in swaps]
-    hits: list[Witness] = []
+    n = len(adj)
+    degree = [row.bit_count() for row in adj]
+    alive = (1 << n) - 1
+    layer = [v for v in range(n) if degree[v] <= 1]
+    while alive.bit_count() > 2:  # strip the leaves down to the centre
+        for v in layer:
+            alive ^= 1 << v
+        nxt = []
+        for v in layer:
+            for u in _bits(adj[v] & alive):
+                degree[u] -= 1
+                if degree[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+    roots = list(_bits(alive))
+    order, seen = roots.copy(), alive
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v in order:  # BFS; the list grows while it is read
+        children[v] = list(_bits(adj[v] & ~seen))
+        seen |= adj[v]
+        order.extend(children[v])
+    code = [0] * n
+    ids: dict[tuple[int, ...], int] = {}
+    for v in reversed(order):
+        code[v] = ids.setdefault(tuple(sorted(code[c] for c in children[v])),
+                                 len(ids))
+
+    def swap(x: int, y: int) -> tuple[int, ...]:
+        # pair the children of matched vertices in order of their codes
+        perm = list(range(n))
+        pairs = [(x, y)]
+        for a, b in pairs:
+            perm[a], perm[b] = b, a
+            pairs.extend(zip(sorted(children[a], key=code.__getitem__),
+                             sorted(children[b], key=code.__getitem__)))
+        return tuple(perm)
+
+    swaps = []
+    for v in order:
+        classes: dict[int, list[int]] = {}
+        for c in children[v]:
+            classes.setdefault(code[c], []).append(c)
+        for members in classes.values():
+            swaps.extend(swap(x, y) for x, y in zip(members, members[1:]))
+    if len(roots) == 2 and code[roots[0]] == code[roots[1]]:
+        swaps.append(swap(*roots))
+    return swaps
+
+
+def _generators(g: Graph) -> list[tuple[int, ...]]:
+    """The automorphisms the search prunes by, as vertex permutations: the
+    branch swaps of a tree, the twin swaps of any other connected graph."""
+    if g.edge_count == g.n - 1:  # connected, so a tree
+        return _tree_branch_swaps(g.adj)
+    perms = []
+    for a, b in _twin_swaps(g.adj):
+        perm = list(range(g.n))
+        perm[a], perm[b] = b, a
+        perms.append(tuple(perm))
+    return perms
+
+
+class _ImageTables(NamedTuple):
+    """Where some vertex permutations send each complement edge, packed into
+    one integer per edge index, so that one test covers every permutation.
+
+    With N complement edges, permutation j owns the field of bits j*W to
+    j*W + N, W = N + 1: bit j*W + x stands for edge index x and bit j*W + N
+    is the field's guard.  For an index set S with bits M and images I under
+    permutation j, S is the lex-smaller of the two iff the lowest bit of
+    d = M ^ I lies in M, and it survives iff d is 0 or ``M & d & -d``.
+    Packed, ``held`` is the guards plus M in every field and ``image`` the
+    images I: d = held ^ image has the guard as its lowest bit in a field
+    where M = I, so S survives every permutation iff the lowest bit of each
+    field of d lies in ``held``.  The fields are never 0, so d - ``ones``
+    borrows inside each field and d ^ (d & (d - ones)) is those lowest bits.
+    """
+
+    reps: list[int]  # bit i in every field
+    cols: list[int]  # per field, the bit of the image of edge i
+    guards: int
+    ones: int
+
+    def keeps(self, cand: tuple[int, ...]) -> bool:
+        """Whether no permutation maps the index set ``cand`` lex-smaller."""
+        held, image = self.guards, 0
+        for i in cand:
+            held ^= self.reps[i]
+            image ^= self.cols[i]
+        d = held ^ image
+        low = d ^ (d & (d - self.ones))
+        return low & held == low
+
+
+def _image_tables(perms: list[tuple[int, ...]], comp: list[Edge]) -> _ImageTables:
+    """The packed tables of ``perms``, or of as many of the first ones as
+    fit _MAX_TABLE_BITS; leaving a permutation out only prunes less."""
+    width = len(comp) + 1
+    perms = perms[:_MAX_TABLE_BITS // (2 * width * width)]
+    index = {e: i for i, e in enumerate(comp)}
+    offsets = range(0, width * len(perms), width)
+    ones = sum(1 << off for off in offsets)
+    cols = [sum(1 << (off + index[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])])
+                for off, p in zip(offsets, perms)) for u, v in comp]
+    return _ImageTables([ones << i for i in range(len(comp))], cols,
+                        ones << len(comp), ones)
+
+
+def _lex_rank(prefix: Sequence[int], n_comp: int, k: int) -> int:
+    """How many k-subsets of range(n_comp) come, in lex order, before every
+    one that starts with ``prefix`` (the combinatorial number system)."""
+    rank, prev = 0, -1
+    for j, c in enumerate(prefix):
+        rank += comb(n_comp - prev - 1, k - j) - comb(n_comp - c, k - j)
+        prev = c
+    return rank
+
+
+def _naive_level(adj: tuple[int, ...], comp: list[Edge], k: int,
+                 tables: _ImageTables, deadline: float | None,
+                 all_witnesses: bool) -> tuple[list[tuple[int, ...]], int, bool]:
+    """Balance-test the k-subsets of ``comp`` in lex order, depth first.
+
+    Each chosen edge is set in the rows in place and cleared on backtrack.
+    A prefix that a permutation of ``tables`` maps lex-smaller is dropped
+    with its whole subtree; callers that want every witness pass tables of
+    no permutation.  The clock is read before every _DEADLINE_STRIDE-th node
+    visited.
+
+    Returns the hits as index sets, the level's lex count and whether the
+    deadline passed.  The count runs up to and including the first hit
+    (the whole level without one, or with ``all_witnesses``); on a timeout
+    it is the number of subsets before the node being visited.
+    """
+    n_comp = len(comp)
+    rows = list(adj)
+    if not k:
+        return ([()] if _transmission_regular(rows) else []), 1, False
+    flips = [(u, 1 << u, v, 1 << v) for u, v in comp]
+    reps, cols, ones = tables.reps, tables.cols, tables.ones
+    held, image = tables.guards, 0
+    hits: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+    visited = i = 0
+    last = k - 1
+    while True:
+        depth = len(chosen)
+        if depth == last:  # the leaves, in a loop of their own: most nodes are leaves
+            for i in range(i, n_comp):
+                if (deadline is not None and not visited % _DEADLINE_STRIDE
+                        and time.monotonic() > deadline):
+                    return hits, _lex_rank(chosen + [i], n_comp, k), True
+                visited += 1
+                leaf = held ^ reps[i]
+                d = leaf ^ image ^ cols[i]
+                low = d ^ (d & (d - ones))
+                if low & leaf != low:
+                    continue  # a permutation maps the subset lex-smaller
+                u, bu, v, bv = flips[i]
+                rows[u] ^= bv
+                rows[v] ^= bu
+                balanced = _transmission_regular(rows)
+                rows[u] ^= bv
+                rows[v] ^= bu
+                if balanced:
+                    hits.append((*chosen, i))
+                    if not all_witnesses:
+                        return hits, _lex_rank(hits[0], n_comp, k) + 1, False
+            i = n_comp
+        if i <= n_comp - k + depth:  # i can still start the rest of a subset
+            if (deadline is not None and not visited % _DEADLINE_STRIDE
+                    and time.monotonic() > deadline):
+                return hits, _lex_rank(chosen + [i], n_comp, k), True
+            visited += 1
+            u, bu, v, bv = flips[i]
+            rows[u] ^= bv
+            rows[v] ^= bu
+            held ^= reps[i]
+            image ^= cols[i]
+            chosen.append(i)
+            d = held ^ image  # the test of _ImageTables.keeps, in line
+            low = d ^ (d & (d - ones))
+            if low & held == low:
+                i += 1
+                continue
+            # else a permutation maps the prefix lex-smaller: drop its subtree
+        elif not chosen:
+            return hits, comb(n_comp, k), False
+        i = chosen.pop()
+        u, bu, v, bv = flips[i]
+        rows[u] ^= bv
+        rows[v] ^= bu
+        held ^= reps[i]
+        image ^= cols[i]
+        i += 1
+
+
+def _regular_level(adj: tuple[int, ...], comp: list[Edge],
+                   candidates: Iterator[tuple[int, ...]], tables: _ImageTables,
+                   all_witnesses: bool) -> tuple[list[tuple[int, ...]], int, bool]:
+    """Balance-test the regular ``candidates`` that no permutation of
+    ``tables`` maps lex-smaller; returns the hits, the candidates enumerated
+    up to and including the first hit and whether the enumeration expired."""
+    hits: list[tuple[int, ...]] = []
     enumerated = 0
     try:
         for enumerated, cand in enumerate(candidates, 1):
+            if not tables.keeps(cand):
+                continue
             rows = list(adj)
-            for u, v in cand:
+            for i in cand:
+                u, v = comp[i]
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            for a, b, outside in filters:
-                ra = rows[a] & outside
-                d = ra ^ (rows[b] & outside)
-                if d and not ra & d & -d:
-                    break  # the swap gives a smaller candidate: skip this one
-            else:
-                if _transmission_regular(rows):
-                    hits.append(cand)
-                    if not all_witnesses:
-                        break
-            if (deadline is not None and not enumerated % _DEADLINE_STRIDE
-                    and time.monotonic() > deadline):
-                return hits, enumerated, True
+            if _transmission_regular(rows):
+                hits.append(cand)
+                if not all_witnesses:
+                    break
     except _Expired:
         return hits, enumerated, True
     return hits, enumerated, False
@@ -275,7 +480,7 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
     deadline = (None if config.time_budget is None
                 else time.monotonic() + config.time_budget)
 
-    swaps = [] if config.all_witnesses else _twin_swaps(g.adj)
+    tables = _image_tables([] if config.all_witnesses else _generators(g), comp)
     explored = 0
     exhausted = -1
     for k in range(k_cap + 1):
@@ -287,20 +492,21 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
                 # no regular graph with this many edges: provably empty level
                 exhausted = k
                 continue
-            candidates: Iterable[Witness] = _regular_additions(
-                degrees, comp, r, k, deadline)
+            hits, counted, timed_out = _regular_level(
+                g.adj, comp, _regular_additions(degrees, comp, r, k, deadline),
+                tables, config.all_witnesses)
         else:
-            candidates = combinations(comp, k)
-        hits, enumerated, timed_out = _scan(g.adj, candidates, deadline,
-                                            config.all_witnesses, swaps)
-        explored += enumerated
+            hits, counted, timed_out = _naive_level(
+                g.adj, comp, k, tables, deadline, config.all_witnesses)
+        explored += counted
         if progress is not None:
             progress.explored = explored
         if timed_out:
             raise SearchBudgetError(
                 f"time budget exhausted inside level k={k}", exhausted, explored)
         if hits:
-            return SearchResult(k, tuple(hits), explored, config.prune_mode)
+            witnesses = tuple(tuple(comp[i] for i in hit) for hit in hits)
+            return SearchResult(k, witnesses, explored, config.prune_mode)
         exhausted = k
         if deadline is not None and time.monotonic() > deadline:
             raise SearchBudgetError(
@@ -328,18 +534,18 @@ def enumerate_regular_supergraphs(g: Graph, r: int) -> Iterator[Graph]:
 
     def _generate() -> Iterator[Graph]:
         for added in _regular_additions(degrees, comp, r, k):
-            yield add_edges(g, added)
+            yield add_edges(g, (comp[i] for i in added))
 
     return _generate()
 
 
 def count_balanced_additions(g: Graph, k: int) -> int:
     """How many k-subsets of the complement edges balance ``g`` (exact count:
-    every subset is tested, without the twin rule)."""
+    every subset is tested, without pruning)."""
     if not is_connected(g):
         raise DisconnectedGraphError("count requires a connected graph")
     comp = complement_edges(g)
     if not 0 <= k <= len(comp):
         raise ValueError(f"k must lie in 0..{len(comp)}, got {k}")
-    hits, _, _ = _scan(g.adj, combinations(comp, k), None, True, [])
+    hits, _, _ = _naive_level(g.adj, comp, k, _image_tables([], comp), None, True)
     return len(hits)

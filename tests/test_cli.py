@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 
 import helpers
-from distbalance import analysis, graph
+from distbalance import analysis, cli, graph
 from distbalance import (
     broom,
     canonical_family_tree,
@@ -238,6 +238,26 @@ class TestClosure:
         assert code == 0
         assert report["result"]["witnesses"][0] == [[0, 4]]
 
+    @pytest.fixture
+    def star63_file(self, tmp_path):
+        path = tmp_path / "star63.el"
+        write_edge_list(canonical_family_tree(FamilyTag.STAR, 63), path)
+        return str(path)
+
+    def test_search_regular_on_the_largest_star(self, capsys, star63_file):
+        """n = 64 is the search's vertex cap; the regular enumeration picks
+        all C(63, 2) = 1953 missing edges, one per step, without recursing."""
+        code, report = run_json(capsys, [
+            "closure", star63_file, "--mode", "search", "--prune", "regular", "--json"])
+        assert code == 0
+        assert report["result"]["min_added_edges"] == 1953
+        assert report["result"]["explored"] == 1
+
+    def test_search_naive_on_the_largest_star_keeps_its_budget(self, capsys, star63_file):
+        assert main(["closure", star63_file, "--mode", "search",
+                     "--budget", "0.5"]) == 4
+        assert capsys.readouterr().err.startswith("budget exceeded: min added edges >= ")
+
 
 class TestVerify:
     def test_s22_range(self, capsys):
@@ -294,6 +314,26 @@ class TestVerify:
         assert main(["verify", "--family", family, "--m", m_range]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"at most {graph.MAX_VERTICES}" in err
+
+    def test_range_of_too_many_vertex_pairs_refused_before_any_row(
+            self, capsys, monkeypatch):
+        """Every row builds a near-complete closure, so a range whose trees
+        have more than cli._VERIFY_MAX_PAIRS vertex pairs in all exits 1
+        before the first row: star m = 3..65535 passes the vertex cap."""
+        def no_closure(tree):
+            raise AssertionError(f"built a row for n = {tree.n}")
+        with monkeypatch.context() as patch:
+            patch.setattr("distbalance.cli.construct_closure", no_closure)
+            assert main(["verify", "--family", "star", "--m", "3..65535"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert f"at most {cli._VERIFY_MAX_PAIRS} are supported" in err
+        # star m = 3..5 has C(4, 2) + C(5, 2) + C(6, 2) = 31 pairs
+        monkeypatch.setattr(cli, "_VERIFY_MAX_PAIRS", 31)
+        assert main(["verify", "--family", "star", "--m", "3..5"]) == 0
+        monkeypatch.setattr(cli, "_VERIFY_MAX_PAIRS", 30)
+        assert main(["verify", "--family", "star", "--m", "3..5"]) == 1
+        assert "have 31 vertex pairs in all" in capsys.readouterr().err
 
 
 class TestReportContract:

@@ -1,11 +1,12 @@
 """The exhaustive search oracle: witnesses, pruning, budgets, determinism."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from distbalance import (
@@ -422,16 +423,148 @@ class TestTwinPruning:
         assert res.explored == 2 ** 15
         assert len(calls) == 325
 
-    def test_budget_holds_while_candidates_are_skipped(self, monkeypatch):
-        """The m = 6 star skips 99% of its candidates; the clock is still read
-        every _DEADLINE_STRIDE enumerated ones, so a late clock stops the
-        search inside level 4, the first level of more than one stride."""
-        # the deadline and the checks after levels 0-3 read 0.0; later reads are late
-        reads = iter([0.0] * 5)
-        monkeypatch.setattr(search.time, "monotonic", lambda: next(reads, 2.0))
-        star6 = canonical_family_tree(FamilyTag.STAR, 6)
-        with pytest.raises(SearchBudgetError, match="inside level k=4") as exc_info:
-            search_minimum_additions(star6, SearchConfig(time_budget=1.0))
-        assert exc_info.value.exhausted_k == 3
-        assert exc_info.value.explored == sum(comb(15, j) for j in range(4)) \
-            + search._DEADLINE_STRIDE
+
+# the order-7 spider with three legs of length 2: no twins, and its two
+# generators swap the legs 1-2 with 3-4 and 3-4 with 5-6
+SPIDER = from_edge_list(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+SPIDER_SWAPS = [(0, 3, 4, 1, 2, 5, 6), (0, 1, 2, 5, 6, 3, 4)]
+
+
+def _automorphism_count(g):
+    """|Aut(g)| by trying every permutation."""
+    edges = set(g.edges())
+    return sum(all(tuple(sorted((p[u], p[v]))) in edges for u, v in edges)
+               for p in permutations(range(g.n)))
+
+
+def _generated_group(perms, n):
+    """Every product of ``perms``, by closing the identity under them."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    for p in frontier:
+        for s in perms:
+            q = tuple(s[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def _dropped(comp, prefix, perms):
+    """Whether a permutation maps the edges ``prefix`` indexes to a
+    lex-smaller sorted edge list."""
+    edges = [comp[i] for i in prefix]
+    return any(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges) < edges
+               for p in perms)
+
+
+def _walk(comp, k, perms):
+    """The nodes of level k in the order the depth-first walk visits them,
+    each with the number of k-subsets before its lex subtree: every prefix
+    of a k-subset, taken in lex order, whose shorter prefixes survive."""
+    seen, nodes = set(), []
+    for rank, cand in enumerate(combinations(range(len(comp)), k)):
+        for depth in range(1, k + 1):
+            prefix = cand[:depth]
+            if prefix not in seen:
+                seen.add(prefix)
+                nodes.append((prefix, rank))
+            if _dropped(comp, prefix, perms):
+                break
+    return nodes
+
+
+class TestSubtreePruning:
+    """Branch swaps of trees, and the depth-first walk that drops whole
+    lex subtrees: the same witnesses, minimum and ``explored``."""
+
+    @given(helpers.trees(max_n=12), st.randoms(use_true_random=False))
+    def test_every_tree_generator_is_an_automorphism(self, tree, rnd):
+        perm = list(range(tree.n))
+        rnd.shuffle(perm)
+        g = relabel(tree, perm)
+        for p in search._generators(g):
+            assert relabel(g, p) == g
+
+    @given(helpers.connected_graphs(max_n=9))
+    def test_every_graph_generator_is_an_automorphism(self, g):
+        for p in search._generators(g):
+            assert relabel(g, p) == g
+
+    def test_generators_of_named_trees(self):
+        assert search._generators(SPIDER) == SPIDER_SWAPS
+        # bicentral with equal halves: centres 0 and 1, two leaves each
+        double_star = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+        assert search._generators(double_star) == [
+            (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4), (1, 0, 4, 5, 2, 3)]
+        assert search._generators(path_graph(4)) == [(3, 2, 1, 0)]
+        star = canonical_family_tree(FamilyTag.STAR, 6)
+        assert search._generators(star) == [
+            tuple(b if v == a else a if v == b else v for v in range(7))
+            for a, b in search._twin_swaps(star.adj)]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_branch_swaps_generate_the_automorphism_group(self, n):
+        for t in helpers.all_trees(n):
+            group = _generated_group(search._generators(t), n)
+            assert len(group) == _automorphism_count(t), t
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_tree_under_two_labelings(self, n):
+        for t in helpers.all_trees(n):
+            for g in _two_labelings(t):
+                _assert_matches_plain_scan(g)
+
+    def test_image_tables_keep_the_permutations_that_fit_their_bound(self):
+        """The m = 63 star has 62 leaf swaps and 1953 missing edges; each
+        packed permutation takes 2 * 1954^2 bits, so only the first few fit
+        _MAX_TABLE_BITS, and the search still finds its one witness."""
+        star = canonical_family_tree(FamilyTag.STAR, 63)
+        comp = complement_edges(star)
+        perms = search._generators(star)
+        tables = search._image_tables(perms, comp)
+        per_perm = 2 * (len(comp) + 1) ** 2
+        kept = tables.ones.bit_count()
+        assert 0 < kept < len(perms) == 62
+        assert kept * per_perm <= search._MAX_TABLE_BITS < (kept + 1) * per_perm
+        assert tables.keeps(tuple(range(len(comp))))
+
+    def test_spider_balance_tests_only_subtree_survivors(self, monkeypatch):
+        """The spider has no twins, so the twin rule tests every one of its
+        19,274 candidates up to the first witness; its leg swaps leave 3,999."""
+        calls = []
+        check = search._transmission_regular
+        monkeypatch.setattr(search, "_transmission_regular",
+                            lambda rows: calls.append(1) or check(rows))
+        res = search_minimum_additions(SPIDER)
+        assert res.explored == 19274
+        assert len(calls) == 3999
+
+    @pytest.mark.parametrize("late_read", [2, 3])
+    def test_budget_holds_while_subtrees_are_dropped(self, monkeypatch, late_read):
+        """The clock is read before every _DEADLINE_STRIDE-th node the walk
+        visits, dropped ones included.  Level 5 of the spider, the first
+        level of more than one stride, visits 1,065 nodes.  A clock that
+        turns late at a later read inside it stops the search at the node
+        that read comes before, and ``explored`` counts the subsets before
+        that node's lex subtree."""
+        level = 5
+        progress = SearchProgress()
+        reads = []
+
+        def clock():
+            if progress.current_k != level:
+                return 0.0
+            reads.append(1)
+            return 2.0 if len(reads) >= late_read else 0.0
+
+        monkeypatch.setattr(search.time, "monotonic", clock)
+        with pytest.raises(SearchBudgetError, match=f"inside level k={level}") as exc_info:
+            search_minimum_additions(SPIDER, SearchConfig(time_budget=1.0), progress)
+        comp = complement_edges(SPIDER)
+        nodes = _walk(comp, level, SPIDER_SWAPS)
+        late = (late_read - 1) * search._DEADLINE_STRIDE
+        assert len(nodes) == 1065
+        assert exc_info.value.exhausted_k == level - 1
+        assert exc_info.value.explored == sum(comb(len(comp), j) for j in range(level)) \
+            + nodes[late][1]
