@@ -71,7 +71,6 @@ from .closure import (
 from .search import (
     MAX_SEARCH_VERTICES,
     SearchConfig,
-    SearchProgress,
     SearchResult,
     count_balanced_additions,
     enumerate_regular_supergraphs,
@@ -97,7 +96,7 @@ __all__ = [
     "canonical_family_tree", "classify_tree", "is_tree", "starlike",
     "Certificate", "ClosureResult", "construct_closure",
     "minimum_additions_formula", "verify_closure",
-    "MAX_SEARCH_VERTICES", "SearchConfig", "SearchProgress", "SearchResult",
+    "MAX_SEARCH_VERTICES", "SearchConfig", "SearchResult",
     "count_balanced_additions", "enumerate_regular_supergraphs",
     "search_minimum_additions",
 ]

@@ -10,6 +10,7 @@ timing, version; timing is the only non-deterministic field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -50,8 +51,9 @@ EXIT_UNSUPPORTED_FAMILY = 3
 EXIT_BUDGET_EXCEEDED = 4
 
 _VERIFY_FAMILIES = [tag.value for tag in FAMILIES]
-# each verify row builds a near-complete closure, in about 2 us and 190 bytes
-# per vertex pair; this bounds the pairs, summed over the rows, of one range
+# each verify row builds a near-complete closure and its added-edge tuple, in
+# about 2 us and 100 bytes per vertex pair (the m = 1413 star row: 1.9 s and
+# 100 MiB); this bounds the pairs, summed over the rows, of one range
 _VERIFY_MAX_PAIRS = 1_000_000
 
 
@@ -170,16 +172,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _certificate_dict(cert) -> dict:
-    return {
-        "contains_input": cert.contains_input,
-        "distance_balanced": cert.distance_balanced,
-        "diameter": cert.diameter,
-        "regular_degree": cert.regular_degree,
-        "matches_formula": cert.matches_formula,
-    }
-
-
 def _cmd_closure(args) -> int:
     started = time.perf_counter()
     g = read_edge_list(args.path)
@@ -191,7 +183,7 @@ def _cmd_closure(args) -> int:
             "m": res.family.m,
             "min_added_edges": res.min_additions,
             "added_edges": [list(e) for e in res.added_edges],
-            "certificate": _certificate_dict(res.certificate),
+            "certificate": dataclasses.asdict(res.certificate),
             "via_search": res.via_search,
         }
         human = [
@@ -211,7 +203,6 @@ def _cmd_closure(args) -> int:
             max_k=args.max_k,
             all_witnesses=args.all_witnesses,
             time_budget=args.budget,
-            threads=args.threads,
         )
         res = search_minimum_additions(g, config)
         result = {

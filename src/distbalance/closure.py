@@ -23,6 +23,12 @@ to the exhaustive search and checks the closed form against it.
 A connected non-tree with a dominant (degree n-1) vertex is the one
 non-tree input handled here: its unique closure is K_n.
 
+The removed pairs are written on the canonical labels of ``trees``.  They
+are mapped to the input's labels through the inverse of the classifier's
+relabeling and cleared from full bit rows, so the closure is built in the
+input's labels and never relabeled.  The fallback searches the relabeled
+tree and maps its witness back the same way.
+
 Every result carries a computational certificate; minimality beyond the
 certified edge count is the search module's job.
 """
@@ -39,14 +45,13 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _bits,
     _profiles,
     add_edges,
-    complete_graph,
     is_connected,
     is_spanning_subgraph,
     regular_degree,
     relabel,
-    remove_edges,
 )
 from .trees import FamilyTag, TreeFamily, classify_tree, is_tree
 
@@ -93,31 +98,20 @@ def minimum_additions_formula(family: TreeFamily) -> int:
     raise UnsupportedFamilyError(f"no closed form for family {family.tag.value!r}")
 
 
-def _ring(vertices: list[int]) -> list[tuple[int, int]]:
-    k = len(vertices)
-    return [tuple(sorted((vertices[i], vertices[(i + 1) % k]))) for i in range(k)]
-
-
-def _canonical_closure(tag: FamilyTag, m: int) -> Graph | None:
-    """Closed-form closure on canonical labels; None when it degenerates."""
-    if tag is FamilyTag.STAR:
-        return complete_graph(m + 1)
+def _removed(tag: FamilyTag, m: int) -> list[tuple[int, int]] | None:
+    """The canonical pairs that the closed-form closure leaves out of K_n;
+    None where its cycles degenerate."""
+    if tag is FamilyTag.STAR or tag is FamilyTag.S2 and m % 2:
+        return []
     if tag is FamilyTag.S2:
-        if m % 2 == 1:
-            return complete_graph(m + 2)
-        matching = [(0, m + 1)] + [(2 * i - 1, 2 * i) for i in range(1, m // 2 + 1)]
-        return remove_edges(complete_graph(m + 2), matching)
-    if tag in (FamilyTag.S22, FamilyTag.BROOM):
-        if m < 3:
-            return None
-        removed = _ring(list(range(1, m + 1))) + _ring([0, m + 1, m + 2])
-        return remove_edges(complete_graph(m + 3), removed)
-    if tag is FamilyTag.S3:
-        if m < 5:
-            return None
-        removed = _ring(list(range(3, m + 1))) + _ring([0, m + 1, 2, 1, m + 2])
-        return remove_edges(complete_graph(m + 3), removed)
-    raise UnsupportedFamilyError(f"no construction for family {tag.value!r}")
+        return [(0, m + 1)] + [(i, i + 1) for i in range(1, m, 2)]
+    if tag in (FamilyTag.S22, FamilyTag.BROOM) and m >= 3:
+        cycles = [range(1, m + 1), [0, m + 1, m + 2]]
+    elif tag is FamilyTag.S3 and m >= 5:
+        cycles = [range(3, m + 1), [0, m + 1, 2, 1, m + 2]]
+    else:
+        return None
+    return [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
 
 
 def verify_closure(t: Graph, candidate: Graph,
@@ -143,13 +137,6 @@ def verify_closure(t: Graph, candidate: Graph,
     )
 
 
-def _inverse(perm: tuple[int, ...]) -> list[int]:
-    inv = [0] * len(perm)
-    for src, dst in enumerate(perm):
-        inv[dst] = src
-    return inv
-
-
 def construct_closure(t: Graph) -> ClosureResult:
     """Minimal distance-balanced closure of a recognized tree (or of a
     connected graph with a dominant vertex, which closes to K_n).
@@ -167,20 +154,7 @@ def construct_closure(t: Graph) -> ClosureResult:
                 f"classification is {FamilyTag.OTHER.value!r}: max degree "
                 f"{family.m} is below n-3 = {t.n - 3}")
         expected = minimum_additions_formula(family)
-        canonical = _canonical_closure(family.tag, family.m)
-        if canonical is None:
-            # degenerate cycle sizes: certify the formula with the exact search
-            from .search import SearchConfig, search_minimum_additions
-
-            canonical_tree = relabel(t, family.relabeling)
-            found = search_minimum_additions(
-                canonical_tree, SearchConfig(prune_mode="regular"))
-            if found.min_additions != expected:
-                raise GraphError(
-                    f"search found {found.min_additions}, formula says {expected}")
-            canonical = add_edges(canonical_tree, found.witnesses[0])
-            via_search = True
-        closure = relabel(canonical, _inverse(family.relabeling))
+        removed = _removed(family.tag, family.m)
     else:
         if t.max_degree() != t.n - 1:
             raise UnsupportedFamilyError(
@@ -188,12 +162,35 @@ def construct_closure(t: Graph) -> ClosureResult:
                 "dominant vertex are supported")
         family = TreeFamily(FamilyTag.DOMINANT, t.n - 1, tuple(range(t.n)))
         expected = t.n * (t.n - 1) // 2 - t.edge_count
-        closure = complete_graph(t.n)
-    added = sorted(set(closure.edges()) - set(t.edges()))
+        removed = []
+    # the input vertex of each canonical label
+    vertex = sorted(range(t.n), key=family.relabeling.__getitem__)
+    if removed is None:
+        # degenerate cycle sizes: certify the formula with the exact search
+        from .search import SearchConfig, search_minimum_additions
+
+        found = search_minimum_additions(
+            relabel(t, family.relabeling), SearchConfig(prune_mode="regular"))
+        if found.min_additions != expected:
+            raise GraphError(
+                f"search found {found.min_additions}, formula says {expected}")
+        closure = add_edges(t, ((vertex[a], vertex[b]) for a, b in found.witnesses[0]))
+        via_search = True
+    else:
+        everyone = (1 << t.n) - 1
+        rows = [everyone ^ (1 << v) for v in range(t.n)]
+        for a, b in removed:
+            u, v = vertex[a], vertex[b]
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+        closure = Graph(t.n, tuple(rows), sum(row.bit_count() for row in rows) // 2)
+    # the pairs uv that the closure adds, in lex order: -(2 << u) keeps v > u
+    added = tuple((u, v) for u in range(t.n)
+                  for v in _bits(closure.adj[u] & ~t.adj[u] & -(2 << u)))
     certificate = verify_closure(t, closure, expected)
     return ClosureResult(
         closure=closure,
-        added_edges=tuple(added),
+        added_edges=added,
         min_additions=len(added),
         certificate=certificate,
         family=family,

@@ -46,7 +46,7 @@ without it.
 Every level runs in this process, in lex order.  ``explored`` counts the
 candidates in lex order up to and including the first hit, dropped ones
 included (the earlier levels' sizes plus the hit's lex rank + 1), so it
-does not depend on ``SearchConfig.threads`` or on the pruning.
+does not depend on the pruning.
 """
 
 from __future__ import annotations
@@ -89,8 +89,6 @@ class SearchConfig:
     all_witnesses: collect every minimal witness instead of the first.
     time_budget: wall-clock seconds before giving up with a certified bound
         (> 0).
-    threads: deprecated; accepted (>= 1) and ignored: every level runs
-        in-line, so results, ``explored`` included, do not depend on it.
     Out-of-range values are refused with ValueError, not clamped.
     """
 
@@ -98,15 +96,6 @@ class SearchConfig:
     max_k: int | None = None
     all_witnesses: bool = False
     time_budget: float | None = None
-    threads: int = 1
-
-
-@dataclass
-class SearchProgress:
-    """Mutable slot the search updates for polling from another thread."""
-
-    current_k: int = 0
-    explored: int = 0
 
 
 @dataclass(frozen=True)
@@ -449,8 +438,7 @@ def _regular_level(adj: tuple[int, ...], comp: list[Edge],
     return hits, enumerated, False
 
 
-def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
-                             progress: SearchProgress | None = None) -> SearchResult:
+def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) -> SearchResult:
     """Exact minimum number of edge additions that balance ``g``.
 
     Raises SearchBudgetError when max_k or time_budget runs out; the error
@@ -461,8 +449,6 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
             f"search supports at most {MAX_SEARCH_VERTICES} vertices, got {g.n}")
     if config.prune_mode not in ("naive", "regular"):
         raise ValueError(f"unknown prune mode {config.prune_mode!r}")
-    if config.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {config.threads}")
     if config.max_k is not None and config.max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {config.max_k}")
     if config.time_budget is not None and config.time_budget <= 0:
@@ -484,8 +470,6 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
     explored = 0
     exhausted = -1
     for k in range(k_cap + 1):
-        if progress is not None:
-            progress.current_k = k
         if config.prune_mode == "regular":
             r = _regular_target(g.n, g.edge_count, k, max_deg)
             if r is None:
@@ -499,8 +483,6 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig(),
             hits, counted, timed_out = _naive_level(
                 g.adj, comp, k, tables, deadline, config.all_witnesses)
         explored += counted
-        if progress is not None:
-            progress.explored = explored
         if timed_out:
             raise SearchBudgetError(
                 f"time budget exhausted inside level k={k}", exhausted, explored)

@@ -15,9 +15,13 @@ Canonical labels: hub 0; hub neighbors 1..m with the long/loaded spoke at
 index 1 (and the second loaded spoke, for s22, at index 2); tail vertices
 m+1 and m+2, where a length-3 branch runs 0-1-(m+1)-(m+2).
 
-Small orders make families coincide (P_4 is s2 with m=2; P_5 is both s22
-and s3 with m=2; the m=2 broom equals s2 with m=3).  Classification
-resolves overlaps with the fixed precedence star > s2 > s22 > s3 > broom.
+A tree with m >= n-3 is one of these families, and the vertices outside
+a hub's closed neighbourhood say which: none is a star, one is s2, two
+adjacent ones are s3, and two on one carrier (a hub neighbour) or on two
+are a broom or s22.  Small orders make families coincide (P_4 is s2 with
+m=2; P_5 is both s22 and s3 with m=2; the m=2 broom equals s2 with m=3),
+and there the hubs see different families.  Classification resolves
+these overlaps with the fixed precedence star > s2 > s22 > s3 > broom.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     ParameterTooSmallError,
     UnsupportedFamilyError,
 )
-from .graph import Graph, from_edge_list, is_connected
+from .graph import Graph, _bits, from_edge_list, is_connected
 
 
 class FamilyTag(str, Enum):
@@ -176,123 +180,65 @@ def is_tree(g: Graph) -> bool:
     return g.edge_count == g.n - 1 and is_connected(g)
 
 
-def _finish_perm(t: Graph, hub: int, m: int, special: dict[int, int]) -> tuple[int, ...]:
-    """Permutation sending hub to 0, pre-assigned vertices per ``special``,
-    and the remaining hub neighbors to the lowest free spoke slots in
-    ascending input order."""
-    perm = [-1] * t.n
-    perm[hub] = 0
-    for vertex, label in special.items():
-        perm[vertex] = label
-    free = iter(sorted(set(range(1, m + 1)) - set(special.values())))
-    for v in sorted(t.neighbors(hub)):
-        if perm[v] == -1:
-            perm[v] = next(free)
-    return tuple(perm)
+def _signature(t: Graph, hub: int,
+               outside: list[int]) -> tuple[FamilyTag, list[int], list[int]]:
+    """The family of a tree seen from ``hub``, a vertex of degree m >= n-3,
+    with its carriers (the hub neighbours on the long branches, in canonical
+    order 1, 2) and its tails (canonical m+1, m+2).
+
+    ``outside`` lists, ascending, the n-1-m <= 2 vertices off the hub's
+    closed neighbourhood.  The n-1-m tree edges that miss the hub attach
+    them, which leaves these five shapes and nothing else to check.
+    """
+    def carrier(v: int) -> int:
+        return (t.adj[v] & t.adj[hub]).bit_length() - 1
+
+    if not outside:
+        return FamilyTag.STAR, [], []
+    if len(outside) == 1:
+        return FamilyTag.S2, [carrier(outside[0])], outside
+    a, b = outside
+    if t.adj[a] >> b & 1:  # the branch hub - carrier - mid - tip
+        mid, tip = (a, b) if t.adj[a] & t.adj[hub] else (b, a)
+        return FamilyTag.S3, [carrier(mid)], [mid, tip]
+    if carrier(a) == carrier(b):
+        return FamilyTag.BROOM, [carrier(a)], outside
+    (c1, v1), (c2, v2) = sorted([(carrier(a), a), (carrier(b), b)])
+    return FamilyTag.S22, [c1, c2], [v1, v2]
 
 
-def _match_star(t: Graph, hub: int, m: int,
-                outside: list[int]) -> tuple[int, ...] | None:
-    # order m+1 with hub degree m: everything else is a leaf on the hub
-    return _finish_perm(t, hub, m, {})
-
-
-def _match_s2(t: Graph, hub: int, m: int,
-              outside: list[int]) -> tuple[int, ...] | None:
-    hub_adj = t.adj[hub]
-    if len(outside) != 1:
-        return None
-    tail = outside[0]
-    if t.degree(tail) != 1:
-        return None
-    carrier = next(t.neighbors(tail))
-    if not hub_adj >> carrier & 1 or t.degree(carrier) != 2:
-        return None
-    return _finish_perm(t, hub, m, {carrier: 1, tail: m + 1})
-
-
-def _match_s22(t: Graph, hub: int, m: int,
-               outside: list[int]) -> tuple[int, ...] | None:
-    hub_adj = t.adj[hub]
-    if len(outside) != 2 or any(t.degree(v) != 1 for v in outside):
-        return None
-    carriers = [next(t.neighbors(v)) for v in outside]
-    if carriers[0] == carriers[1]:
-        return None
-    if any(not hub_adj >> c & 1 or t.degree(c) != 2 for c in carriers):
-        return None
-    pairs = sorted(zip(carriers, outside))
-    return _finish_perm(t, hub, m, {
-        pairs[0][0]: 1, pairs[1][0]: 2,
-        pairs[0][1]: m + 1, pairs[1][1]: m + 2,
-    })
-
-
-def _match_s3(t: Graph, hub: int, m: int,
-              outside: list[int]) -> tuple[int, ...] | None:
-    hub_adj = t.adj[hub]
-    if len(outside) != 2:
-        return None
-    by_degree = sorted(outside, key=t.degree)
-    tip, mid = by_degree
-    if t.degree(tip) != 1 or t.degree(mid) != 2:
-        return None
-    mid_nbrs = set(t.neighbors(mid))
-    if tip not in mid_nbrs:
-        return None
-    carrier = (mid_nbrs - {tip}).pop()
-    if not hub_adj >> carrier & 1 or t.degree(carrier) != 2:
-        return None
-    return _finish_perm(t, hub, m, {carrier: 1, mid: m + 1, tip: m + 2})
-
-
-def _match_broom(t: Graph, hub: int, m: int,
-                 outside: list[int]) -> tuple[int, ...] | None:
-    hub_adj = t.adj[hub]
-    if len(outside) != 2 or any(t.degree(v) != 1 for v in outside):
-        return None
-    carriers = {next(t.neighbors(v)) for v in outside}
-    if len(carriers) != 1:
-        return None
-    carrier = carriers.pop()
-    if not hub_adj >> carrier & 1 or t.degree(carrier) != 3:
-        return None
-    a, b = sorted(outside)
-    return _finish_perm(t, hub, m, {carrier: 1, a: m + 1, b: m + 2})
-
-
-_MATCHERS = {
-    FamilyTag.STAR: _match_star,
-    FamilyTag.S2: _match_s2,
-    FamilyTag.S22: _match_s22,
-    FamilyTag.S3: _match_s3,
-    FamilyTag.BROOM: _match_broom,
-}
+_PRECEDENCE = {tag: rank for rank, tag in enumerate(FAMILIES)}
 
 
 def classify_tree(t: Graph) -> TreeFamily:
     """Identify the family of a tree and the relabeling to canonical form.
 
-    m is the maximum degree.  Families are tried in precedence order; the
-    hub is the smallest-index maximum-degree vertex that matches the family
-    pattern.  Trees with maximum degree below n-3 classify as OTHER.
+    m is the maximum degree.  Trees with m below n-3 classify as OTHER.
+    Otherwise every vertex of degree m sees one of the families from its
+    closed neighbourhood.  The family that comes first in precedence order
+    wins, and its smallest-index vertex is the hub.  The hub's other
+    neighbours take the lowest free spoke slots in ascending input order.
     """
     if not is_tree(t):
         raise NotATreeError("input is not a tree (connected with n-1 edges)")
-    if t.n == 1:
-        return TreeFamily(FamilyTag.STAR, 0, (0,))
     degs = t.degrees()
     m = max(degs)
     if m < t.n - 3:
         return TreeFamily(FamilyTag.OTHER, m, None)
-    # for each candidate hub, the vertices outside its closed neighbourhood
-    outside = {hub: [v for v in range(t.n) if v != hub and not t.adj[hub] >> v & 1]
-               for hub in range(t.n) if degs[hub] == m}
-    for tag, row in FAMILIES.items():  # precedence for overlapping small orders
-        if t.n != m + row.order_offset or m < row.min_m:
-            continue
-        for hub, rest in outside.items():
-            perm = _MATCHERS[tag](t, hub, m, rest)
-            if perm is not None:
-                return TreeFamily(tag, m, perm)
-    return TreeFamily(FamilyTag.OTHER, m, None)
+    everyone = (1 << t.n) - 1
+    found = []
+    for hub in range(t.n):
+        if degs[hub] == m:
+            outside = list(_bits(everyone & ~t.adj[hub] & ~(1 << hub)))
+            found.append((hub, *_signature(t, hub, outside)))
+    # precedence settles the overlaps of small orders, then the smallest hub
+    hub, tag, carriers, tails = min(found, key=lambda f: _PRECEDENCE[f[1]])
+    perm = [0] * t.n
+    for label, v in enumerate(carriers, start=1):
+        perm[v] = label
+    for label, v in enumerate(tails, start=m + 1):
+        perm[v] = label
+    spokes = (v for v in _bits(t.adj[hub]) if v not in carriers)
+    for label, v in enumerate(spokes, start=len(carriers) + 1):
+        perm[v] = label
+    return TreeFamily(tag, m, tuple(perm))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -380,7 +381,11 @@ class TestReportContract:
 def test_module_entry_point(tmp_path):
     path = tmp_path / "c4.el"
     write_edge_list(cycle_graph(4), path)
+    # the child finds the package where this process imported it from
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     proc = subprocess.run([sys.executable, "-m", "distbalance", "check", str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "true" in proc.stdout

@@ -110,8 +110,8 @@ class TestConstruct:
 
         real = search.search_minimum_additions
 
-        def off_by_one(g, config=search.SearchConfig(), progress=None):
-            found = real(g, config, progress)
+        def off_by_one(g, config=search.SearchConfig()):
+            found = real(g, config)
             return dataclasses.replace(found, min_additions=found.min_additions + 1)
 
         monkeypatch.setattr(search, "search_minimum_additions", off_by_one)
@@ -230,3 +230,38 @@ def test_dominant_vertex_closure_matches_oracle():
     res = construct_closure(g)
     found = search_minimum_additions(g)
     assert res.min_additions == found.min_additions == 5
+
+
+# (tree edges, the added edges of its closure, via_search).  The trees are
+# relabelled family trees, so the classifier's hub and spoke order decide
+# which edges the closure adds.
+GOLDEN_CLOSURES = {
+    "s2_m4": ([(0, 2), (0, 4), (1, 4), (3, 4), (4, 5)],
+              [(0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 5)], False),
+    "s2_m5": ([(0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)],
+              [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (2, 3), (2, 4), (2, 5), (2, 6),
+               (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)], False),
+    "s22_m3": ([(0, 2), (1, 5), (2, 3), (2, 5), (3, 4)],
+               [(0, 1), (0, 4), (1, 3), (4, 5)], False),
+    "s3_m5": ([(0, 2), (0, 6), (1, 5), (2, 5), (3, 5), (4, 5), (5, 7)],
+              [(0, 3), (0, 4), (0, 7), (1, 3), (1, 4), (1, 6), (1, 7), (2, 3), (2, 4),
+               (2, 7), (3, 6), (4, 6), (6, 7)], False),
+    "broom_m3": ([(0, 3), (1, 5), (2, 3), (3, 5), (4, 5)],
+                 [(0, 1), (0, 4), (1, 2), (2, 4)], False),
+    "s3_m4_degenerate": ([(0, 1), (1, 2), (2, 4), (3, 4), (4, 5), (4, 6)],
+                         [(0, 3), (0, 5), (0, 6), (1, 5), (1, 6), (2, 3), (2, 5),
+                          (3, 6)], True),
+    "dominant": ([(0, 3), (0, 5), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5)],
+                 [(0, 1), (0, 2), (0, 4), (1, 4), (1, 5), (2, 4), (2, 5), (4, 5)], False),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CLOSURES)
+def test_added_edges_are_pinned(name):
+    """The exact added edges of relabelled inputs, one per construction
+    case, so a drift in the hub choice or the spoke order shows."""
+    edges, added, via_search = GOLDEN_CLOSURES[name]
+    res = construct_closure(from_edge_list(max(map(max, edges)) + 1, edges))
+    assert res.added_edges == tuple(added)
+    assert res.via_search is via_search
+    assert res.certificate.ok

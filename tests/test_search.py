@@ -17,7 +17,6 @@ from distbalance import (
     PruneModeUnjustifiedError,
     SearchBudgetError,
     SearchConfig,
-    SearchProgress,
     add_edges,
     canonical_family_tree,
     complement_edges,
@@ -83,8 +82,7 @@ class TestErrors:
             search_minimum_additions(path_graph(3), SearchConfig(prune_mode="fast"))
 
     @pytest.mark.parametrize("field,value", [
-        ("threads", 0), ("threads", -2), ("max_k", -1),
-        ("time_budget", 0.0), ("time_budget", -1.0)])
+        ("max_k", -1), ("time_budget", 0.0), ("time_budget", -1.0)])
     def test_out_of_range_config_refused(self, field, value):
         with pytest.raises(ValueError, match=field):
             search_minimum_additions(path_graph(5), SearchConfig(**{field: value}))
@@ -192,22 +190,6 @@ class TestAllWitnesses:
 
 
 class TestDeterminismAndThreads:
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_threaded_matches_serial(self, threads):
-        for t in [path_graph(5), canonical_family_tree(FamilyTag.STAR, 4),
-                  canonical_family_tree(FamilyTag.S22, 3)]:
-            serial = search_minimum_additions(t)
-            threaded = search_minimum_additions(t, SearchConfig(threads=threads))
-            assert threaded.min_additions == serial.min_additions
-            assert threaded.witnesses[0] == serial.witnesses[0]
-
-    def test_threaded_all_witnesses(self):
-        tree = canonical_family_tree(FamilyTag.S2, 4)
-        serial = search_minimum_additions(tree, SearchConfig(all_witnesses=True))
-        threaded = search_minimum_additions(
-            tree, SearchConfig(all_witnesses=True, threads=4))
-        assert threaded.witnesses == serial.witnesses
-
     def test_repeat_runs_identical(self):
         t = canonical_family_tree(FamilyTag.S22, 3)
         first = search_minimum_additions(t)
@@ -215,12 +197,28 @@ class TestDeterminismAndThreads:
         assert first == second
 
 
+def _spy_levels(monkeypatch) -> list[tuple[int, int]]:
+    """Record (k, lex count) of every naive level the search runs; the list
+    grows with k before the level starts."""
+    levels = []
+    real = search._naive_level
+
+    def spy(adj, comp, k, *args):
+        levels.append((k, 0))
+        out = real(adj, comp, k, *args)
+        levels[-1] = (k, out[1])
+        return out
+
+    monkeypatch.setattr(search, "_naive_level", spy)
+    return levels
+
+
 class TestProgress:
-    def test_progress_is_updated(self):
-        progress = SearchProgress()
-        res = search_minimum_additions(path_graph(5), progress=progress)
-        assert progress.current_k == res.min_additions
-        assert progress.explored == res.explored
+    def test_progress_is_updated(self, monkeypatch):
+        levels = _spy_levels(monkeypatch)
+        res = search_minimum_additions(path_graph(5))
+        assert levels[-1][0] == res.min_additions
+        assert sum(counted for _, counted in levels) == res.explored
 
 
 class TestModeAgreement:
@@ -296,30 +294,11 @@ def _non_family_graphs():
             from_edge_list(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)])]
 
 
-def test_results_do_not_depend_on_threads(high_degree_trees):
-    """explored, the witnesses and all_witnesses are the same for threads 1, 2
-    and 3, in either mode, on the high-degree trees with n <= 7 and on two
-    non-family trees."""
-    cases = [(t, mode) for t in high_degree_trees for mode in ("naive", "regular")]
-    cases += [(t, "naive") for t in _non_family_graphs()]
-    for t, mode in cases:
-        for all_witnesses in (False, True):
-            if all_witnesses and mode == "naive" and t.n > 6:
-                continue  # whole n = 7 levels; the first-witness runs cover n = 7
-            serial = search_minimum_additions(
-                t, SearchConfig(prune_mode=mode, all_witnesses=all_witnesses))
-            for threads in (2, 3):
-                assert search_minimum_additions(
-                    t, SearchConfig(prune_mode=mode, all_witnesses=all_witnesses,
-                                    threads=threads)) == serial, (t, mode, threads)
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_explored_is_the_lex_count(threads):
+def test_explored_is_the_lex_count():
     """explored = the earlier levels' sizes + the first hit's rank + 1."""
     for t in _non_family_graphs() + [canonical_family_tree(FamilyTag.S22, 3)]:
         comp = complement_edges(t)
-        res = search_minimum_additions(t, SearchConfig(threads=threads))
+        res = search_minimum_additions(t)
         before = sum(comb(len(comp), j) for j in range(res.min_additions))
         level = combinations(comp, res.min_additions)
         rank = next(i for i, cand in enumerate(level) if cand == res.witnesses[0])
@@ -549,18 +528,18 @@ class TestSubtreePruning:
         that read comes before, and ``explored`` counts the subsets before
         that node's lex subtree."""
         level = 5
-        progress = SearchProgress()
+        levels = _spy_levels(monkeypatch)
         reads = []
 
         def clock():
-            if progress.current_k != level:
+            if not levels or levels[-1][0] != level:
                 return 0.0
             reads.append(1)
             return 2.0 if len(reads) >= late_read else 0.0
 
         monkeypatch.setattr(search.time, "monotonic", clock)
         with pytest.raises(SearchBudgetError, match=f"inside level k={level}") as exc_info:
-            search_minimum_additions(SPIDER, SearchConfig(time_budget=1.0), progress)
+            search_minimum_additions(SPIDER, SearchConfig(time_budget=1.0))
         comp = complement_edges(SPIDER)
         nodes = _walk(comp, level, SPIDER_SWAPS)
         late = (late_read - 1) * search._DEADLINE_STRIDE
