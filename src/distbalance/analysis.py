@@ -8,16 +8,20 @@ Balance is decided as transmission-regularity: for an edge xy, |closer to
 x| - |closer to y| = D(y) - D(x), where D(v) is the sum of the distances
 from v, so a connected graph is balanced iff all D(v) are equal (Jerebic,
 Klavzar and Rall, "Distance-balanced graphs", Ann. Comb. 12 (2008)).
-Per-edge counts come from the BFS level masks L_i of ``graph._levels``:
-|closer to x| is the sum over i of |L_i(x) & L_{i+1}(y)|.  Every report
-takes one BFS per vertex, and its diameter comes from the same pass.
+Every report takes one all-sources ball sweep (``graph._ball_sweep``), and
+its diameter comes from the same sweep.  With B_d(v) the vertices within
+distance d of v, |closer to x| is the sum over d of |B_d(x) - B_d(y)|, and
+|closer to y| follows from the identity.  The search's early-exit predicate
+keeps one BFS per vertex (``graph._levels``), so it can stop at the first
+vertex whose D differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .graph import Graph, _bits, _levels, _profiles, _spanning_levels, _transmission
+from .graph import Edge, Graph, _ball_sweep, _levels, _spanning_levels, _transmission
 
 
 @dataclass(frozen=True)
@@ -47,28 +51,20 @@ class ImbalanceReport:
     worst_edge: tuple[int, int] | None
 
 
-def _edge_balances(g: Graph) -> tuple[list[EdgeBalance], int]:
-    """The per-edge records in lexicographic order, and the diameter."""
-    # BFS order, dropping a vertex's levels after its last neighbour: about two
-    # layers hold levels at a time, where all n take memory cubic in n on a path
-    adj, held, seen, out, diam = g.adj, {}, 0, [], 0
-    for x in [v for mask in _spanning_levels(adj, 0) for v in _bits(mask)]:
-        levels = _levels(adj, x)
-        held[x] = levels, _transmission(levels)
-        diam = max(diam, len(levels) - 1)
-        seen |= 1 << x
-        for y in _bits(adj[x] & seen):
-            u, v = (x, y) if x < y else (y, x)
-            (lu, tu), (lv, tv) = held[u], held[v]
-            c = sum((a & b).bit_count() for a, b in zip(lu, lv[1:]))
-            out.append(EdgeBalance(u, v, c, c + tu - tv))
-        held = {v: h for v, h in held.items() if adj[v] & ~seen}
-    out.sort(key=lambda r: (r.x, r.y))
-    return out, diam
+def _closer_counts(g: Graph) -> tuple[list[Edge], list[int], list[int], list[int], int]:
+    """The edges in lexicographic order, |closer to x| and |closer to y| of
+    each, the transmissions and the diameter, from one ball sweep."""
+    edges = g.edges()
+    trans, ecc, near = _ball_sweep(g.adj, edges)
+    far = [c + trans[x] - trans[y] for (x, y), c in zip(edges, near)]
+    return edges, near, far, trans, max(ecc)
 
 
-def _szeged(records) -> int:
-    return sum(r.closer_to_x * r.closer_to_y for r in records)
+def _worst_edge(g: Graph, trans: list[int], edges: list[Edge] | None = None) -> Edge | None:
+    """The first edge of largest gap |D(x) - D(y)|, None when all D are equal."""
+    if min(trans) == max(trans):
+        return None
+    return max(edges or g.edges(), key=lambda e: abs(trans[e[0]] - trans[e[1]]))
 
 
 def _transmission_regular(adj) -> bool:
@@ -88,22 +84,28 @@ def is_distance_balanced(g: Graph) -> bool:
 
 def report_with_diameter(g: Graph, records: bool = True) -> tuple[ImbalanceReport, int]:
     """The imbalance report and the diameter of a connected graph, from one
-    BFS per vertex.
+    ball sweep.
 
-    Without ``records`` no per-edge records are built and the report's
+    Without ``records`` no per-edge counts are taken and the report's
     ``records`` is empty: balance and the worst edge come from the
     transmissions alone, since the gap of an edge xy is |D(x) - D(y)|.
     """
     if records:
-        recs, diam = _edge_balances(g)
-        gaps = ((r.x, r.y, r.gap) for r in recs)
+        edges, near, far, trans, diam = _closer_counts(g)
+        recs = tuple(EdgeBalance(x, y, cx, cy)
+                     for (x, y), cx, cy in zip(edges, near, far))
     else:
-        recs, profiles = (), list(_profiles(g.adj))
-        diam = max(ecc for _, ecc in profiles)
-        gaps = ((x, y, abs(profiles[x][0] - profiles[y][0])) for x, y in g.edges())
-    x, y, gap = max(gaps, key=lambda t: t[2], default=(0, 0, 0))  # first of ties
-    worst = (x, y) if gap else None
-    return ImbalanceReport(tuple(recs), worst is None, worst), diam
+        trans, ecc, _ = _ball_sweep(g.adj)
+        edges, recs, diam = None, (), max(ecc)
+    worst = _worst_edge(g, trans, edges)
+    return ImbalanceReport(recs, worst is None, worst), diam
+
+
+def szeged_with_diameter(g: Graph) -> tuple[int, int]:
+    """The Szeged index and the diameter of a connected graph, from one ball
+    sweep and no per-edge records."""
+    _, near, far, _, diam = _closer_counts(g)
+    return sum(map(mul, near, far)), diam
 
 
 def imbalance_report(g: Graph) -> ImbalanceReport:
@@ -115,4 +117,4 @@ def szeged_index(g: Graph) -> int:
 
     Exact for any size (Python integers do not overflow).
     """
-    return _szeged(_edge_balances(g)[0])
+    return szeged_with_diameter(g)[0]

@@ -17,8 +17,8 @@ import time
 from math import comb
 
 from . import __version__
-from .analysis import _szeged, report_with_diameter
-from .closure import construct_closure, minimum_additions_formula
+from .analysis import report_with_diameter, szeged_with_diameter
+from .closure import _certified_closure, construct_closure, minimum_additions_formula
 from .edgelist import format_edge_list, read_edge_list, write_edge_list
 from .errors import (
     GraphError,
@@ -51,9 +51,10 @@ EXIT_UNSUPPORTED_FAMILY = 3
 EXIT_BUDGET_EXCEEDED = 4
 
 _VERIFY_FAMILIES = [tag.value for tag in FAMILIES]
-# each verify row builds a near-complete closure and its added-edge tuple, in
-# about 2 us and 100 bytes per vertex pair (the m = 1413 star row: 1.9 s and
-# 100 MiB); this bounds the pairs, summed over the rows, of one range
+# each verify row builds and certifies a near-complete closure as n bit rows,
+# in about 30 ns and 2 bytes per vertex pair (the m = 1410 rows: 0.02-0.04 s
+# and 2 MiB over the interpreter's); this bounds the pairs, summed over the
+# rows, of one range
 _VERIFY_MAX_PAIRS = 1_000_000
 
 
@@ -127,8 +128,7 @@ def _cmd_check(args) -> int:
 def _cmd_szeged(args) -> int:
     started = time.perf_counter()
     g = read_edge_list(args.path)
-    report, diam = report_with_diameter(g)
-    value = _szeged(report.records)
+    value, diam = szeged_with_diameter(g)
     _emit(args, "szeged", _input_summary(args.path, g, diam),
           {"szeged_index": value}, started, [str(value)])
     return EXIT_OK
@@ -259,19 +259,18 @@ def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
         tag = FamilyTag(name)
         for m in range(lo, hi + 1):
             tree = canonical_family_tree(tag, m)
-            res = construct_closure(tree)
-            cert = res.certificate
+            _, family, cert, via_search = _certified_closure(tree)
             row = {
                 "family": name,
                 "m": m,
                 "n": tree.n,
-                "min_added_edges": minimum_additions_formula(res.family),
+                "min_added_edges": minimum_additions_formula(family),
                 "edge_check": bool(cert.matches_formula),
                 "balanced": cert.distance_balanced,
                 "contains_input": cert.contains_input,
                 "regular_degree": cert.regular_degree,
                 "diameter": cert.diameter,
-                "fallback_search": res.via_search,
+                "fallback_search": via_search,
                 "oracle": None,
             }
             passed = cert.ok

@@ -137,13 +137,9 @@ def verify_closure(t: Graph, candidate: Graph,
     )
 
 
-def construct_closure(t: Graph) -> ClosureResult:
-    """Minimal distance-balanced closure of a recognized tree (or of a
-    connected graph with a dominant vertex, which closes to K_n).
-
-    Raises UnsupportedFamilyError for anything else.  The certificate is
-    always computed on the way out.
-    """
+def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool]:
+    """The closure of ``construct_closure`` with its family, certificate and
+    ``via_search``, without the list of added edges."""
     if not is_connected(t):
         raise DisconnectedGraphError("closure construction requires a connected graph")
     via_search = False
@@ -184,10 +180,20 @@ def construct_closure(t: Graph) -> ClosureResult:
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
         closure = Graph(t.n, tuple(rows), sum(row.bit_count() for row in rows) // 2)
+    return closure, family, verify_closure(t, closure, expected), via_search
+
+
+def construct_closure(t: Graph) -> ClosureResult:
+    """Minimal distance-balanced closure of a recognized tree (or of a
+    connected graph with a dominant vertex, which closes to K_n).
+
+    Raises UnsupportedFamilyError for anything else.  The certificate is
+    always computed on the way out.
+    """
+    closure, family, certificate, via_search = _certified_closure(t)
     # the pairs uv that the closure adds, in lex order: -(2 << u) keeps v > u
     added = tuple((u, v) for u in range(t.n)
                   for v in _bits(closure.adj[u] & ~t.adj[u] & -(2 << u)))
-    certificate = verify_closure(t, closure, expected)
     return ClosureResult(
         closure=closure,
         added_edges=added,

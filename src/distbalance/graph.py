@@ -5,10 +5,12 @@ vector: bit v of row u is set when uv is an edge.  This gives O(1) edge
 tests and word-parallel frontier unions during BFS, and because Python
 ints are arbitrary width the same representation works for any n.
 
-Distance rows, connectivity, transmissions and eccentricities are all
-read off the level masks of one BFS, ``_levels``.  The analysis module
-decides balance as transmission-regularity (Jerebic, Klavzar and Rall,
-Ann. Comb. 12 (2008)) and takes per-edge counts from the same masks.
+There are two distance primitives.  ``_levels`` is a single-source BFS
+that returns level masks; distance rows, connectivity and the two-sweep
+tree diameter are read off it.  ``_ball_sweep`` grows the balls of every
+vertex at once and gives transmissions, eccentricities and the per-edge
+closer counts of a whole graph.  The analysis module decides balance as
+transmission-regularity (Jerebic, Klavzar and Rall, Ann. Comb. 12 (2008)).
 All distance computations reject disconnected graphs; there are no
 infinite distances anywhere in the API.
 """
@@ -16,7 +18,8 @@ infinite distances anywhere in the API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count, filterfalse, zip_longest
+from operator import add, and_, or_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -71,7 +74,8 @@ class Graph:
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
+        # -(2 << u) keeps the bits above u
+        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] & -(2 << u))]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -183,11 +187,87 @@ def _transmission(levels: list[int]) -> int:
     return total
 
 
+# the width of a block of ball columns in ``_ball_sweep``: its two lists of
+# balls take about n * _BLOCK / 4 bytes, where whole rows would take n * n / 4
+# (1 GiB at MAX_VERTICES)
+_BLOCK = 4096
+
+
+def _ball_sweep(adj, edges=None) -> tuple[list[int], list[int], list[int] | None]:
+    """(transmissions, eccentricities, |closer to x| of each (x, y) in
+    ``edges``) of a connected graph, from the balls of every vertex at once.
+
+    B_d(u), the vertices within distance d of u, starts at the closed row
+    B_1(u) and grows by B_{d+1}(u) = the union of B_d(w) over w in N[u],
+    until every ball is full.  D(u) is the sum over d of n - |B_d(u)|, and
+    the eccentricity is the first d with a full ball.  For an edge xy, w is
+    closer to x exactly when it is in B_d(x) but not in B_d(y) at
+    d = d(x, w), so |closer to x| sums |B_d(x)| - |B_d(x) & B_d(y)|.  The
+    d = 0 terms are n - 1 and 1.  Distances are symmetric, so the ball
+    columns run in blocks of ``_BLOCK`` and the blocks' sums add up.
+    """
+    _spanning_levels(adj, 0)  # refuse a disconnected graph before allocating
+    n = len(adj)
+    if all(row.bit_count() == n - 1 for row in adj):  # complete: B_1 is full
+        return [n - 1] * n, [min(n - 1, 1)] * n, None if edges is None else [1] * len(edges)
+    # positions by falling degree, so the vertices with a j-th neighbour are
+    # a prefix and a step is a few whole-list maps
+    order = sorted(range(n), key=lambda u: -adj[u].bit_count())
+    pos = [0] * n
+    for i, u in enumerate(order):
+        pos[u] = i
+    rows = []
+    for u in order:
+        row = adj[u]
+        if 2 * row.bit_count() < n:
+            members = _bits(row)
+        else:  # dense: skip the few non-neighbours
+            members = filterfalse(set(_bits(row ^ (1 << n) - 1)).__contains__, range(n))
+        rows.append(map(pos.__getitem__, members))
+    # slots[j][i] is a j-th neighbour of order[i], cut from column j of the
+    # padded rows when a step first needs it: a dense graph needs few
+    columns, slots = zip_longest(*rows), []
+    xs, ys = [pos[x] for x, _ in edges or ()], [pos[y] for _, y in edges or ()]
+    sizes, meets, filled = [0] * n, [0] * len(xs), [1] * n
+    counted = 0  # the block widths summed over the steps taken
+    for lo in range(0, n, _BLOCK):
+        width = min(_BLOCK, n - lo)
+        full = (1 << width) - 1
+        balls = [(adj[u] | 1 << u) >> lo & full for u in order]
+        short = [i for i in range(n) if balls[i] != full]
+        d = 1
+        while short:
+            counted += width
+            sizes = list(map(add, sizes, map(int.bit_count, balls)))
+            meets = list(map(add, meets, map(int.bit_count, map(
+                and_, map(balls.__getitem__, xs), map(balls.__getitem__, ys)))))
+            prev, balls, d = balls, balls[:], d + 1
+            for j in count():
+                if j == len(slots):
+                    col = next(columns, None)
+                    if col is None:
+                        break
+                    slots.append(list(col[:col.index(None)] if col[-1] is None else col))
+                k = len(slots[j])
+                balls[:k] = map(or_, balls[:k], map(prev.__getitem__, slots[j]))
+                if 2 * k > n and balls.count(full) == n:
+                    break  # the other slots would add nothing
+            if balls.count(full) + len(short) > n:  # some balls filled up
+                for i in short:
+                    if balls[i] == full:
+                        filled[i] = max(filled[i], d)
+                short = [i for i in short if balls[i] != full]
+    trans, ecc = [0] * n, [0] * n
+    for i, u in enumerate(order):
+        trans[u], ecc[u] = n - 1 + counted - sizes[i], filled[i]
+    near = None if edges is None else [1 + sizes[x] - m for x, m in zip(xs, meets)]
+    return trans, ecc, near
+
+
 def _profiles(adj) -> Iterator[tuple[int, int]]:
     """(transmission, eccentricity) of each vertex in order; connected graphs only."""
-    for v in range(len(adj)):
-        levels = _spanning_levels(adj, v)
-        yield _transmission(levels), len(levels) - 1
+    trans, ecc, _ = _ball_sweep(adj)
+    return zip(trans, ecc)
 
 
 def is_connected(g: Graph) -> bool:
@@ -230,7 +310,7 @@ def diameter(g: Graph) -> int:
     if g.edge_count == g.n - 1:
         far = _spanning_levels(g.adj, 0)[-1]
         return len(_levels(g.adj, far.bit_length() - 1)) - 1
-    return max(ecc for _, ecc in _profiles(g.adj))
+    return max(_ball_sweep(g.adj)[1])
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,153 @@
+"""The all-sources ball sweep behind transmissions, eccentricities, the
+diameter and per-edge counts: block widths, graphs past the exhaustive
+range, and the one- and two-vertex graphs where the sweep only starts."""
+
+import json
+import random
+from itertools import combinations
+
+import pytest
+
+import helpers
+from distbalance import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    diameter,
+    from_edge_list,
+    imbalance_report,
+    path_graph,
+    szeged_index,
+    write_edge_list,
+)
+from distbalance import analysis, graph
+from distbalance.analysis import report_with_diameter
+from distbalance.cli import main
+from distbalance.graph import _profiles
+from distbalance.trees import FamilyTag, broom, canonical_family_tree
+
+
+def random_tree(n: int, rng: random.Random) -> Graph:
+    return from_edge_list(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def hypercube(k: int) -> Graph:
+    return from_edge_list(1 << k, [(v, v ^ 1 << i) for v in range(1 << k)
+                                   for i in range(k) if v < v ^ 1 << i])
+
+
+def torus(a: int, b: int) -> Graph:
+    return from_edge_list(a * b, [(i * b + j, i2 * b + j2)
+                                  for i in range(a) for j in range(b)
+                                  for i2, j2 in (((i + 1) % a, j), (i, (j + 1) % b))])
+
+
+def random_connected(n: int, extra: int, rng: random.Random) -> Graph:
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += rng.sample(list(combinations(range(n), 2)), extra)
+    return from_edge_list(n, edges)
+
+
+def assert_matches_oracle(g: Graph) -> None:
+    """Transmissions, eccentricities, records, Szeged index, plain check and
+    diameter against queue-BFS distance rows and the per-edge definition."""
+    edges = g.edges()
+    rows = [helpers.bfs_distances(g.n, edges, v) for v in range(g.n)]
+    assert list(_profiles(g.adj)) == [(sum(row), max(row)) for row in rows]
+    expected = helpers.edge_balance_oracle(g)
+    records = [(r.x, r.y, r.closer_to_x, r.closer_to_y)
+               for r in imbalance_report(g).records]
+    assert records == expected
+    assert szeged_index(g) == sum(cx * cy for _, _, cx, cy in expected)
+    report, diam = report_with_diameter(g, records=False)
+    assert (report.balanced, report.worst_edge, diam) == helpers.plain_check_oracle(g)
+    assert diameter(g) == max(max(row) for row in rows)
+
+
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_block_width_does_not_change_results(monkeypatch, random_corpus, width):
+    """Ball columns in blocks narrower than n add up to the one-block counts."""
+    monkeypatch.setattr(graph, "_BLOCK", width)
+    rng = random.Random(width)
+    graphs = random_corpus[:60] + [
+        random_tree(width + 1, rng), random_tree(2 * width + 5, rng),
+        random_tree(90, rng), random_connected(80, 40, rng),
+        cycle_graph(70), hypercube(7), torus(6, 12), broom(70),
+        complete_graph(66), canonical_family_tree(FamilyTag.S3, 64),
+    ]
+    for g in graphs:
+        assert_matches_oracle(g)
+
+
+def test_random_trees_of_order_200():
+    """Many steps, with eccentricities (and so finished balls) spread out."""
+    rng = random.Random(2008)
+    for n in (190, 200, 210):
+        assert_matches_oracle(random_tree(n, rng))
+
+
+@pytest.mark.parametrize("g,expected,balanced", [
+    (hypercube(8), 8 * 2 ** 21, True),            # k 2^(k-1) edges, 2^(k-1) a side
+    (complete_graph(150), 150 * 149 // 2, True),  # one vertex a side
+    (cycle_graph(300), 300 * 150 ** 2, True),     # even: n/2 a side
+    (cycle_graph(301), 301 * 150 ** 2, True),     # odd: (n-1)/2 a side
+    (torus(8, 12), (8 * 12) ** 3 // 2, True),     # even torus: 2ab edges, ab/2 a side
+    (path_graph(300), sum(i * (300 - i) for i in range(1, 300)), False),
+], ids=["Q8", "K150", "C300", "C301", "T8x12", "P300"])
+def test_szeged_closed_forms_past_the_exhaustive_range(g, expected, balanced):
+    assert szeged_index(g) == expected
+    report = imbalance_report(g)
+    assert sum(r.closer_to_x * r.closer_to_y for r in report.records) == expected
+    assert report.balanced == balanced
+
+
+def test_plain_check_of_a_balanced_graph_lists_no_edges(monkeypatch):
+    """Equal transmissions decide balance; no edge list is built or scanned."""
+    def refuse(self):
+        raise AssertionError("edges() called")
+
+    monkeypatch.setattr(Graph, "edges", refuse)
+    for g in (complete_graph(40), cycle_graph(41), hypercube(5), torus(4, 6)):
+        report, _ = report_with_diameter(g, records=False)
+        assert report.balanced and report.worst_edge is None
+
+
+def test_szeged_builds_no_records(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("EdgeBalance built")
+
+    g = broom(5)
+    expected = sum(cx * cy for _, _, cx, cy in helpers.edge_balance_oracle(g))
+    monkeypatch.setattr(analysis, "EdgeBalance", refuse)
+    assert szeged_index(g) == expected
+
+
+_TINY_INPUT = {
+    1: {"diameter": 0, "edge_count": 0, "max_degree": 0, "n": 1},
+    2: {"diameter": 1, "edge_count": 1, "max_degree": 1, "n": 2},
+}
+_TINY_RESULT = {
+    (1, "check"): {"balanced": True, "worst_edge": None},
+    (1, "--report"): {"balanced": True, "records": [], "worst_edge": None},
+    (1, "szeged"): {"szeged_index": 0},
+    (2, "check"): {"balanced": True, "worst_edge": None},
+    (2, "--report"): {"balanced": True, "records": [[0, 1, 1, 1]], "worst_edge": None},
+    (2, "szeged"): {"szeged_index": 1},
+}
+
+
+@pytest.mark.parametrize("n,argv", [
+    (n, argv) for n in (1, 2)
+    for argv in (["check"], ["check", "--report"], ["szeged"])])
+def test_tiny_graph_reports_are_pinned(capsys, tmp_path, n, argv):
+    path = tmp_path / "g.el"
+    write_edge_list(path_graph(n), path)
+    assert main([argv[0], str(path), *argv[1:], "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timing"]
+    assert report == {
+        "command": argv[0],
+        "input": {"path": str(path), **_TINY_INPUT[n]},
+        "result": _TINY_RESULT[n, argv[-1]],
+        "version": "0.1.0",
+    }
