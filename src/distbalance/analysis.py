@@ -11,9 +11,9 @@ Klavzar and Rall, "Distance-balanced graphs", Ann. Comb. 12 (2008)).
 Every report takes one all-sources ball sweep (``graph._ball_sweep``), and
 its diameter comes from the same sweep.  With B_d(v) the vertices within
 distance d of v, |closer to x| is the sum over d of |B_d(x) - B_d(y)|, and
-|closer to y| follows from the identity.  The search's early-exit predicate
-keeps one BFS per vertex (``graph._levels``), so it can stop at the first
-vertex whose D differs.
+|closer to y| follows from the identity.  The search's balance test grows
+one vertex's ball at a time in a fused loop that sums D as the ball grows,
+so it can stop at the first vertex whose D differs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .graph import Edge, Graph, _ball_sweep, _levels, _spanning_levels, _transmission
+from .errors import DisconnectedGraphError
+from .graph import Edge, Graph, _ball_sweep
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,27 @@ def _worst_edge(g: Graph, trans: list[int], edges: list[Edge] | None = None) -> 
 
 def _transmission_regular(adj) -> bool:
     """Balance of the graph with adjacency rows ``adj``, as transmission-regularity;
-    stops at the first vertex whose transmission differs from vertex 0's."""
-    target = _transmission(_spanning_levels(adj, 0))
-    for v in range(1, len(adj)):
-        if _transmission(_levels(adj, v)) != target:
-            return False
+    stops at the first vertex whose D differs from vertex 0's.  D(v) sums n - |B_d(v)|
+    over the balls short of full; one that stops growing (vertex 0's) raises."""
+    n = len(adj)
+    full, target = (1 << n) - 1, -1
+    for v in range(n):  # plain loops: this is the search's inner loop
+        frontier = adj[v]
+        ball, total = frontier | 1 << v, n - 1
+        while ball != full:
+            total += n - ball.bit_count()
+            grown = ball
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
+            if grown == ball:
+                raise DisconnectedGraphError("graph is not connected")
+            frontier, ball = grown ^ ball, grown
+        if total != target:
+            if v:
+                return False
+            target = total
     return True
 
 

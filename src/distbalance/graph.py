@@ -5,12 +5,13 @@ vector: bit v of row u is set when uv is an edge.  This gives O(1) edge
 tests and word-parallel frontier unions during BFS, and because Python
 ints are arbitrary width the same representation works for any n.
 
-There are two distance primitives.  ``_levels`` is a single-source BFS
-that returns level masks; distance rows, connectivity and the two-sweep
-tree diameter are read off it.  ``_ball_sweep`` grows the balls of every
-vertex at once and gives transmissions, eccentricities and the per-edge
-closer counts of a whole graph.  The analysis module decides balance as
-transmission-regularity (Jerebic, Klavzar and Rall, Ann. Comb. 12 (2008)).
+``_levels`` is a single-source BFS that returns level masks; distance
+rows, connectivity and the two-sweep tree diameter are read off it.
+``_ball_sweep`` grows the balls of every vertex at once and gives
+transmissions, eccentricities and the per-edge closer counts of a whole
+graph.  The analysis module decides balance as transmission-regularity
+(Jerebic, Klavzar and Rall, Ann. Comb. 12 (2008)); the search's test there
+fuses the growth of each ball with the transmission sum.
 All distance computations reject disconnected graphs; there are no
 infinite distances anywhere in the API.
 """
@@ -177,14 +178,6 @@ def _spanning_levels(adj, source: int) -> list[int]:
     if sum(mask.bit_count() for mask in levels) != len(adj):
         raise DisconnectedGraphError("graph is not connected")
     return levels
-
-
-def _transmission(levels: list[int]) -> int:
-    """D(v) = sum of d(v, u) over all u, from the level masks of v."""
-    total = 0
-    for d, mask in enumerate(levels):  # a plain loop: this is the search's inner loop
-        total += d * mask.bit_count()
-    return total
 
 
 # the width of a block of ball columns in ``_ball_sweep``: its two lists of

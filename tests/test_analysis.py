@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from distbalance import (
@@ -16,9 +17,10 @@ from distbalance import (
     is_distance_balanced,
     path_graph,
     regular_degree,
+    search_minimum_additions,
     szeged_index,
 )
-from distbalance.analysis import report_with_diameter
+from distbalance.analysis import _transmission_regular, report_with_diameter
 from distbalance.trees import FamilyTag, canonical_family_tree
 
 
@@ -37,6 +39,37 @@ class TestIsDistanceBalanced:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             is_distance_balanced(from_edge_list(4, [(0, 1), (2, 3)]))
+
+
+class TestBalanceKernel:
+    """The search's fused balance test against plain queue BFS."""
+
+    @staticmethod
+    def transmissions_equal(g):
+        edges = g.edges()
+        return len({sum(helpers.bfs_distances(g.n, edges, v)) for v in range(g.n)}) == 1
+
+    @given(st.one_of(helpers.connected_graphs(min_n=1, max_n=65),
+                     helpers.trees(max_n=65)))
+    def test_matches_bfs_oracle(self, g):
+        """Orders 1-65 cross the search's 64-vertex cap."""
+        assert _transmission_regular(g.adj) == self.transmissions_equal(g)
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_balanced_past_one_word(self, n):
+        assert _transmission_regular(cycle_graph(n).adj)
+        assert _transmission_regular(complete_graph(n).adj)
+        assert not _transmission_regular(path_graph(n).adj)
+
+    @pytest.mark.parametrize("check", [is_distance_balanced, search_minimum_additions])
+    @pytest.mark.parametrize("edges", [
+        [(1, 2), (2, 3), (3, 4), (4, 5)],
+        [(0, 1), (1, 2), (2, 3), (3, 4)],
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],  # each half is balanced
+    ], ids=["first-isolated", "last-isolated", "2K3"])
+    def test_disconnected_raises(self, check, edges):
+        with pytest.raises(DisconnectedGraphError):
+            check(from_edge_list(6, edges))
 
 
 class TestImbalanceReport:

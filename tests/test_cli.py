@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 
 import helpers
-from distbalance import analysis, cli, graph
+from distbalance import cli, graph
 from distbalance import (
     broom,
     canonical_family_tree,
@@ -113,8 +113,8 @@ def test_plain_check_matches_oracle(g):
 @pytest.mark.parametrize("g", [cycle_graph(9), complete_graph(6), broom(4)],
                          ids=["C9", "K6", "broom4"])
 def test_one_bfs_pass_per_report(monkeypatch, capsys, tmp_path, command, g):
-    """One BFS per source plus the BFS-order sweep of the per-edge route;
-    the input's diameter is read off the same pass."""
+    """Each report takes one ball sweep, whose connectivity gate is its one
+    single-source BFS; the input's diameter is read off the same sweep."""
     expected_diameter = diameter(g)
     calls = []
 
@@ -123,7 +123,6 @@ def test_one_bfs_pass_per_report(monkeypatch, capsys, tmp_path, command, g):
         return levels(adj, source)
 
     monkeypatch.setattr(graph, "_levels", counted)
-    monkeypatch.setattr(analysis, "_levels", counted)
     path = tmp_path / "g.el"
     write_edge_list(g, path)
     main([command[0], str(path), *command[1:], "--json"])
