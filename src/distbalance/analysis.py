@@ -19,7 +19,8 @@ so it can stop at the first vertex whose D differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import starmap
+from operator import add, mul
 
 from .errors import DisconnectedGraphError
 from .graph import Edge, Graph, _ball_sweep
@@ -99,23 +100,24 @@ def is_distance_balanced(g: Graph) -> bool:
     return _transmission_regular(g.adj)
 
 
-def report_with_diameter(g: Graph, records: bool = True) -> tuple[ImbalanceReport, int]:
-    """The imbalance report and the diameter of a connected graph, from one
-    ball sweep.
+def report_with_diameter(g: Graph, records: bool = True
+                         ) -> tuple[ImbalanceReport, int, list[tuple[int, int, int, int]]]:
+    """The imbalance report, the diameter and the per-edge rows (x, y,
+    |closer to x|, |closer to y|) of a connected graph, from one ball sweep.
 
-    Without ``records`` no per-edge counts are taken and the report's
-    ``records`` is empty: balance and the worst edge come from the
+    The report's own ``records`` stay empty; ``imbalance_report`` builds
+    them from the rows.  Without ``records`` no per-edge counts are taken
+    and the rows are empty: balance and the worst edge come from the
     transmissions alone, since the gap of an edge xy is |D(x) - D(y)|.
     """
     if records:
         edges, near, far, trans, diam = _closer_counts(g)
-        recs = tuple(EdgeBalance(x, y, cx, cy)
-                     for (x, y), cx, cy in zip(edges, near, far))
+        rows = list(map(add, edges, zip(near, far)))  # tuples joined in C
     else:
         trans, ecc, _ = _ball_sweep(g.adj)
-        edges, recs, diam = None, (), max(ecc)
+        edges, rows, diam = None, [], max(ecc)
     worst = _worst_edge(g, trans, edges)
-    return ImbalanceReport(recs, worst is None, worst), diam
+    return ImbalanceReport((), worst is None, worst), diam, rows
 
 
 def szeged_with_diameter(g: Graph) -> tuple[int, int]:
@@ -126,7 +128,9 @@ def szeged_with_diameter(g: Graph) -> tuple[int, int]:
 
 
 def imbalance_report(g: Graph) -> ImbalanceReport:
-    return report_with_diameter(g)[0]
+    report, _, rows = report_with_diameter(g)
+    return ImbalanceReport(tuple(starmap(EdgeBalance, rows)), report.balanced,
+                           report.worst_edge)
 
 
 def szeged_index(g: Graph) -> int:

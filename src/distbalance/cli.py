@@ -86,42 +86,35 @@ def _input_summary(path: str, g: Graph, diam: int) -> dict:
     }
 
 
-def _emit(args, command: str, input_obj, result: dict, started: float,
-          human: list[str]) -> None:
-    if getattr(args, "json", False):
-        report = {
-            "command": command,
-            "input": input_obj,
-            "result": result,
-            "timing": time.perf_counter() - started,
-            "version": __version__,
-        }
-        # one line: an indent would switch json to its pure-Python encoder
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in human:
-            print(line)
+def _emit_json(command: str, input_obj, result: dict, started: float) -> None:
+    report = {
+        "command": command,
+        "input": input_obj,
+        "result": result,
+        "timing": time.perf_counter() - started,
+        "version": __version__,
+    }
+    # one line: an indent would switch json to its pure-Python encoder; the
+    # report is a fresh tree, so the cycle check's dict entry per array is waste
+    print(json.dumps(report, sort_keys=True, check_circular=False))
 
 
 def _cmd_check(args) -> int:
     started = time.perf_counter()
     g = read_edge_list(args.path)
-    report, diam = report_with_diameter(g, records=args.report)
-    result = {
-        "balanced": report.balanced,
-        "worst_edge": list(report.worst_edge) if report.worst_edge else None,
-    }
-    human = [f"distance-balanced: {str(report.balanced).lower()}"]
-    if args.report:
-        result["records"] = [
-            [r.x, r.y, r.closer_to_x, r.closer_to_y] for r in report.records]
-        human.append("edge  closer_to_x  closer_to_y")
-        human.extend(
-            f"({r.x}, {r.y})  {r.closer_to_x}  {r.closer_to_y}"
-            for r in report.records)
-    if not report.balanced:
-        human.append(f"worst edge: {report.worst_edge}")
-    _emit(args, "check", _input_summary(args.path, g, diam), result, started, human)
+    report, diam, rows = report_with_diameter(g, records=args.report)
+    if args.json:
+        result = {"balanced": report.balanced, "worst_edge": report.worst_edge}
+        if args.report:
+            result["records"] = rows
+        _emit_json("check", _input_summary(args.path, g, diam), result, started)
+    else:
+        print(f"distance-balanced: {str(report.balanced).lower()}")
+        if args.report:
+            print("\n".join(["edge  closer_to_x  closer_to_y",
+                             *map("(%d, %d)  %d  %d".__mod__, rows)]))
+        if not report.balanced:
+            print(f"worst edge: {report.worst_edge}")
     return EXIT_OK if report.balanced else EXIT_UNBALANCED
 
 
@@ -129,8 +122,11 @@ def _cmd_szeged(args) -> int:
     started = time.perf_counter()
     g = read_edge_list(args.path)
     value, diam = szeged_with_diameter(g)
-    _emit(args, "szeged", _input_summary(args.path, g, diam),
-          {"szeged_index": value}, started, [str(value)])
+    if args.json:
+        _emit_json("szeged", _input_summary(args.path, g, diam),
+                   {"szeged_index": value}, started)
+    else:
+        print(value)
     return EXIT_OK
 
 
@@ -156,19 +152,20 @@ def _cmd_gen(args) -> int:
     g = _build_generated(args.kind, args.param)
     if args.out:
         write_edge_list(g, args.out)
-        human = [f"wrote {args.out}: n={g.n}, edges={g.edge_count}"]
+    if args.json:
+        result = {
+            "kind": args.kind,
+            "param": args.param,
+            "out": str(args.out) if args.out else None,
+            "n": g.n,
+            "edge_count": g.edge_count,
+            "edges": g.edges(),
+        }
+        _emit_json("gen", {"kind": args.kind, "param": args.param}, result, started)
+    elif args.out:
+        print(f"wrote {args.out}: n={g.n}, edges={g.edge_count}")
     else:
-        human = [format_edge_list(g).rstrip("\n")]
-    result = {
-        "kind": args.kind,
-        "param": args.param,
-        "out": str(args.out) if args.out else None,
-        "n": g.n,
-        "edge_count": g.edge_count,
-        "edges": [list(e) for e in g.edges()],
-    }
-    input_obj = {"kind": args.kind, "param": args.param}
-    _emit(args, "gen", input_obj, result, started, human)
+        print(format_edge_list(g).rstrip("\n"))
     return EXIT_OK
 
 
@@ -177,26 +174,27 @@ def _cmd_closure(args) -> int:
     g = read_edge_list(args.path)
     if args.mode == "construct":
         res = construct_closure(g)
-        result = {
-            "mode": "construct",
-            "family": res.family.tag.value,
-            "m": res.family.m,
-            "min_added_edges": res.min_additions,
-            "added_edges": [list(e) for e in res.added_edges],
-            "certificate": dataclasses.asdict(res.certificate),
-            "via_search": res.via_search,
-        }
-        human = [
-            f"family: {res.family.tag.value} (m={res.family.m})"
-            + (" [fallback search]" if res.via_search else ""),
-            f"min added edges: {res.min_additions}",
-            "added: " + " ".join(f"({u},{v})" for u, v in res.added_edges),
-            f"certificate: contains_input={res.certificate.contains_input} "
-            f"distance_balanced={res.certificate.distance_balanced} "
-            f"diameter={res.certificate.diameter} "
-            f"regular_degree={res.certificate.regular_degree} "
-            f"matches_formula={res.certificate.matches_formula}",
-        ]
+        cert = res.certificate
+        if args.json:
+            result = {
+                "mode": "construct",
+                "family": res.family.tag.value,
+                "m": res.family.m,
+                "min_added_edges": res.min_additions,
+                "added_edges": res.added_edges,
+                "certificate": dataclasses.asdict(cert),
+                "via_search": res.via_search,
+            }
+        else:
+            print(f"family: {res.family.tag.value} (m={res.family.m})"
+                  + (" [fallback search]" if res.via_search else ""))
+            print(f"min added edges: {res.min_additions}")
+            print("added: " + " ".join(map("(%d,%d)".__mod__, res.added_edges)))
+            print(f"certificate: contains_input={cert.contains_input} "
+                  f"distance_balanced={cert.distance_balanced} "
+                  f"diameter={cert.diameter} "
+                  f"regular_degree={cert.regular_degree} "
+                  f"matches_formula={cert.matches_formula}")
     else:
         config = SearchConfig(
             prune_mode=args.prune,
@@ -205,22 +203,22 @@ def _cmd_closure(args) -> int:
             time_budget=args.budget,
         )
         res = search_minimum_additions(g, config)
-        result = {
-            "mode": "search",
-            "prune": res.mode_used,
-            "min_added_edges": res.min_additions,
-            "witnesses": [[list(e) for e in w] for w in res.witnesses],
-            "explored": res.explored,
-        }
-        human = [
-            f"min added edges: {res.min_additions}",
-            "witness: " + " ".join(f"({u},{v})" for u, v in res.witnesses[0]),
-            f"explored: {res.explored} candidates ({res.mode_used} mode)",
-        ]
-        if args.all_witnesses:
-            human.append(f"witness count: {len(res.witnesses)}")
-    _emit(args, "closure", _input_summary(args.path, g, diameter(g)), result,
-          started, human)
+        if args.json:
+            result = {
+                "mode": "search",
+                "prune": res.mode_used,
+                "min_added_edges": res.min_additions,
+                "witnesses": res.witnesses,
+                "explored": res.explored,
+            }
+        else:
+            print(f"min added edges: {res.min_additions}")
+            print("witness: " + " ".join(map("(%d,%d)".__mod__, res.witnesses[0])))
+            print(f"explored: {res.explored} candidates ({res.mode_used} mode)")
+            if args.all_witnesses:
+                print(f"witness count: {len(res.witnesses)}")
+    if args.json:
+        _emit_json("closure", _input_summary(args.path, g, diameter(g)), result, started)
     return EXIT_OK
 
 
@@ -293,23 +291,22 @@ def _cmd_verify(args) -> int:
     names = _VERIFY_FAMILIES if args.family == "all" else [args.family]
     rows = _verify_rows(names, lo, hi, args.oracle)
     all_pass = all(row["pass"] for row in rows)
-    header = (f"{'family':<7}{'m':>3}{'n':>4}{'b':>5}  {'edges':<6}{'DB':<6}"
-              f"{'reg':>4}{'diam':>5}  {'oracle':<7}{'status'}")
-    human = [header]
+    if args.json:
+        input_obj = {"family": args.family, "m_range": [lo, hi], "oracle": args.oracle}
+        _emit_json("verify", input_obj, {"rows": rows, "all_pass": all_pass}, started)
+        return EXIT_OK if all_pass else EXIT_ERROR
+    print(f"{'family':<7}{'m':>3}{'n':>4}{'b':>5}  {'edges':<6}{'DB':<6}"
+          f"{'reg':>4}{'diam':>5}  {'oracle':<7}{'status'}")
     for row in rows:
         oracle_text = "-" if row["oracle"] is None else str(row["oracle"])
         status = "pass" if row["pass"] else "FAIL"
         if row["fallback_search"]:
             status += " (fallback search)"
-        human.append(
-            f"{row['family']:<7}{row['m']:>3}{row['n']:>4}"
-            f"{row['min_added_edges']:>5}  {str(row['edge_check']).lower():<6}"
-            f"{str(row['balanced']).lower():<6}{str(row['regular_degree']):>4}"
-            f"{row['diameter']:>5}  {oracle_text:<7}{status}")
-    human.append(f"all rows pass: {str(all_pass).lower()}")
-    result = {"rows": rows, "all_pass": all_pass}
-    input_obj = {"family": args.family, "m_range": [lo, hi], "oracle": args.oracle}
-    _emit(args, "verify", input_obj, result, started, human)
+        print(f"{row['family']:<7}{row['m']:>3}{row['n']:>4}"
+              f"{row['min_added_edges']:>5}  {str(row['edge_check']).lower():<6}"
+              f"{str(row['balanced']).lower():<6}{str(row['regular_degree']):>4}"
+              f"{row['diameter']:>5}  {oracle_text:<7}{status}")
+    print(f"all rows pass: {str(all_pass).lower()}")
     return EXIT_OK if all_pass else EXIT_ERROR
 
 

@@ -27,7 +27,9 @@ The removed pairs are written on the canonical labels of ``trees``.  They
 are mapped to the input's labels through the inverse of the classifier's
 relabeling and cleared from full bit rows, so the closure is built in the
 input's labels and never relabeled.  The fallback searches the relabeled
-tree and maps its witness back the same way.
+tree and maps its witness back the same way.  The about C(n, 2) added
+pairs are read off near-full rows by ``graph._upper_pairs``, as ranges
+minus a few gaps (``graph._members``).
 
 Every result carries a computational certificate; minimality beyond the
 certified edge count is the search module's job.
@@ -45,8 +47,8 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    _bits,
     _profiles,
+    _upper_pairs,
     add_edges,
     is_connected,
     is_spanning_subgraph,
@@ -191,9 +193,7 @@ def construct_closure(t: Graph) -> ClosureResult:
     always computed on the way out.
     """
     closure, family, certificate, via_search = _certified_closure(t)
-    # the pairs uv that the closure adds, in lex order: -(2 << u) keeps v > u
-    added = tuple((u, v) for u in range(t.n)
-                  for v in _bits(closure.adj[u] & ~t.adj[u] & -(2 << u)))
+    added = tuple(_upper_pairs([row & ~old for row, old in zip(closure.adj, t.adj)]))
     return ClosureResult(
         closure=closure,
         added_edges=added,

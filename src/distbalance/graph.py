@@ -1,9 +1,12 @@
 """Simple undirected graphs on integer vertices, with bitmask adjacency.
 
 Vertices are 0..n-1.  Each adjacency row is a Python int used as a bit
-vector: bit v of row u is set when uv is an edge.  This gives O(1) edge
-tests and word-parallel frontier unions during BFS, and because Python
-ints are arbitrary width the same representation works for any n.
+vector: bit v of row u is set when uv is an edge, for any n.  ``_members``
+lists a row's vertices: bit by bit when sparse, and as its range minus the
+few clear bits, filtered in C, when dense, so a near-complete row costs
+its non-neighbours in Python steps.  Edge lists and a closure's added
+pairs (``_upper_pairs``) and the neighbour lists of ``_ball_sweep`` all
+read their rows through it.
 
 ``_levels`` is a single-source BFS that returns level masks; distance
 rows, connectivity and the two-sweep tree diameter are read off it.
@@ -19,7 +22,7 @@ infinite distances anywhere in the API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count, filterfalse, zip_longest
+from itertools import chain, combinations, count, filterfalse, repeat, zip_longest
 from operator import add, and_, or_
 from typing import Iterable, Iterator
 
@@ -45,6 +48,25 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _members(mask: int, lo: int, hi: int) -> Iterator[int]:
+    """The set bit positions of ``mask``, which lie in lo..hi-1, in increasing
+    order: bit by bit when fewer than half are set, else ``range(lo, hi)``
+    with the few clear bits filtered out in C."""
+    if 2 * mask.bit_count() < hi - lo:
+        return _bits(mask)
+    return filterfalse(set(_bits(mask ^ (1 << hi) - (1 << lo))).__contains__, range(lo, hi))
+
+
+def _upper_pairs(rows) -> list[Edge]:
+    """Each pair (u, v) with u < v and bit v of rows[u] set, in lexicographic
+    order; a row's pairs are zipped in C.  A list, since ``tuple`` of a long
+    iterator regrows a tuple that the collector then rescans."""
+    n = len(rows)
+    # -(2 << u) keeps the bits above u
+    return list(chain.from_iterable(zip(repeat(u), _members(row & -(2 << u), u + 1, n))
+                                    for u, row in enumerate(rows)))
 
 
 @dataclass(frozen=True)
@@ -75,8 +97,7 @@ class Graph:
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        # -(2 << u) keeps the bits above u
-        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] & -(2 << u))]
+        return _upper_pairs(self.adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -209,14 +230,7 @@ def _ball_sweep(adj, edges=None) -> tuple[list[int], list[int], list[int] | None
     pos = [0] * n
     for i, u in enumerate(order):
         pos[u] = i
-    rows = []
-    for u in order:
-        row = adj[u]
-        if 2 * row.bit_count() < n:
-            members = _bits(row)
-        else:  # dense: skip the few non-neighbours
-            members = filterfalse(set(_bits(row ^ (1 << n) - 1)).__contains__, range(n))
-        rows.append(map(pos.__getitem__, members))
+    rows = [map(pos.__getitem__, _members(adj[u], 0, n)) for u in order]
     # slots[j][i] is a j-th neighbour of order[i], cut from column j of the
     # padded rows when a step first needs it: a dense graph needs few
     columns, slots = zip_longest(*rows), []

@@ -26,6 +26,8 @@ from distbalance import (
     remove_edges,
     verify_closure,
 )
+from distbalance.graph import _bits
+from distbalance.trees import FAMILIES as FAMILY_TABLE
 
 FAMILIES = [FamilyTag.STAR, FamilyTag.S2, FamilyTag.S22, FamilyTag.S3, FamilyTag.BROOM]
 
@@ -265,3 +267,20 @@ def test_added_edges_are_pinned(name):
     assert res.added_edges == tuple(added)
     assert res.via_search is via_search
     assert res.certificate.ok
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_added_edges_match_bits_up_to_m_200(tag):
+    """The added pairs and the closure's edge list, both read from near-full
+    rows, against a bit-by-bit walk, on relabelled trees up to m = 200."""
+    rng = random.Random(200)
+    for m in (FAMILY_TABLE[tag].verify_min_m, 9, 64, 200):
+        tree = canonical_family_tree(tag, m)
+        perm = list(range(tree.n))
+        rng.shuffle(perm)
+        t = relabel(tree, perm)
+        res = construct_closure(t)
+        c = res.closure
+        assert res.added_edges == tuple(
+            (u, v) for u in range(t.n) for v in _bits(c.adj[u] & ~t.adj[u]) if v > u)
+        assert c.edges() == [(u, v) for u in range(t.n) for v in _bits(c.adj[u]) if v > u]

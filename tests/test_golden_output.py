@@ -1,0 +1,96 @@
+"""Byte-exact CLI output, pinned as digests.
+
+Each case runs ``cli.main`` on a fixed input in the working directory, in
+human form and with ``--json``, and hashes its exit code, stdout and
+stderr.  The JSON ``timing`` value is the one non-deterministic field; it
+is replaced by 0 before hashing.  Any change to a printed byte, an exit
+code or a message shows as a changed digest.
+"""
+
+import hashlib
+import random
+import re
+
+import pytest
+
+from distbalance import (
+    FamilyTag,
+    broom,
+    canonical_family_tree,
+    complete_graph,
+    from_edge_list,
+    path_graph,
+    relabel,
+    write_edge_list,
+)
+from distbalance.cli import main
+
+
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
+
+
+# name: (input graph or None, argv after the command's input path)
+CASES = {
+    "closure_s3_m40": (_shuffled(canonical_family_tree(FamilyTag.S3, 40), 40),
+                       ["closure", "g.el"]),
+    "closure_dominant": (_shuffled(from_edge_list(7, [
+        (0, v) for v in range(1, 7)] + [(1, 2), (2, 3), (4, 5)]), 7),
+                         ["closure", "g.el"]),
+    "closure_s3_m4_degenerate": (_shuffled(canonical_family_tree(FamilyTag.S3, 4), 4),
+                                 ["closure", "g.el"]),
+    "closure_unsupported": (path_graph(8), ["closure", "g.el"]),
+    "search_s2_m4": (_shuffled(canonical_family_tree(FamilyTag.S2, 4), 24),
+                     ["closure", "g.el", "--mode", "search"]),
+    "search_broom_m3_all": (_shuffled(broom(3), 3),
+                            ["closure", "g.el", "--mode", "search", "--all-witnesses"]),
+    "check_report_broom": (_shuffled(broom(6), 6), ["check", "g.el", "--report"]),
+    "check_report_k6": (complete_graph(6), ["check", "g.el", "--report"]),
+    "gen_starlike": (None, ["gen", "starlike", "3,1^4"]),
+    "gen_complete": (None, ["gen", "complete", "6"]),
+}
+
+# sha256 of "<exit code>\n<stdout>\n<stderr>", human form then --json
+GOLDEN = {
+    "closure_s3_m40": ("4f5fd4e2be8e228a9b856ede636ad136b7a7892fc3ee4b918070812a5e2a565f",
+        "ac0ebdfe379e1528aa29a90b8e3c30819851404c90beb58697f4b8c41d6678e9"),
+    "closure_dominant": ("2f798e333c063cf826f3c6b6c92c17bc4199608c561919463943c6d467d37c16",
+        "6e0009e3f95116f5bb5b74af9d96b33ee7ce2a64121967d254219affc1336c77"),
+    "closure_s3_m4_degenerate": ("8e045b91326b3fa80dbdfa4cadabade8c37b0883f42eaa418479ce557f953021",
+        "13291476403c52c34a6014f020333865bb24df14ee43ce6e7c3aede3b9010717"),
+    "closure_unsupported": ("81400e72a26988d685a2e6f6b6f10677f0554bb26e4f6f3354bf7380c8d95ba4",
+        "81400e72a26988d685a2e6f6b6f10677f0554bb26e4f6f3354bf7380c8d95ba4"),
+    "search_s2_m4": ("cfbbace5548152b8f783061f927e5b836ea2f3201505492ba43d1aee4966781f",
+        "763c774859cccb8a22e6c3272c24e47b334d9a214de73d8883193cd8377b99f2"),
+    "search_broom_m3_all": ("53ffcb8ba5824be544abcf83cd7129ca96c5dcfb57cc692036b26749a30fb327",
+        "d6852e5d4297dbeab8c10e384be9dc7cd9deb31fd2b4189898fe81822c19178c"),
+    "check_report_broom": ("148428431b8470ab6e888e8831096066be8ba13617c90fc3356601b3c4a245c1",
+        "96d853da6d6b6329a63a9ea0c8026c0d289fba0469874a279eeadaf46b482f48"),
+    "check_report_k6": ("8d6384e566b0982af302a4ef1ad5b6254788b3871f44fa6e1b6d6d9f847aafae",
+        "b65f4a9d28abf3b72a26a19ac2d6ed8b56911a8f069780d6c5c6a7b355a54531"),
+    "gen_starlike": ("cff1315de8908d12439f52a99eb14e12ab0f53fcb241cdaaf38070509c25b2fd",
+        "4871cae141b7f8d4d1443d3cd19f99333f62e4507a4a9daf632a1af1faf63469"),
+    "gen_complete": ("34c5dc57f861f36324e1e5cd56687f730668c3c597024c314f9a685c2030101a",
+        "f449c63eb9acace6bb1556480ace30f783daf21bd62511920019a1dff7f0e058"),
+}
+
+_TIMING = re.compile(r'"timing": [^,}]+')
+
+
+def _digest(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = _TIMING.sub('"timing": 0', captured.out)
+    return hashlib.sha256(f"{code}\n{out}\n{captured.err}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_is_pinned(name, capsys, tmp_path, monkeypatch):
+    g, argv = CASES[name]
+    monkeypatch.chdir(tmp_path)
+    if g is not None:
+        write_edge_list(g, "g.el")
+    got = (_digest(capsys, argv), _digest(capsys, argv + ["--json"]))
+    assert got == GOLDEN[name]

@@ -1,6 +1,7 @@
 """Graph construction, distances, partitions, and their invariants."""
 
 import random
+from itertools import filterfalse
 
 import pytest
 from hypothesis import given
@@ -27,7 +28,7 @@ from distbalance import (
     relabel,
     remove_edges,
 )
-from distbalance.graph import MAX_VERTICES, _profiles
+from distbalance.graph import MAX_VERTICES, _bits, _members, _profiles
 from distbalance.trees import FamilyTag, canonical_family_tree
 
 
@@ -288,3 +289,58 @@ def test_distances_from_single_source():
     assert distances_from(cycle_graph(5), 2) == [2, 1, 0, 1, 2]
     with pytest.raises(DisconnectedGraphError):
         distances_from(from_edge_list(3, [(0, 1)]), 0)
+
+
+@st.composite
+def _ranged_masks(draw):
+    """(mask, lo, hi): an empty or full span lo..hi-1 with some bits flipped,
+    so masks fall on both sides of the dense threshold."""
+    lo = draw(st.integers(0, 70))
+    hi = lo + draw(st.integers(0, 140))
+    span = (1 << hi) - (1 << lo)
+    flips = draw(st.sets(st.integers(lo, hi - 1), max_size=hi - lo)) if hi > lo else set()
+    return draw(st.sampled_from([0, span])) ^ sum(1 << b for b in flips), lo, hi
+
+
+@given(_ranged_masks())
+def test_members_match_bits(case):
+    mask, lo, hi = case
+    assert list(_members(mask, lo, hi)) == list(_bits(mask))
+
+
+@pytest.mark.parametrize("lo", [0, 3, 64])
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 64, 65, 130])
+def test_members_at_the_dense_threshold(lo, width):
+    """Popcounts around width / 2, and the empty and full masks; a mask with
+    at least half its span set takes the filtered range."""
+    rng = random.Random(width * 100 + lo)
+    for k in sorted({0, width // 2 - 1, width // 2, (width + 1) // 2, width // 2 + 1,
+                     width} & set(range(width + 1))):
+        for _ in range(5):
+            mask = sum(1 << b for b in rng.sample(range(lo, lo + width), k))
+            members = _members(mask, lo, lo + width)
+            assert isinstance(members, filterfalse) == (2 * k >= width)
+            assert list(members) == list(_bits(mask))
+
+
+def _edges_by_bits(g):
+    return [(u, v) for u in range(g.n) for v in _bits(g.adj[u]) if v > u]
+
+
+def _random_graph(n, p, rng):
+    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < p])
+
+
+@given(helpers.connected_graphs(min_n=1, max_n=14))
+def test_edges_match_bits_on_small_graphs(g):
+    assert g.edges() == _edges_by_bits(g)
+
+
+def test_edges_match_bits_on_sparse_and_dense_graphs():
+    rng = random.Random(2010)
+    graphs = [_random_graph(n, p, rng) for n in (1, 2, 65, 150)
+              for p in (0.0, 0.05, 0.5, 0.95, 1.0)]
+    graphs += [complete_graph(130), k6_minus_two_triangles(), cycle_graph(129)]
+    for g in graphs:
+        assert g.edges() == _edges_by_bits(g)

@@ -59,7 +59,7 @@ def assert_matches_oracle(g: Graph) -> None:
                for r in imbalance_report(g).records]
     assert records == expected
     assert szeged_index(g) == sum(cx * cy for _, _, cx, cy in expected)
-    report, diam = report_with_diameter(g, records=False)
+    report, diam, _ = report_with_diameter(g, records=False)
     assert (report.balanced, report.worst_edge, diam) == helpers.plain_check_oracle(g)
     assert diameter(g) == max(max(row) for row in rows)
 
@@ -108,7 +108,7 @@ def test_plain_check_of_a_balanced_graph_lists_no_edges(monkeypatch):
 
     monkeypatch.setattr(Graph, "edges", refuse)
     for g in (complete_graph(40), cycle_graph(41), hypercube(5), torus(4, 6)):
-        report, _ = report_with_diameter(g, records=False)
+        report, _, _ = report_with_diameter(g, records=False)
         assert report.balanced and report.worst_edge is None
 
 
