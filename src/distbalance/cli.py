@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -310,6 +311,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_ERROR
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="distbalance",
                      description="Distance-balanced graph analysis and closures.")

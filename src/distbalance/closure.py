@@ -47,7 +47,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    _profiles,
+    _ball_sweep,
     _upper_pairs,
     add_edges,
     is_connected,
@@ -126,7 +126,7 @@ def verify_closure(t: Graph, candidate: Graph,
     if t.n != candidate.n:
         raise SizeMismatchError(f"vertex counts differ: {t.n} vs {candidate.n}")
     contains = is_spanning_subgraph(t, candidate)
-    transmissions, eccentricities = zip(*_profiles(candidate.adj))
+    transmissions, eccentricities, _ = _ball_sweep(candidate.adj)
     matches = None
     if expected_additions is not None:
         matches = candidate.edge_count - t.edge_count == expected_additions

@@ -114,9 +114,13 @@ def from_edge_list(n: int, edges: Iterable[Iterable[int]]) -> Graph:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if n > MAX_VERTICES:
         raise GraphTooLargeError(f"at most {MAX_VERTICES} vertices are supported, got {n}")
-    adj = [0] * n
-    for pair in edges:
-        u, v = pair
+    return add_edges(Graph(n, (0,) * n, 0), edges)
+
+
+def add_edges(g: Graph, pairs: Iterable[Edge]) -> Graph:
+    """A new graph with the given pairs added (already-present pairs collapse)."""
+    n, adj = g.n, list(g.adj)
+    for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
         if u == v:
@@ -124,19 +128,6 @@ def from_edge_list(n: int, edges: Iterable[Iterable[int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj), sum(row.bit_count() for row in adj) // 2)
-
-
-def add_edges(g: Graph, pairs: Iterable[Edge]) -> Graph:
-    """A new graph with the given pairs added (already-present pairs collapse)."""
-    adj = list(g.adj)
-    for u, v in pairs:
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{g.n - 1}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj), sum(row.bit_count() for row in adj) // 2)
 
 
 def remove_edges(g: Graph, pairs: Iterable[Edge]) -> Graph:
@@ -269,12 +260,6 @@ def _ball_sweep(adj, edges=None) -> tuple[list[int], list[int], list[int] | None
         trans[u], ecc[u] = n - 1 + counted - sizes[i], filled[i]
     near = None if edges is None else [1 + sizes[x] - m for x, m in zip(xs, meets)]
     return trans, ecc, near
-
-
-def _profiles(adj) -> Iterator[tuple[int, int]]:
-    """(transmission, eccentricity) of each vertex in order; connected graphs only."""
-    trans, ecc, _ = _ball_sweep(adj)
-    return zip(trans, ecc)
 
 
 def is_connected(g: Graph) -> bool:

@@ -13,8 +13,15 @@ is regular, which holds for inputs of diameter at most 2 and for trees
 with maximum degree at least n-3; the mode is refused elsewhere.  For a
 fixed k the handshake identity pins the only possible degree to
 r = 2(|E|+k)/n, so most levels are skipped without enumerating anything.
+On that domain every degree-feasible candidate is balanced as well.  A
+supergraph of a diameter-2 graph has diameter at most 2, and so has an
+r-regular graph with 2r > n-2, where two non-adjacent vertices must share
+a neighbour; a tree with maximum degree at least n-3 forces r >= n-3,
+which is enough.  An r-regular graph of diameter at most 2 has every
+transmission 2(n-1) - r.  So the first candidate a level yields is its
+witness; it is still balance-tested, as an independent check.
 
-A search for the first witness prunes by orderly generation (Read 1978;
+A naive search for the first witness prunes by orderly generation (Read 1978;
 McKay, J. Algorithms 26 (1998)).  It takes a few automorphisms of the
 input, which map witnesses to witnesses:
 
@@ -39,14 +46,15 @@ still tested: the m = 6 star balance-tests 325 of its 2^15 candidates,
 which fall into 156 orbits.  The order-7 spider with three legs of length
 2 has no twins; labelled with legs 0-1-2, 0-3-4 and 0-5-6, its two leg
 swaps leave 3,999 balance tests of the 19,274 candidates up to its first
-witness.  The regular mode applies the same test to its degree-feasible
-candidates.  ``all_witnesses`` and ``count_balanced_additions`` scan
+witness.  ``all_witnesses`` and ``count_balanced_additions`` scan
 without it.
 
-Every level runs in this process, in lex order.  ``explored`` counts the
-candidates in lex order up to and including the first hit, dropped ones
-included (the earlier levels' sizes plus the hit's lex rank + 1), so it
-does not depend on the pruning.
+Every level runs in this process, in lex order.  In naive mode
+``explored`` counts the candidates in lex order up to and including the
+first hit, dropped ones included (the earlier levels' sizes plus the
+hit's lex rank + 1), so it does not depend on the pruning.  In regular
+mode it counts the degree-feasible candidates enumerated, which is 1 for
+a first witness.
 """
 
 from __future__ import annotations
@@ -106,7 +114,9 @@ class SearchResult:
     witnesses: added-edge sets of that size (first = lexicographically
         smallest; all of them when requested).
     explored: candidates in enumeration order up to and including the first
-        witness (the whole last level with all_witnesses).
+        witness (the whole last level with all_witnesses): every k-subset
+        in lex order in naive mode, the degree-feasible ones in regular
+        mode, where a first witness is the first of them.
     mode_used: the prune mode that produced the result.
     """
 
@@ -298,16 +308,6 @@ class _ImageTables(NamedTuple):
     guards: int
     ones: int
 
-    def keeps(self, cand: tuple[int, ...]) -> bool:
-        """Whether no permutation maps the index set ``cand`` lex-smaller."""
-        held, image = self.guards, 0
-        for i in cand:
-            held ^= self.reps[i]
-            image ^= self.cols[i]
-        d = held ^ image
-        low = d ^ (d & (d - self.ones))
-        return low & held == low
-
 
 def _image_tables(perms: list[tuple[int, ...]], comp: list[Edge]) -> _ImageTables:
     """The packed tables of ``perms``, or of as many of the first ones as
@@ -395,7 +395,7 @@ def _naive_level(adj: tuple[int, ...], comp: list[Edge], k: int,
             held ^= reps[i]
             image ^= cols[i]
             chosen.append(i)
-            d = held ^ image  # the test of _ImageTables.keeps, in line
+            d = held ^ image  # the survival test of _ImageTables
             low = d ^ (d & (d - ones))
             if low & held == low:
                 i += 1
@@ -413,17 +413,15 @@ def _naive_level(adj: tuple[int, ...], comp: list[Edge], k: int,
 
 
 def _regular_level(adj: tuple[int, ...], comp: list[Edge],
-                   candidates: Iterator[tuple[int, ...]], tables: _ImageTables,
+                   candidates: Iterator[tuple[int, ...]],
                    all_witnesses: bool) -> tuple[list[tuple[int, ...]], int, bool]:
-    """Balance-test the regular ``candidates`` that no permutation of
-    ``tables`` maps lex-smaller; returns the hits, the candidates enumerated
-    up to and including the first hit and whether the enumeration expired."""
+    """Balance-test the regular ``candidates``; returns the hits, the
+    candidates enumerated up to and including the first hit and whether the
+    enumeration expired."""
     hits: list[tuple[int, ...]] = []
     enumerated = 0
     try:
         for enumerated, cand in enumerate(candidates, 1):
-            if not tables.keeps(cand):
-                continue
             rows = list(adj)
             for i in cand:
                 u, v = comp[i]
@@ -466,7 +464,8 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
     deadline = (None if config.time_budget is None
                 else time.monotonic() + config.time_budget)
 
-    tables = _image_tables([] if config.all_witnesses else _generators(g), comp)
+    if config.prune_mode == "naive":
+        tables = _image_tables([] if config.all_witnesses else _generators(g), comp)
     explored = 0
     exhausted = -1
     for k in range(k_cap + 1):
@@ -478,7 +477,7 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
                 continue
             hits, counted, timed_out = _regular_level(
                 g.adj, comp, _regular_additions(degrees, comp, r, k, deadline),
-                tables, config.all_witnesses)
+                config.all_witnesses)
         else:
             hits, counted, timed_out = _naive_level(
                 g.adj, comp, k, tables, deadline, config.all_witnesses)

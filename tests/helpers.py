@@ -168,6 +168,14 @@ def prism_graph() -> Graph:
                               (0, 3), (1, 4), (2, 5)])
 
 
+def three_diamonds() -> Graph:
+    """The one balanced non-regular graph on at most 9 vertices: three
+    diamonds (K_4 - e) joined tip to tip around a triangle."""
+    return from_edge_list(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5),
+                              (2, 5), (3, 4), (3, 6), (4, 6), (5, 7), (5, 8),
+                              (6, 7), (6, 8), (7, 8)])
+
+
 def complete_bipartite(a: int, b: int) -> Graph:
     return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 

@@ -21,7 +21,7 @@ from distbalance import (
     szeged_index,
 )
 from distbalance.analysis import _transmission_regular, report_with_diameter
-from distbalance.trees import FamilyTag, canonical_family_tree
+from distbalance.trees import FAMILIES, FamilyTag, canonical_family_tree
 
 
 class TestIsDistanceBalanced:
@@ -116,6 +116,29 @@ class TestSzegedIndex:
         # an edge after position i splits the path into i and n-i vertices
         expected = sum(i * (n - i) for i in range(1, n))
         assert szeged_index(path_graph(n)) == expected
+
+
+def _wiener_index(g):
+    """Half the sum of all queue-BFS distances."""
+    edges = g.edges()
+    return sum(sum(helpers.bfs_distances(g.n, edges, v)) for v in range(g.n)) // 2
+
+
+class TestSzegedEqualsWienerOnTrees:
+    """Sz(T) = W(T) on a tree: removing an edge xy leaves the n_x vertices
+    closer to x and the n_y closer to y, and the path of each of the
+    n_x * n_y pairs across runs through xy, so the products count every
+    distance once."""
+
+    @given(helpers.trees(max_n=30))
+    def test_random_trees(self, t):
+        assert szeged_index(t) == _wiener_index(t)
+
+    @pytest.mark.parametrize("tag", list(FAMILIES))
+    def test_family_trees(self, tag):
+        for m in (*range(FAMILIES[tag].min_m, 10), 50, 200):
+            t = canonical_family_tree(tag, m)
+            assert szeged_index(t) == _wiener_index(t), (tag, m)
 
 
 @given(helpers.connected_graphs())

@@ -206,6 +206,15 @@ class TestClosure:
         assert report["result"]["min_added_edges"] == 4
         assert report["result"]["prune"] == "regular"
 
+    def test_search_prune_regular_refused_on_balanced_non_regular(self, capsys, tmp_path):
+        path = tmp_path / "diamonds.el"
+        write_edge_list(helpers.three_diamonds(), path)
+        assert main(["closure", str(path), "--mode", "search", "--prune", "regular"]) == 1
+        assert capsys.readouterr().err.startswith("error: regular pruning needs")
+        code, report = run_json(capsys, ["closure", str(path), "--mode", "search", "--json"])
+        assert code == 0
+        assert report["result"]["min_added_edges"] == 0
+
     def test_search_budget_exceeded(self, capsys, tmp_path):
         path = tmp_path / "p5.el"
         write_edge_list(path_graph(5), path)

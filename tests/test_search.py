@@ -23,6 +23,7 @@ from distbalance import (
     complete_graph,
     count_balanced_additions,
     cycle_graph,
+    diameter,
     enumerate_regular_supergraphs,
     from_edge_list,
     is_distance_balanced,
@@ -232,6 +233,70 @@ class TestModeAgreement:
             assert regular.witnesses[0] in set(
                 search_minimum_additions(
                     t, SearchConfig(prune_mode="naive", all_witnesses=True)).witnesses)
+
+
+def _regular_legal_inputs():
+    """Every labelled connected graph with n <= 5 that the regular mode
+    accepts, and the family trees with m <= 8 under two labelings."""
+    graphs = [g for n in range(1, 6) for g in helpers.all_connected_graphs(n)
+              if diameter(g) <= 2 or (g.edge_count == g.n - 1 and g.max_degree() >= g.n - 3)]
+    return graphs + [t for tag, row in FAMILIES.items() for m in range(row.min_m, 9)
+                     for t in _two_labelings(canonical_family_tree(tag, m))]
+
+
+class TestRegularFirstCandidate:
+    """On the regular mode's domain every regular supergraph is balanced, so
+    the first one the enumeration yields is the witness."""
+
+    def test_witness_is_the_first_regular_supergraph(self):
+        graphs = _regular_legal_inputs()
+        assert len(graphs) == 532 + 2 * 36
+        for g in graphs:
+            res = search_minimum_additions(g, SearchConfig(prune_mode="regular"))
+            assert res.explored == 1, g
+            first = next(s for r in range(g.max_degree(), g.n) if g.n * r % 2 == 0
+                         for s in enumerate_regular_supergraphs(g, r))
+            assert add_edges(g, res.witnesses[0]) == first, g
+
+    @pytest.mark.parametrize("all_witnesses", [False, True])
+    def test_builds_no_orbit_tables(self, monkeypatch, all_witnesses):
+        calls = []
+
+        def spy(name):
+            real = getattr(search, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("_generators", "_image_tables"):
+            monkeypatch.setattr(search, name, spy(name))
+        for tag, m in [(FamilyTag.STAR, 5), (FamilyTag.S22, 4), (FamilyTag.S2, 4)]:
+            search_minimum_additions(canonical_family_tree(tag, m), SearchConfig(
+                prune_mode="regular", all_witnesses=all_witnesses))
+        assert calls == []
+        search_minimum_additions(canonical_family_tree(FamilyTag.STAR, 3),
+                                 SearchConfig(all_witnesses=all_witnesses))
+        assert calls == (["_image_tables"] if all_witnesses
+                         else ["_generators", "_image_tables"])
+
+
+class TestBalancedNonRegular:
+    """The three-diamond graph: balanced, not regular and of diameter 3, so
+    the regular mode, sound only where balance forces regularity, refuses it."""
+
+    def test_balanced_by_bfs_transmissions(self):
+        g = helpers.three_diamonds()
+        rows = [helpers.bfs_distances(g.n, g.edges(), v) for v in range(g.n)]
+        assert [sum(row) for row in rows] == [14] * 9
+        assert max(map(max, rows)) == 3
+        assert is_distance_balanced(g)
+        assert regular_degree(g) is None
+        assert diameter(g) == 3
+
+    def test_naive_finds_it_balanced_and_regular_refuses_it(self):
+        g = helpers.three_diamonds()
+        res = search_minimum_additions(g)
+        assert (res.min_additions, res.witnesses, res.explored) == (0, ((),), 1)
+        with pytest.raises(PruneModeUnjustifiedError):
+            search_minimum_additions(g, SearchConfig(prune_mode="regular"))
 
 
 def test_minimality_spot_check_on_acceptance_instances():
@@ -506,7 +571,8 @@ class TestSubtreePruning:
         kept = tables.ones.bit_count()
         assert 0 < kept < len(perms) == 62
         assert kept * per_perm <= search._MAX_TABLE_BITS < (kept + 1) * per_perm
-        assert tables.keeps(tuple(range(len(comp))))
+        assert search._naive_level(star.adj, comp, len(comp), tables, None, False)[0] \
+            == [tuple(range(len(comp)))]
 
     def test_spider_balance_tests_only_subtree_survivors(self, monkeypatch):
         """The spider has no twins, so the twin rule tests every one of its

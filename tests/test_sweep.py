@@ -23,7 +23,7 @@ from distbalance import (
 from distbalance import analysis, graph
 from distbalance.analysis import report_with_diameter
 from distbalance.cli import main
-from distbalance.graph import _profiles
+from distbalance.graph import _ball_sweep
 from distbalance.trees import FamilyTag, broom, canonical_family_tree
 
 
@@ -53,7 +53,8 @@ def assert_matches_oracle(g: Graph) -> None:
     diameter against queue-BFS distance rows and the per-edge definition."""
     edges = g.edges()
     rows = [helpers.bfs_distances(g.n, edges, v) for v in range(g.n)]
-    assert list(_profiles(g.adj)) == [(sum(row), max(row)) for row in rows]
+    trans, ecc, _ = _ball_sweep(g.adj)
+    assert list(zip(trans, ecc)) == [(sum(row), max(row)) for row in rows]
     expected = helpers.edge_balance_oracle(g)
     records = [(r.x, r.y, r.closer_to_x, r.closer_to_y)
                for r in imbalance_report(g).records]
