@@ -9,7 +9,8 @@ pairs (``_upper_pairs``) and the neighbour lists of ``_ball_sweep`` all
 read their rows through it.
 
 ``_levels`` is a single-source BFS that returns level masks; distance
-rows, connectivity and the two-sweep tree diameter are read off it.
+rows, connectivity, the two-sweep tree diameter and the search's tree
+centre are read off it.
 ``_ball_sweep`` grows the balls of every vertex at once and gives
 transmissions, eccentricities and the per-edge closer counts of a whole
 graph.  The analysis module decides balance as transmission-regularity

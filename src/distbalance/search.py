@@ -72,8 +72,7 @@ from .errors import (
     PruneModeUnjustifiedError,
     SearchBudgetError,
 )
-from .graph import Graph, _bits, add_edges, complement_edges, diameter, is_connected
-from .trees import is_tree
+from .graph import Graph, _bits, _levels, add_edges, complement_edges, diameter, is_connected
 
 MAX_SEARCH_VERTICES = 64
 # naive-mode enumeration nodes (dropped ones too), or regular-mode steps,
@@ -183,20 +182,9 @@ def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
         i += 1
 
 
-def _regular_target(n: int, edge_count: int, k: int, max_deg: int) -> int | None:
-    """The only degree an (edge_count + k)-edge regular graph on n vertices
-    can have, or None when no feasible degree exists."""
-    double = 2 * (edge_count + k)
-    if double % n:
-        return None
-    r = double // n
-    if r < max_deg or r > n - 1:
-        return None
-    return r
-
-
 def _regular_mode_justified(g: Graph) -> bool:
-    return diameter(g) <= 2 or (is_tree(g) and g.max_degree() >= g.n - 3)
+    # g is connected, so n - 1 edges make it a tree
+    return (g.edge_count == g.n - 1 and g.max_degree() >= g.n - 3) or diameter(g) <= 2
 
 
 def _twin_swaps(adj: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -220,27 +208,21 @@ def _tree_branch_swaps(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
     with adjacency rows ``adj``.
 
     The tree is rooted at its centre, or at both ends of its central edge,
-    and each vertex gets an id for its rooted subtree's canonical code.  For
-    each vertex in BFS order from the root, the children with equal ids give
-    the swaps of the subtrees of their label-adjacent members; a bicentral
-    tree whose halves have equal ids adds the swap of the halves.
+    and each vertex gets an id for its rooted subtree's canonical code.  The
+    centre is the middle of a longest path a..b, a farthest from vertex 0
+    and b from a: three ``graph._levels`` sweeps give the vertices d // 2
+    from one end and d - d // 2 from the other, d = d(a, b).  For each
+    vertex in BFS order from the root, the children with equal ids give the
+    swaps of the subtrees of their label-adjacent members; a bicentral tree
+    whose halves have equal ids adds the swap of the halves.
     """
     n = len(adj)
-    degree = [row.bit_count() for row in adj]
-    alive = (1 << n) - 1
-    layer = [v for v in range(n) if degree[v] <= 1]
-    while alive.bit_count() > 2:  # strip the leaves down to the centre
-        for v in layer:
-            alive ^= 1 << v
-        nxt = []
-        for v in layer:
-            for u in _bits(adj[v] & alive):
-                degree[u] -= 1
-                if degree[u] == 1:
-                    nxt.append(u)
-        layer = nxt
-    roots = list(_bits(alive))
-    order, seen = roots.copy(), alive
+    from_a = _levels(adj, _levels(adj, 0)[-1].bit_length() - 1)
+    from_b = _levels(adj, from_a[-1].bit_length() - 1)
+    d = len(from_a) - 1
+    centre = from_a[d // 2] & from_b[d - d // 2] | from_a[d - d // 2] & from_b[d // 2]
+    roots = list(_bits(centre))
+    order, seen = roots.copy(), centre
     children: list[list[int]] = [[] for _ in range(n)]
     for v in order:  # BFS; the list grows while it is read
         children[v] = list(_bits(adj[v] & ~seen))
@@ -470,8 +452,9 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
     exhausted = -1
     for k in range(k_cap + 1):
         if config.prune_mode == "regular":
-            r = _regular_target(g.n, g.edge_count, k, max_deg)
-            if r is None:
+            # the handshake rule; k <= |comp| keeps r <= n - 1
+            r, odd = divmod(2 * (g.edge_count + k), g.n)
+            if odd or r < max_deg:
                 # no regular graph with this many edges: provably empty level
                 exhausted = k
                 continue

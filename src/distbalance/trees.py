@@ -169,10 +169,8 @@ def broom(m: int) -> Graph:
     """Star on hub 0 with spokes 1..m plus two pendants on spoke 1.
 
     Requires m >= 3: the m=2 graph is the s2 tree with m=3 under relabeling
-    and is rejected to keep the families disjoint.
+    and is rejected (by the family table) to keep the families disjoint.
     """
-    if m < 3:
-        raise ParameterTooSmallError(f"broom needs m >= 3, got {m}")
     return canonical_family_tree(FamilyTag.BROOM, m)
 
 

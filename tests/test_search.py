@@ -1,5 +1,6 @@
 """The exhaustive search oracle: witnesses, pruning, budgets, determinism."""
 
+import hashlib
 import random
 from itertools import combinations, permutations
 from math import comb
@@ -21,6 +22,7 @@ from distbalance import (
     canonical_family_tree,
     complement_edges,
     complete_graph,
+    construct_closure,
     count_balanced_additions,
     cycle_graph,
     diameter,
@@ -32,7 +34,8 @@ from distbalance import (
     relabel,
     search_minimum_additions,
 )
-from distbalance import search
+from distbalance import graph, search
+from distbalance.analysis import _transmission_regular
 from distbalance.trees import FAMILIES
 
 
@@ -339,6 +342,70 @@ def test_oracle_matches_formula_small_range():
             TreeFamily(tag, m, None)), (tag, m)
 
 
+class TestTheorem:
+    """The paper's theorem: a distance-balanced graph with maximum degree at
+    least n - 3 is regular.  Such a graph has a vertex adjacent to all but
+    c <= 2 of the others; relabelled with that vertex as 0 and its
+    neighbours as 1..n-1-c, it is one of the graphs enumerated below."""
+
+    # connected balanced graphs per (n, c); every other (n, c) has none
+    BALANCED = {(1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1, (4, 1): 1, (5, 0): 1,
+                (5, 2): 2, (6, 0): 1, (6, 1): 3, (6, 2): 7, (7, 0): 1, (7, 2): 31}
+
+    def test_balanced_graphs_of_max_degree_at_least_n_minus_3_are_regular(self):
+        counts = {}
+        for n in range(1, 8):
+            pairs = list(combinations(range(1, n), 2))
+            for c in range(min(3, n)):
+                hub = (1 << n - c) - 2  # vertex 0 joined to 1..n-1-c
+                base = [hub] + [1 if v < n - c else 0 for v in range(1, n)]
+                counts[n, c] = 0
+                for mask in range(1 << len(pairs)):
+                    rows = base.copy()
+                    edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+                    for u, v in edges:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                    try:
+                        if not _transmission_regular(rows):
+                            continue
+                    except DisconnectedGraphError:
+                        continue
+                    counts[n, c] += 1
+                    assert len({row.bit_count() for row in rows}) == 1, rows
+                    edges += [(0, v) for v in range(1, n - c)]
+                    assert len({sum(helpers.bfs_distances(n, edges, v))
+                                for v in range(n)}) == 1, rows
+        assert {key: count for key, count in counts.items() if count} == self.BALANCED
+
+
+@pytest.mark.parametrize("run,passes", [
+    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 40))[1]), 3),
+    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 4))[1]), 4),
+    (lambda: search_minimum_additions(
+        _two_labelings(canonical_family_tree(FamilyTag.STAR, 9))[1],
+        SearchConfig(prune_mode="regular")), 1),
+    (lambda: search_minimum_additions(
+        canonical_family_tree(FamilyTag.S22, 2), SearchConfig(prune_mode="regular")), 1),
+], ids=["closure_s3_40", "degenerate_s3_4", "regular_star_9", "regular_s22_2"])
+def test_bfs_passes(monkeypatch, run, passes):
+    """Connectivity is tested once per layer: a connected graph with n - 1
+    edges is a tree without a second BFS, and the regular mode takes a tree
+    as legal from its degrees before it reaches for the diameter.  A closure
+    takes one pass for connectivity, one in the classifier and one in the
+    certificate's ball sweep; a degenerate one adds the search's."""
+    calls = []
+
+    def counted(adj, source, levels=graph._levels):
+        calls.append(source)
+        return levels(adj, source)
+
+    monkeypatch.setattr(graph, "_levels", counted)
+    monkeypatch.setattr(search, "_levels", counted)
+    run()
+    assert len(calls) == passes
+
+
 def test_regular_recursion_reads_the_clock(monkeypatch):
     """The s22 tree with m = 5 skips every regular level below k = 13, whose
     recursion then finds the answer without the candidate loop reading the
@@ -552,6 +619,24 @@ class TestSubtreePruning:
         for t in helpers.all_trees(n):
             group = _generated_group(search._generators(t), n)
             assert len(group) == _automorphism_count(t), t
+
+    def test_generators_of_every_tree_are_pinned(self):
+        """The generators decide which candidates reach the balance test.
+        Their digest covers every tree with n <= 10, as enumerated and under
+        two seeded relabelings: a change to the centre, the codes or the
+        order of the swaps shows here."""
+        rnd, graphs = random.Random(10), []
+        for n in range(1, 11):
+            for t in helpers.all_trees(n):
+                graphs.append(t)
+                for _ in range(2):
+                    perm = list(range(n))
+                    rnd.shuffle(perm)
+                    graphs.append(relabel(t, perm))
+        assert len(graphs) == 603
+        digest = hashlib.sha256(repr([search._generators(g) for g in graphs]).encode())
+        assert digest.hexdigest() == \
+            "f43e83e6ddbad3eb12a708388e54074b6ffe18ee2d343689dec468cf5b40ba57"
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_tree_under_two_labelings(self, n):
