@@ -8,18 +8,17 @@ The complete graph is distance-balanced, hence the search always
 terminates when no cap is set.
 
 The optional "regular" prune mode only tests candidates that are regular.
-That is sound exactly when every distance-balanced supergraph of the input
-is regular, which holds for inputs of diameter at most 2 and for trees
-with maximum degree at least n-3; the mode is refused elsewhere.  For a
-fixed k the handshake identity pins the only possible degree to
-r = 2(|E|+k)/n, so most levels are skipped without enumerating anything.
-On that domain every degree-feasible candidate is balanced as well.  A
-supergraph of a diameter-2 graph has diameter at most 2, and so has an
-r-regular graph with 2r > n-2, where two non-adjacent vertices must share
-a neighbour; a tree with maximum degree at least n-3 forces r >= n-3,
-which is enough.  An r-regular graph of diameter at most 2 has every
-transmission 2(n-1) - r.  So the first candidate a level yields is its
-witness; it is still balance-tested, as an independent check.
+It is legal on inputs of maximum degree at least n-3 or diameter at most
+2, and refused elsewhere.  There every balanced supergraph is regular: it
+keeps the maximum degree, so the paper's theorem applies, or it has
+diameter at most 2 and transmissions 2(n-1) - deg.  Every degree-feasible
+candidate is balanced too: r-regular with r >= n-3, it has 2r > n-2 for
+n >= 5, so two non-adjacent vertices share a neighbour, and for n <= 4 it
+is K1, K2, K3, C4 or K4; either way, like any supergraph of a diameter-2
+graph, it has diameter at most 2 and every transmission 2(n-1) - r.  For a
+fixed k the handshake identity pins r = 2(|E|+k)/n, so most levels are
+skipped without enumerating anything, and the first candidate a level
+yields is its witness; it is still balance-tested, as an independent check.
 
 A naive search for the first witness prunes by orderly generation (Read 1978;
 McKay, J. Algorithms 26 (1998)).  It takes a few automorphisms of the
@@ -135,23 +134,28 @@ def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
     degree to exactly r.
 
     A depth-first walk with an explicit stack, so k is not bounded by the
-    interpreter's recursion limit.  It can run long without yielding, so it
-    reads the clock itself, at its first step and every _DEADLINE_STRIDE
+    interpreter's recursion limit.  It backtracks at position i once a
+    vertex's deficit exceeds its candidate edges at positions >= i.  None
+    does at position 0, tested once before the walk, and taking an edge
+    lowers its ends' deficits and counts together; so only a passed-over
+    edge can leave a vertex short, one of its own ends, and the record of
+    position i >= 1 is edge i - 1 with its ends' counts at positions >= i.
+    The walk reads the clock at its first step and every _DEADLINE_STRIDE
     steps after, and raises _Expired once ``deadline`` has passed.
     """
-    nv = len(degrees)
     deficit = [r - d for d in degrees]
-    if min(deficit, default=0) < 0 or sum(deficit) != 2 * k:
+    left = [0] * len(degrees)
+    for u, w in comp:
+        left[u] += 1
+        left[w] += 1
+    if sum(deficit) != 2 * k or not all(0 <= d <= c for d, c in zip(deficit, left)):
         return
     m = len(comp)
-    # suffix[i][v] = candidate edges at positions >= i incident to v
-    suffix = [[0] * nv]
-    for u, v in reversed(comp):
-        row = suffix[-1].copy()
-        row[u] += 1
-        row[v] += 1
-        suffix.append(row)
-    suffix.reverse()
+    records = [(0, 0, m, m)]  # position 0 passed the test above
+    for u, w in comp:
+        left[u] -= 1
+        left[w] -= 1
+        records.append((u, w, left[u], left[w]))
     chosen: list[int] = []
     steps = 0
     i = 0
@@ -164,8 +168,8 @@ def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
                 if not steps % _DEADLINE_STRIDE and time.monotonic() > deadline:
                     raise _Expired
                 steps += 1
-            # past here some vertex can no longer be saturated: backtrack
-            if all(d <= s for d, s in zip(deficit, suffix[i])):
+            a, b, left_a, left_b = records[i]
+            if deficit[a] <= left_a and deficit[b] <= left_b:
                 u, w = comp[i]
                 if deficit[u] and deficit[w]:
                     deficit[u] -= 1
@@ -173,6 +177,7 @@ def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
                     chosen.append(i)
                 i += 1
                 continue
+            # else an end of edge i - 1 can no longer be saturated: backtrack
         if not chosen:
             return
         i = chosen.pop()
@@ -180,11 +185,6 @@ def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
         deficit[u] += 1
         deficit[w] += 1
         i += 1
-
-
-def _regular_mode_justified(g: Graph) -> bool:
-    # g is connected, so n - 1 edges make it a tree
-    return (g.edge_count == g.n - 1 and g.max_degree() >= g.n - 3) or diameter(g) <= 2
 
 
 def _twin_swaps(adj: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -435,13 +435,13 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
         raise ValueError(f"time_budget must be > 0, got {config.time_budget}")
     if not is_connected(g):
         raise DisconnectedGraphError("search requires a connected graph")
-    if config.prune_mode == "regular" and not _regular_mode_justified(g):
-        raise PruneModeUnjustifiedError(
-            "regular pruning needs diameter <= 2 or a tree with max degree >= n-3")
-
-    comp = complement_edges(g)
     degrees = g.degrees()
     max_deg = max(degrees)
+    if config.prune_mode == "regular" and max_deg < g.n - 3 and diameter(g) > 2:
+        raise PruneModeUnjustifiedError(
+            "regular pruning needs max degree >= n-3 or diameter <= 2")
+
+    comp = complement_edges(g)
     k_cap = len(comp) if config.max_k is None else min(config.max_k, len(comp))
     deadline = (None if config.time_budget is None
                 else time.monotonic() + config.time_budget)

@@ -215,6 +215,19 @@ class TestClosure:
         assert code == 0
         assert report["result"]["min_added_edges"] == 0
 
+    def test_search_prune_regular_on_a_non_tree_of_diameter_3(self, capsys, tmp_path):
+        """The bull, a triangle 0-1-2 with pendants 4 at 0 and 3 at 1, has
+        diameter 3 and no tree's edge count, but max degree 3 >= n - 3, so
+        the regular mode is legal and agrees with the naive one."""
+        path = tmp_path / "bull.el"
+        path.write_text("5\n0 1\n0 2\n0 4\n1 2\n1 3\n")
+        answers = []
+        for prune in ("regular", "naive"):
+            assert main(["closure", str(path), "--mode", "search", "--prune", prune]) == 0
+            answers.append(capsys.readouterr().out.splitlines()[:2])
+        assert answers == 2 * [["min added edges: 5",
+                                "witness: (0,3) (1,4) (2,3) (2,4) (3,4)"]]
+
     def test_search_budget_exceeded(self, capsys, tmp_path):
         path = tmp_path / "p5.el"
         write_edge_list(path_graph(5), path)

@@ -155,6 +155,51 @@ class TestRegularEnumeration:
                     if regular_degree(add_edges(g, added)) == r]
         assert list(enumerate_regular_supergraphs(g, r)) == expected
 
+    def test_walk_on_every_small_graph_is_pinned_and_matches_brute_force(self):
+        """Every labelled connected graph with n <= 5 and every r from its
+        max degree to n - 1 with n * r even: the walk yields the brute-force
+        filter of the k-subsets, and its sequences are pinned by a sha256."""
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for g in helpers.all_connected_graphs(n):
+                comp = complement_edges(g)
+                degrees = g.degrees()
+                for r in range(g.max_degree(), n):
+                    if n * r % 2:
+                        continue
+                    k = n * r // 2 - g.edge_count
+                    walked = list(search._regular_additions(degrees, comp, r, k))
+                    digest.update(repr((g.edges(), r, walked)).encode())
+                    expected = []
+                    for added in combinations(range(len(comp)), k):
+                        deg = degrees.copy()
+                        for i in added:
+                            deg[comp[i][0]] += 1
+                            deg[comp[i][1]] += 1
+                        if deg == [r] * n:
+                            expected.append(added)
+                    assert walked == expected, (g.edges(), r)
+        assert digest.hexdigest() == (
+            "90e4c052b9f822c8850ee69149b84749042b5d5a2b3829a9eed30df10e802d7d")
+
+    def test_walk_steps_are_pinned(self, monkeypatch):
+        """The walk's pruning, pinned by its exact step count: with the clock
+        read at every step, the walks to the first yield of each feasible r
+        on the family trees with m <= 8, under two labelings, take 12,198
+        steps.  Testing one end fewer of the edge just passed takes more."""
+        reads = []
+        monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
+        monkeypatch.setattr(search.time, "monotonic", lambda: reads.append(0) or 0.0)
+        for tag, row in FAMILIES.items():
+            for m in range(row.min_m, 9):
+                for g in _two_labelings(canonical_family_tree(tag, m)):
+                    comp = complement_edges(g)
+                    for r in range(g.max_degree(), g.n):
+                        k, odd = divmod(g.n * r - 2 * g.edge_count, 2)
+                        if not odd:
+                            next(search._regular_additions(g.degrees(), comp, r, k, 1.0), None)
+        assert len(reads) == 12198
+
 
 class TestCountBalancedAdditions:
     def test_cycle_at_zero(self):
@@ -281,6 +326,26 @@ class TestRegularFirstCandidate:
                          else ["_generators", "_image_tables"])
 
 
+class TestRegularOnMaxDegree:
+    """The paper's theorem makes the regular mode legal on any input with
+    max degree >= n - 3: every balanced supergraph of it is regular, and so
+    every minimal witness is one the regular mode finds."""
+
+    @pytest.mark.parametrize("all_witnesses", [False, True])
+    def test_equals_naive_on_non_trees_of_diameter_3(self, all_witnesses):
+        graphs = [g for n in range(1, 6) for g in helpers.all_connected_graphs(n)
+                  if g.edge_count >= g.n and g.max_degree() >= g.n - 3
+                  and diameter(g) >= 3]
+        assert len(graphs) == 240
+        for g in graphs:
+            regular = search_minimum_additions(g, SearchConfig(
+                prune_mode="regular", all_witnesses=all_witnesses))
+            naive = search_minimum_additions(g, SearchConfig(all_witnesses=all_witnesses))
+            assert (regular.min_additions, regular.witnesses) == (
+                naive.min_additions, naive.witnesses), g.edges()
+            assert regular.explored == 1 or all_witnesses
+
+
 class TestBalancedNonRegular:
     """The three-diamond graph: balanced, not regular and of diameter 3, so
     the regular mode, sound only where balance forces regularity, refuses it."""
@@ -387,11 +452,15 @@ class TestTheorem:
         SearchConfig(prune_mode="regular")), 1),
     (lambda: search_minimum_additions(
         canonical_family_tree(FamilyTag.S22, 2), SearchConfig(prune_mode="regular")), 1),
-], ids=["closure_s3_40", "degenerate_s3_4", "regular_star_9", "regular_s22_2"])
+    (lambda: search_minimum_additions(
+        from_edge_list(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)]),
+        SearchConfig(prune_mode="regular")), 1),
+], ids=["closure_s3_40", "degenerate_s3_4", "regular_star_9", "regular_s22_2",
+        "regular_bull_5"])
 def test_bfs_passes(monkeypatch, run, passes):
     """Connectivity is tested once per layer: a connected graph with n - 1
-    edges is a tree without a second BFS, and the regular mode takes a tree
-    as legal from its degrees before it reaches for the diameter.  A closure
+    edges is a tree without a second BFS, and the regular mode takes an
+    input as legal from its degrees before it reaches for the diameter.  A closure
     takes one pass for connectivity, one in the classifier and one in the
     certificate's ball sweep; a degenerate one adds the search's."""
     calls = []
