@@ -18,16 +18,15 @@ so it can stop at the first vertex whose D differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import starmap
 from operator import add, mul
+from typing import NamedTuple
 
 from .errors import DisconnectedGraphError
 from .graph import Edge, Graph, _ball_sweep
 
 
-@dataclass(frozen=True)
-class EdgeBalance:
+class EdgeBalance(NamedTuple):
     """Closer-set sizes for one edge (x, y) with x < y."""
 
     x: int
@@ -40,8 +39,7 @@ class EdgeBalance:
         return abs(self.closer_to_x - self.closer_to_y)
 
 
-@dataclass(frozen=True)
-class ImbalanceReport:
+class ImbalanceReport(NamedTuple):
     """Per-edge balance records in lexicographic edge order.
 
     ``worst_edge`` is the edge with the largest size gap, ties broken by

@@ -10,7 +10,6 @@ timing, version; timing is the only non-deterministic field.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -183,7 +182,7 @@ def _cmd_closure(args) -> int:
                 "m": res.family.m,
                 "min_added_edges": res.min_additions,
                 "added_edges": res.added_edges,
-                "certificate": dataclasses.asdict(cert),
+                "certificate": cert._asdict(),
                 "via_search": res.via_search,
             }
         else:

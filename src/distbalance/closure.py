@@ -37,7 +37,7 @@ certified edge count is the search module's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DisconnectedGraphError,
@@ -57,8 +57,7 @@ from .graph import (
 from .trees import FamilyTag, TreeFamily, classify_tree
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Computed facts about a candidate closure of an input graph."""
 
     contains_input: bool
@@ -75,8 +74,7 @@ class Certificate:
                 and self.matches_formula is not False)
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     closure: Graph
     added_edges: tuple[tuple[int, int], ...]
     min_additions: int

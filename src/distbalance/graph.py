@@ -22,10 +22,9 @@ infinite distances anywhere in the API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, count, filterfalse, repeat, zip_longest
 from operator import add, and_, or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DisconnectedGraphError,
@@ -70,8 +69,7 @@ def _upper_pairs(rows) -> list[Edge]:
                                     for u, row in enumerate(rows)))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable simple graph: no loops, no parallel edges."""
 
     n: int
@@ -104,17 +102,22 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise GraphTooLargeError(f"at most {MAX_VERTICES} vertices are supported, got {n}")
+
+
 def from_edge_list(n: int, edges: Iterable[Iterable[int]]) -> Graph:
     """Build a simple graph; duplicates and both orientations collapse.
 
     Raises VertexOutOfRangeError for an endpoint outside 0..n-1,
     SelfLoopError for a pair with equal endpoints and GraphTooLargeError
-    for n above MAX_VERTICES.
+    for n above MAX_VERTICES.  n is checked before ``edges`` is read, so
+    a lazy iterable builds nothing for a refused order.
     """
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
-    if n > MAX_VERTICES:
-        raise GraphTooLargeError(f"at most {MAX_VERTICES} vertices are supported, got {n}")
+    _check_order(n)
     return add_edges(Graph(n, (0,) * n, 0), edges)
 
 
@@ -153,17 +156,18 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    _check_order(n)  # combinations() copies its whole pool when called
     return from_edge_list(n, combinations(range(n), 2))
 
 
 def path_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ParameterTooSmallError(f"cycle needs at least 3 vertices, got {n}")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def _levels(adj, source: int) -> list[int]:
@@ -278,8 +282,7 @@ def distances_from(g: Graph, source: int) -> list[int]:
     return row
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(NamedTuple):
     """All-pairs hop distances of a connected graph."""
 
     n: int
@@ -306,8 +309,7 @@ def diameter(g: Graph) -> int:
     return max(_ball_sweep(g.adj)[1])
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class EdgePartition(NamedTuple):
     """Vertex classification by distance to an ordered pair (x, y).
 
     ``closer_to_x`` holds the vertices strictly nearer x than y,

@@ -59,7 +59,6 @@ a first witness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
@@ -85,8 +84,7 @@ Edge = tuple[int, int]
 Witness = tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Knobs for the exhaustive search.
 
     prune_mode: "naive" tests every subset, "regular" restricts to regular
@@ -104,8 +102,7 @@ class SearchConfig:
     time_budget: float | None = None
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of a completed search.
 
     min_additions: smallest number of edges whose addition balances the input.

@@ -27,8 +27,8 @@ these overlaps with the fixed precedence star > s2 > s22 > s3 > broom.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -37,7 +37,7 @@ from .errors import (
     ParameterTooSmallError,
     UnsupportedFamilyError,
 )
-from .graph import Graph, _bits, from_edge_list, is_connected
+from .graph import Graph, _bits, _check_order, from_edge_list, is_connected
 
 
 class FamilyTag(str, Enum):
@@ -50,16 +50,18 @@ class FamilyTag(str, Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class StarlikeSpec:
+class StarlikeSpec(NamedTuple):
     """Branch lengths of a starlike tree, e.g. (3, 1, 1)."""
 
     branches: tuple[int, ...]
 
     @classmethod
     def from_text(cls, text: str) -> "StarlikeSpec":
-        """Parse "3,1^4" style syntax: comma-separated lengths, optional ^multiplicity."""
-        branches: list[int] = []
+        """Parse "3,1^4" style syntax: comma-separated lengths, optional ^multiplicity.
+
+        An order above graph.MAX_VERTICES is refused before the lengths are
+        expanded, so "1^10000000000" allocates nothing."""
+        runs: list[tuple[int, int]] = []
         for token in text.split(","):
             token = token.strip()
             if not token:
@@ -74,18 +76,16 @@ class StarlikeSpec:
                 raise ValueError(f"branch length must be positive, got {length}")
             if mult < 1:
                 raise ValueError(f"branch multiplicity must be positive, got {mult}")
-            branches.extend([length] * mult)
-        if not branches:
-            raise EmptySpecError("no branches given")
-        return cls(tuple(branches))
+            runs.append((length, mult))
+        _check_order(1 + sum(length * mult for length, mult in runs))
+        return cls(tuple(chain.from_iterable(repeat(length, mult) for length, mult in runs)))
 
     @property
     def order(self) -> int:
         return sum(self.branches) + 1
 
 
-@dataclass(frozen=True)
-class TreeFamily:
+class TreeFamily(NamedTuple):
     """Classification of a tree: the family tag, the hub degree m, and the
     permutation taking input labels to canonical labels (None for OTHER)."""
 
@@ -118,16 +118,17 @@ def canonical_family_tree(tag: FamilyTag, m: int) -> Graph:
         raise UnsupportedFamilyError(f"{tag.value} has no canonical tree")
     if m < FAMILIES[tag].min_m:
         raise ParameterTooSmallError(f"{tag.value} needs m >= {FAMILIES[tag].min_m}, got {m}")
-    spokes = [(0, i) for i in range(1, m + 1)]
+    # lazy, so that from_edge_list refuses an order above MAX_VERTICES first
+    spokes = ((0, i) for i in range(1, m + 1))
     if tag is FamilyTag.STAR:
         return from_edge_list(m + 1, spokes)
     if tag is FamilyTag.S2:
-        return from_edge_list(m + 2, spokes + [(1, m + 1)])
+        return from_edge_list(m + 2, chain(spokes, [(1, m + 1)]))
     if tag is FamilyTag.S22:
-        return from_edge_list(m + 3, spokes + [(1, m + 1), (2, m + 2)])
+        return from_edge_list(m + 3, chain(spokes, [(1, m + 1), (2, m + 2)]))
     if tag is FamilyTag.S3:
-        return from_edge_list(m + 3, spokes + [(1, m + 1), (m + 1, m + 2)])
-    return from_edge_list(m + 3, spokes + [(1, m + 1), (1, m + 2)])
+        return from_edge_list(m + 3, chain(spokes, [(1, m + 1), (m + 1, m + 2)]))
+    return from_edge_list(m + 3, chain(spokes, [(1, m + 1), (1, m + 2)]))
 
 
 def starlike(spec: StarlikeSpec) -> Graph:
@@ -142,6 +143,7 @@ def starlike(spec: StarlikeSpec) -> Graph:
         raise EmptySpecError("no branches given")
     if any(length < 1 for length in branches):
         raise ValueError("branch lengths must be positive")
+    _check_order(spec.order)  # before the edge list below is built
     counts = Counter(branches)
     m = len(branches)
     named = None

@@ -173,6 +173,34 @@ class TestGen:
     def test_bad_starlike_spec(self, capsys):
         assert main(["gen", "starlike", "0,1"]) == 1
 
+    @pytest.mark.parametrize("kind,param", [
+        ("star", "300000000"), ("broom", "300000000"), ("path", "300000000"),
+        ("cycle", "300000000"), ("complete", "300000000"),
+        ("starlike", "300000000"), ("starlike", "1^10000000000"),
+    ])
+    def test_oversized_refused_before_allocating(self, kind, param):
+        """An order above graph.MAX_VERTICES exits 1 at once.  The child has
+        1 GiB of address space, where a build that makes its edge or branch
+        list before the check dies with a MemoryError traceback instead."""
+        import resource
+
+        def limit():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        child = ("import sys, time; sys.path.insert(0, sys.argv[1])\n"
+                 "from distbalance.cli import main\n"
+                 "start = time.perf_counter(); code = main(sys.argv[2:])\n"
+                 "print(time.perf_counter() - start); sys.exit(code)\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-I", "-c", child, src, "gen", kind, param],
+                              capture_output=True, text=True, preexec_fn=limit, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert f"at most {graph.MAX_VERTICES} vertices" in proc.stderr
+        assert float(proc.stdout) < 0.5
+
 
 class TestClosure:
     def test_construct_star(self, capsys, star3_file):

@@ -1,6 +1,5 @@
 """Closed-form closures, their formulas, and certificates."""
 
-import dataclasses
 import random
 
 import pytest
@@ -114,7 +113,7 @@ class TestConstruct:
 
         def off_by_one(g, config=search.SearchConfig()):
             found = real(g, config)
-            return dataclasses.replace(found, min_additions=found.min_additions + 1)
+            return found._replace(min_additions=found.min_additions + 1)
 
         monkeypatch.setattr(search, "search_minimum_additions", off_by_one)
         with pytest.raises(GraphError, match="search found 5, formula says 4"):

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "distbalance"
@@ -63,3 +65,14 @@ def test_import_scan_sees_module_level_imports_only():
              for name in _imported_modules(node)]
     assert found == ["threading", "concurrent.futures", "multiprocessing.pool",
                      "threading"]
+
+
+def test_cli_start_imports_no_dataclasses_or_inspect():
+    """Every one-shot command pays for the modules the CLI imports;
+    ``dataclasses`` brings ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+    The records are NamedTuples, so a fresh interpreter loads neither."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import distbalance.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []

@@ -1,6 +1,7 @@
 """Family generators, the branch-spec syntax, and the classifier."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ import helpers
 from distbalance import (
     EmptySpecError,
     FamilyTag,
+    GraphTooLargeError,
     NotATreeError,
     ParameterTooSmallError,
     StarlikeSpec,
@@ -72,6 +74,18 @@ class TestStarlike:
         for text in ["1^3", "2,1^4", "2,2,1", "3,1^5", "4,3,2", "2"]:
             g = starlike(StarlikeSpec.from_text(text))
             assert is_tree(g)
+
+    def test_large_order_refused_before_the_edge_list(self):
+        """A spec built directly, not parsed, is refused before its 200,000
+        path edges take about 25 MB."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphTooLargeError):
+                starlike(StarlikeSpec((200_000,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestBroom:
