@@ -55,9 +55,9 @@ def _closer_counts(g: Graph) -> tuple[list[Edge], list[int], list[int], list[int
     """The edges in lexicographic order, |closer to x| and |closer to y| of
     each, the transmissions and the diameter, from one ball sweep."""
     edges = g.edges()
-    trans, ecc, near = _ball_sweep(g.adj, edges)
+    trans, diam, near = _ball_sweep(g.adj, edges)
     far = [c + trans[x] - trans[y] for (x, y), c in zip(edges, near)]
-    return edges, near, far, trans, max(ecc)
+    return edges, near, far, trans, diam
 
 
 def _worst_edge(g: Graph, trans: list[int], edges: list[Edge] | None = None) -> Edge | None:
@@ -112,8 +112,8 @@ def report_with_diameter(g: Graph, records: bool = True
         edges, near, far, trans, diam = _closer_counts(g)
         rows = list(map(add, edges, zip(near, far)))  # tuples joined in C
     else:
-        trans, ecc, _ = _ball_sweep(g.adj)
-        edges, rows, diam = None, [], max(ecc)
+        trans, diam, _ = _ball_sweep(g.adj)
+        edges, rows = None, []
     worst = _worst_edge(g, trans, edges)
     return ImbalanceReport((), worst is None, worst), diam, rows
 

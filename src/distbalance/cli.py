@@ -53,8 +53,9 @@ EXIT_BUDGET_EXCEEDED = 4
 _VERIFY_FAMILIES = [tag.value for tag in FAMILIES]
 # each verify row builds and certifies a near-complete closure as n bit rows,
 # in about 30 ns and 2 bytes per vertex pair (the m = 1410 rows: 0.02-0.04 s
-# and 2 MiB over the interpreter's); this bounds the pairs, summed over the
-# rows, of one range
+# and 2 MiB over the interpreter's), and `gen complete` writes a line per
+# pair; this bounds the pairs of one verify range, summed over its rows, and
+# of one complete graph (so N <= 1414)
 _VERIFY_MAX_PAIRS = 1_000_000
 
 
@@ -144,6 +145,10 @@ def _build_generated(kind: str, param: str) -> Graph:
         return path_graph(value)
     if kind == "cycle":
         return cycle_graph(value)
+    # an order below 1 or above MAX_VERTICES keeps complete_graph's own message
+    if 0 < value <= MAX_VERTICES and comb(value, 2) > _VERIFY_MAX_PAIRS:
+        raise ValueError(f"complete {value} has {comb(value, 2)} vertex pairs; "
+                         f"at most {_VERIFY_MAX_PAIRS} are supported")
     return complete_graph(value)
 
 

@@ -121,14 +121,14 @@ def verify_closure(t: Graph, candidate: Graph,
     ``expected_additions`` when given, else stays None.
     """
     contains = is_spanning_subgraph(t, candidate)  # refuses unequal vertex counts
-    transmissions, eccentricities, _ = _ball_sweep(candidate.adj)
+    transmissions, diam, _ = _ball_sweep(candidate.adj)
     matches = None
     if expected_additions is not None:
         matches = candidate.edge_count - t.edge_count == expected_additions
     return Certificate(
         contains_input=contains,
         distance_balanced=len(set(transmissions)) == 1,  # transmission-regular
-        diameter=max(eccentricities),
+        diameter=diam,
         regular_degree=regular_degree(candidate),
         matches_formula=matches,
     )

@@ -12,7 +12,7 @@ read their rows through it.
 rows, connectivity, the two-sweep tree diameter and the search's tree
 centre are read off it.
 ``_ball_sweep`` grows the balls of every vertex at once and gives
-transmissions, eccentricities and the per-edge closer counts of a whole
+transmissions, the diameter and the per-edge closer counts of a whole
 graph.  The analysis module decides balance as transmission-regularity
 (Jerebic, Klavzar and Rall, Ann. Comb. 12 (2008)); the search's test there
 fuses the growth of each ball with the transmission sum.
@@ -203,23 +203,24 @@ def _spanning_levels(adj, source: int) -> list[int]:
 _BLOCK = 4096
 
 
-def _ball_sweep(adj, edges=None) -> tuple[list[int], list[int], list[int] | None]:
-    """(transmissions, eccentricities, |closer to x| of each (x, y) in
+def _ball_sweep(adj, edges=None) -> tuple[list[int], int, list[int] | None]:
+    """(transmissions, the diameter, |closer to x| of each (x, y) in
     ``edges``) of a connected graph, from the balls of every vertex at once.
 
     B_d(u), the vertices within distance d of u, starts at the closed row
     B_1(u) and grows by B_{d+1}(u) = the union of B_d(w) over w in N[u],
     until every ball is full.  D(u) is the sum over d of n - |B_d(u)|, and
-    the eccentricity is the first d with a full ball.  For an edge xy, w is
-    closer to x exactly when it is in B_d(x) but not in B_d(y) at
+    the diameter is the first d at which every ball is full.  For an edge
+    xy, w is closer to x exactly when it is in B_d(x) but not in B_d(y) at
     d = d(x, w), so |closer to x| sums |B_d(x)| - |B_d(x) & B_d(y)|.  The
     d = 0 terms are n - 1 and 1.  Distances are symmetric, so the ball
-    columns run in blocks of ``_BLOCK`` and the blocks' sums add up.
+    columns run in blocks of ``_BLOCK``; the blocks' sums add up, and the
+    diameter is the largest of their last d.
     """
     _spanning_levels(adj, 0)  # refuse a disconnected graph before allocating
     n = len(adj)
     if all(row.bit_count() == n - 1 for row in adj):  # complete: B_1 is full
-        return [n - 1] * n, [min(n - 1, 1)] * n, None if edges is None else [1] * len(edges)
+        return [n - 1] * n, min(n - 1, 1), None if edges is None else [1] * len(edges)
     # positions by falling degree, so the vertices with a j-th neighbour are
     # a prefix and a step is a few whole-list maps
     order = sorted(range(n), key=lambda u: -adj[u].bit_count())
@@ -231,15 +232,14 @@ def _ball_sweep(adj, edges=None) -> tuple[list[int], list[int], list[int] | None
     # padded rows when a step first needs it: a dense graph needs few
     columns, slots = zip_longest(*rows), []
     xs, ys = [pos[x] for x, _ in edges or ()], [pos[y] for _, y in edges or ()]
-    sizes, meets, filled = [0] * n, [0] * len(xs), [1] * n
+    sizes, meets, diam = [0] * n, [0] * len(xs), 0
     counted = 0  # the block widths summed over the steps taken
     for lo in range(0, n, _BLOCK):
         width = min(_BLOCK, n - lo)
         full = (1 << width) - 1
         balls = [(adj[u] | 1 << u) >> lo & full for u in order]
-        short = [i for i in range(n) if balls[i] != full]
         d = 1
-        while short:
+        while balls.count(full) < n:
             counted += width
             sizes = list(map(add, sizes, map(int.bit_count, balls)))
             meets = list(map(add, meets, map(int.bit_count, map(
@@ -255,16 +255,12 @@ def _ball_sweep(adj, edges=None) -> tuple[list[int], list[int], list[int] | None
                 balls[:k] = map(or_, balls[:k], map(prev.__getitem__, slots[j]))
                 if 2 * k > n and balls.count(full) == n:
                     break  # the other slots would add nothing
-            if balls.count(full) + len(short) > n:  # some balls filled up
-                for i in short:
-                    if balls[i] == full:
-                        filled[i] = max(filled[i], d)
-                short = [i for i in short if balls[i] != full]
-    trans, ecc = [0] * n, [0] * n
+        diam = max(diam, d)
+    trans = [0] * n
     for i, u in enumerate(order):
-        trans[u], ecc[u] = n - 1 + counted - sizes[i], filled[i]
+        trans[u] = n - 1 + counted - sizes[i]
     near = None if edges is None else [1 + sizes[x] - m for x, m in zip(xs, meets)]
-    return trans, ecc, near
+    return trans, diam, near
 
 
 def is_connected(g: Graph) -> bool:
@@ -306,7 +302,7 @@ def diameter(g: Graph) -> int:
     if g.edge_count == g.n - 1:
         far = _spanning_levels(g.adj, 0)[-1]
         return len(_levels(g.adj, far.bit_length() - 1)) - 1
-    return max(_ball_sweep(g.adj)[1])
+    return _ball_sweep(g.adj)[1]
 
 
 class EdgePartition(NamedTuple):

@@ -11,9 +11,10 @@ the vertex count:
   s3     one branch of length 3     order m+3   (branches 3,1,...,1)
   broom  star plus two pendants on one spoke    order m+3 (not starlike)
 
-Canonical labels: hub 0; hub neighbors 1..m with the long/loaded spoke at
-index 1 (and the second loaded spoke, for s22, at index 2); tail vertices
-m+1 and m+2, where a length-3 branch runs 0-1-(m+1)-(m+2).
+Canonical labels, in order: hub 0; hub neighbors 1..m, the long/loaded
+spoke at 1 (s22's second one at 2); tails m+1 and m+2, where a length-3
+branch runs 0-1-(m+1)-(m+2).  ``FAMILIES`` holds each family's tail
+edges and its starlike branches longer than 1; the generators read both.
 
 A tree with m >= n-3 is one of these families, and the vertices outside
 a hub's closed neighbourhood say which: none is a star, one is s2, two
@@ -26,10 +27,9 @@ these overlaps with the fixed precedence star > s2 > s22 > s3 > broom.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from itertools import chain, repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     EmptySpecError,
@@ -37,7 +37,7 @@ from .errors import (
     ParameterTooSmallError,
     UnsupportedFamilyError,
 )
-from .graph import Graph, _bits, _check_order, from_edge_list, is_connected
+from .graph import Edge, Graph, _bits, _check_order, from_edge_list, is_connected
 
 
 class FamilyTag(str, Enum):
@@ -98,17 +98,19 @@ class FamilyRow(NamedTuple):
     order_offset: int  # n - m
     min_m: int  # the smallest m with a canonical tree
     verify_min_m: int  # the smallest m >= 1 whose canonical tree classifies as this family
+    long_branches: tuple[int, ...] | None  # sorted starlike branches > 1; None: not starlike
+    tails: Callable[[int], list[Edge]]  # m -> the canonical edges besides the spokes
 
 
 # The one family table, in classification precedence.  Below verify_min_m
 # families coincide (P_5 is the s3 tree with m = 2 but classifies as s22),
 # so `verify` starts each family there.
 FAMILIES = {
-    FamilyTag.STAR: FamilyRow(1, 0, 1),
-    FamilyTag.S2: FamilyRow(2, 2, 2),
-    FamilyTag.S22: FamilyRow(3, 2, 2),
-    FamilyTag.S3: FamilyRow(3, 2, 3),
-    FamilyTag.BROOM: FamilyRow(3, 3, 3),
+    FamilyTag.STAR: FamilyRow(1, 0, 1, (), lambda m: []),
+    FamilyTag.S2: FamilyRow(2, 2, 2, (2,), lambda m: [(1, m + 1)]),
+    FamilyTag.S22: FamilyRow(3, 2, 2, (2, 2), lambda m: [(1, m + 1), (2, m + 2)]),
+    FamilyTag.S3: FamilyRow(3, 2, 3, (3,), lambda m: [(1, m + 1), (m + 1, m + 2)]),
+    FamilyTag.BROOM: FamilyRow(3, 3, 3, None, lambda m: [(1, m + 1), (1, m + 2)]),
 }
 
 
@@ -116,19 +118,12 @@ def canonical_family_tree(tag: FamilyTag, m: int) -> Graph:
     """The canonically labeled tree of a recognized family."""
     if tag not in FAMILIES:
         raise UnsupportedFamilyError(f"{tag.value} has no canonical tree")
-    if m < FAMILIES[tag].min_m:
-        raise ParameterTooSmallError(f"{tag.value} needs m >= {FAMILIES[tag].min_m}, got {m}")
+    row = FAMILIES[tag]
+    if m < row.min_m:
+        raise ParameterTooSmallError(f"{tag.value} needs m >= {row.min_m}, got {m}")
     # lazy, so that from_edge_list refuses an order above MAX_VERTICES first
     spokes = ((0, i) for i in range(1, m + 1))
-    if tag is FamilyTag.STAR:
-        return from_edge_list(m + 1, spokes)
-    if tag is FamilyTag.S2:
-        return from_edge_list(m + 2, chain(spokes, [(1, m + 1)]))
-    if tag is FamilyTag.S22:
-        return from_edge_list(m + 3, chain(spokes, [(1, m + 1), (2, m + 2)]))
-    if tag is FamilyTag.S3:
-        return from_edge_list(m + 3, chain(spokes, [(1, m + 1), (m + 1, m + 2)]))
-    return from_edge_list(m + 3, chain(spokes, [(1, m + 1), (1, m + 2)]))
+    return from_edge_list(m + row.order_offset, chain(spokes, row.tails(m)))
 
 
 def starlike(spec: StarlikeSpec) -> Graph:
@@ -144,19 +139,10 @@ def starlike(spec: StarlikeSpec) -> Graph:
     if any(length < 1 for length in branches):
         raise ValueError("branch lengths must be positive")
     _check_order(spec.order)  # before the edge list below is built
-    counts = Counter(branches)
-    m = len(branches)
-    named = None
-    if set(counts) == {1}:
-        named = FamilyTag.STAR
-    elif set(counts) <= {1, 2} and counts[2] == 1:
-        named = FamilyTag.S2
-    elif set(counts) <= {1, 2} and counts[2] == 2:
-        named = FamilyTag.S22
-    elif set(counts) <= {1, 3} and counts[3] == 1:
-        named = FamilyTag.S3
-    if named is not None and m >= FAMILIES[named].min_m:
-        return canonical_family_tree(named, m)
+    long = tuple(sorted(length for length in branches if length > 1))
+    for tag, row in FAMILIES.items():
+        if row.long_branches == long and len(branches) >= row.min_m:
+            return canonical_family_tree(tag, len(branches))
     edges = []
     nxt = 1
     for length in branches:
@@ -233,12 +219,7 @@ def classify_tree(t: Graph) -> TreeFamily:
             found.append((hub, *_signature(t, hub, outside)))
     # precedence settles the overlaps of small orders, then the smallest hub
     hub, tag, carriers, tails = min(found, key=lambda f: _PRECEDENCE[f[1]])
-    perm = [0] * t.n
-    for label, v in enumerate(carriers, start=1):
-        perm[v] = label
-    for label, v in enumerate(tails, start=m + 1):
-        perm[v] = label
     spokes = (v for v in _bits(t.adj[hub]) if v not in carriers)
-    for label, v in enumerate(spokes, start=len(carriers) + 1):
-        perm[v] = label
+    order = [hub, *carriers, *spokes, *tails]  # the vertex of label 0, 1, ...
+    perm = sorted(range(t.n), key=order.__getitem__)  # the inverse: label of vertex v
     return TreeFamily(tag, m, tuple(perm))

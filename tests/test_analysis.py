@@ -154,6 +154,8 @@ def test_report_agrees_with_predicate(g):
     rep = imbalance_report(g)
     assert rep.balanced == is_distance_balanced(g)
     assert rep.balanced == all(r.closer_to_x == r.closer_to_y for r in rep.records)
+    worst = max(rep.records, key=lambda r: r.gap)  # the first with the largest gap
+    assert rep.worst_edge == (None if rep.balanced else (worst.x, worst.y))
 
 
 def _assert_matches_oracle(g):

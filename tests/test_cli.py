@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,35 @@ class TestGen:
         assert f"at most {graph.MAX_VERTICES} vertices" in proc.stderr
         assert float(proc.stdout) < 0.5
 
+    def test_complete_bounded_by_the_pairs_cap(self, capsys, monkeypatch, tmp_path):
+        """`gen complete N` writes C(N, 2) lines, so an N with more than
+        cli._VERIFY_MAX_PAIRS pairs exits 1 before complete_graph runs; an
+        N below 1 keeps the vertex-count message."""
+        monkeypatch.setattr(cli, "_VERIFY_MAX_PAIRS", 15)
+        assert main(["gen", "complete", "6", "--out", str(tmp_path / "k6.el")]) == 0
+        assert read_edge_list(tmp_path / "k6.el") == complete_graph(6)
+        capsys.readouterr()
+
+        def no_build(n):
+            raise AssertionError(f"built K_{n}")
+        monkeypatch.setattr(cli, "complete_graph", no_build)
+        assert main(["gen", "complete", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "complete 7 has 21 vertex pairs; at most 15 are supported" in err
+        monkeypatch.undo()
+        assert main(["gen", "complete", "0"]) == 1
+        assert "vertex count must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_complete_past_the_pairs_cap_refused_at_once(self, capsys):
+        """C(1415, 2) = 1,000,405 is the first count past the cap."""
+        start = time.perf_counter()
+        assert main(["gen", "complete", "1415"]) == 1
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1000405 vertex pairs; at most 1000000 are supported" in captured.err
+
 
 class TestClosure:
     def test_construct_star(self, capsys, star3_file):
@@ -330,6 +360,12 @@ class TestVerify:
         assert row["min_added_edges"] == 7
         assert row["oracle"] == 7
 
+    def test_single_m(self, capsys):
+        code, report = run_json(capsys, ["verify", "--family", "star", "--m", "5", "--json"])
+        assert code == 0
+        assert report["input"]["m_range"] == [5, 5]
+        assert [row["m"] for row in report["result"]["rows"]] == [5]
+
     def test_bad_range(self, capsys):
         assert main(["verify", "--family", "broom", "--m", "2..5"]) == 1
         assert main(["verify", "--family", "star", "--m", "5..3"]) == 1
@@ -360,7 +396,7 @@ class TestVerify:
         of the range is built."""
         def no_closure(tree):
             raise AssertionError(f"built a row for n = {tree.n}")
-        monkeypatch.setattr("distbalance.cli.construct_closure", no_closure)
+        monkeypatch.setattr("distbalance.cli._certified_closure", no_closure)
         assert main(["verify", "--family", family, "--m", m_range]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"at most {graph.MAX_VERTICES}" in err
@@ -373,7 +409,7 @@ class TestVerify:
         def no_closure(tree):
             raise AssertionError(f"built a row for n = {tree.n}")
         with monkeypatch.context() as patch:
-            patch.setattr("distbalance.cli.construct_closure", no_closure)
+            patch.setattr("distbalance.cli._certified_closure", no_closure)
             assert main(["verify", "--family", "star", "--m", "3..65535"]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:")

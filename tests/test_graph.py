@@ -11,6 +11,7 @@ import helpers
 from distbalance import (
     DisconnectedGraphError,
     GraphTooLargeError,
+    ParameterTooSmallError,
     SelfLoopError,
     SizeMismatchError,
     VertexOutOfRangeError,
@@ -72,8 +73,23 @@ class TestFromEdgeList:
     def test_degrees(self):
         g = canonical_family_tree(FamilyTag.STAR, 3)
         assert g.degrees() == [3, 1, 1, 1]
+        assert [g.degree(v) for v in range(g.n)] == g.degrees()
         assert g.max_degree() == 3
         assert g.min_degree() == 1
+
+    def test_repr_lists_the_edges(self):
+        assert repr(path_graph(3)) == "Graph(n=3, edges=[(0, 1), (1, 2)])"
+
+    def test_remove_edges(self):
+        g = remove_edges(cycle_graph(4), [(1, 0)])
+        assert (g.edges(), g.edge_count) == ([(0, 3), (1, 2), (2, 3)], 3)
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) not present"):
+            remove_edges(cycle_graph(4), [(0, 2)])
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_cycle_needs_three_vertices(self, n):
+        with pytest.raises(ParameterTooSmallError):
+            cycle_graph(n)
 
 
 class TestDistances:
@@ -121,14 +137,14 @@ class TestDiameter:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 for g in (t, relabel(t, perm)):
-                    assert diameter(g) == max(_ball_sweep(g.adj)[1])
+                    assert diameter(g) == _ball_sweep(g.adj)[1]
 
     @given(helpers.trees(max_n=40), st.randoms(use_true_random=False))
     def test_random_tree_sweeps_match_all_sources(self, t, rng):
         perm = list(range(t.n))
         rng.shuffle(perm)
         g = relabel(t, perm)
-        assert diameter(g) == max(_ball_sweep(g.adj)[1])
+        assert diameter(g) == _ball_sweep(g.adj)[1]
 
     @pytest.mark.parametrize("n,edges", [
         (4, [(1, 2), (2, 3), (1, 3)]),          # vertex 0 isolated, a triangle
@@ -289,6 +305,9 @@ def test_distances_from_single_source():
     assert distances_from(cycle_graph(5), 2) == [2, 1, 0, 1, 2]
     with pytest.raises(DisconnectedGraphError):
         distances_from(from_edge_list(3, [(0, 1)]), 0)
+    for source in (-1, 4):
+        with pytest.raises(VertexOutOfRangeError):
+            distances_from(path_graph(4), source)
 
 
 @st.composite

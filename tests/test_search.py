@@ -133,6 +133,8 @@ class TestRegularEnumeration:
             enumerate_regular_supergraphs(path_graph(3), 1)  # n*r odd
         with pytest.raises(InfeasibleDegreeError):
             enumerate_regular_supergraphs(path_graph(3), 3)  # r > n-1
+        with pytest.raises(InfeasibleDegreeError, match="must be even"):
+            enumerate_regular_supergraphs(path_graph(5), 3)  # n*r odd, r in range
 
     def test_s3_canonical_has_balanced_3_regular_supergraph(self):
         tree = canonical_family_tree(FamilyTag.S3, 3)
@@ -214,6 +216,10 @@ class TestCountBalancedAdditions:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             count_balanced_additions(cycle_graph(4), 5)
+
+    def test_disconnected(self):
+        with pytest.raises(DisconnectedGraphError):
+            count_balanced_additions(from_edge_list(4, [(0, 1), (2, 3)]), 1)
 
 
 class TestAllWitnesses:
@@ -767,3 +773,33 @@ class TestSubtreePruning:
         assert exc_info.value.exhausted_k == level - 1
         assert exc_info.value.explored == sum(comb(len(comp), j) for j in range(level)) \
             + nodes[late][1]
+
+    def test_budget_holds_at_every_node_of_a_level(self, monkeypatch):
+        """With the clock read at every node, a clock that turns late at any
+        node of level 3 of the m = 4 star (no pruning, every witness wanted)
+        stops the search at that node, a leaf in the leaf loop or a prefix
+        before it.  ``explored`` counts the 3-subsets before the first one
+        that starts with the node's edges, the lex rank of a leaf."""
+        level, star = 3, canonical_family_tree(FamilyTag.STAR, 4)
+        comp = complement_edges(star)
+        subsets = list(combinations(range(len(comp)), level))
+        nodes = [prefix for prefix, _ in _walk(comp, level, [])]
+        assert sum(len(prefix) == level for prefix in nodes) == len(subsets)
+        monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
+        levels = _spy_levels(monkeypatch)
+        for late_read, prefix in enumerate(nodes, 1):
+            levels.clear()
+            reads = []
+
+            def clock():
+                if levels and levels[-1][0] == level:
+                    reads.append(1)
+                return 2.0 if len(reads) >= late_read else 0.0
+
+            monkeypatch.setattr(search.time, "monotonic", clock)
+            with pytest.raises(SearchBudgetError, match=f"inside level k={level}") as exc_info:
+                search_minimum_additions(star, SearchConfig(all_witnesses=True, time_budget=1.0))
+            rank = next(r for r, s in enumerate(subsets) if s[:len(prefix)] == prefix)
+            assert exc_info.value.exhausted_k == level - 1
+            assert exc_info.value.explored == \
+                sum(comb(len(comp), j) for j in range(level)) + rank, prefix

@@ -53,8 +53,8 @@ def assert_matches_oracle(g: Graph) -> None:
     diameter against queue-BFS distance rows and the per-edge definition."""
     edges = g.edges()
     rows = [helpers.bfs_distances(g.n, edges, v) for v in range(g.n)]
-    trans, ecc, _ = _ball_sweep(g.adj)
-    assert list(zip(trans, ecc)) == [(sum(row), max(row)) for row in rows]
+    trans, diam, _ = _ball_sweep(g.adj)
+    assert (trans, diam) == ([sum(row) for row in rows], max(map(max, rows)))
     expected = helpers.edge_balance_oracle(g)
     records = [(r.x, r.y, r.closer_to_x, r.closer_to_y)
                for r in imbalance_report(g).records]

@@ -70,6 +70,13 @@ class TestStarlike:
         assert g.n == 7
         assert g.edges() == [(0, 1), (0, 3), (0, 5), (1, 2), (3, 4), (5, 6)]
 
+    def test_bad_specs(self):
+        with pytest.raises(EmptySpecError):
+            starlike(StarlikeSpec(()))
+        for branches in [(0,), (2, -1, 1)]:
+            with pytest.raises(ValueError, match="must be positive"):
+                starlike(StarlikeSpec(branches))
+
     def test_generated_graphs_are_trees(self):
         for text in ["1^3", "2,1^4", "2,2,1", "3,1^5", "4,3,2", "2"]:
             g = starlike(StarlikeSpec.from_text(text))
