@@ -1,6 +1,6 @@
 """Distance-balanced graph analysis and minimal balancing closures."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     DisconnectedGraphError,
@@ -8,7 +8,6 @@ from .errors import (
     EmptySpecError,
     GraphError,
     GraphTooLargeError,
-    InfeasibleDegreeError,
     NotATreeError,
     ParameterTooSmallError,
     PruneModeUnjustifiedError,
@@ -19,24 +18,18 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .graph import (
-    DistanceMatrix,
-    EdgePartition,
     Graph,
     add_edges,
-    all_pairs_distances,
     complement_edges,
     complete_graph,
     cycle_graph,
     diameter,
-    distances_from,
-    edge_partition,
     from_edge_list,
     is_connected,
     is_spanning_subgraph,
     path_graph,
     regular_degree,
     relabel,
-    remove_edges,
 )
 from .edgelist import (
     format_edge_list,
@@ -72,23 +65,19 @@ from .search import (
     MAX_SEARCH_VERTICES,
     SearchConfig,
     SearchResult,
-    count_balanced_additions,
-    enumerate_regular_supergraphs,
     search_minimum_additions,
 )
 
 __all__ = [
     "__version__",
     "DisconnectedGraphError", "EdgeListFormatError", "EmptySpecError",
-    "GraphError", "GraphTooLargeError", "InfeasibleDegreeError",
-    "NotATreeError", "ParameterTooSmallError", "PruneModeUnjustifiedError",
+    "GraphError", "GraphTooLargeError", "NotATreeError",
+    "ParameterTooSmallError", "PruneModeUnjustifiedError",
     "SearchBudgetError", "SelfLoopError", "SizeMismatchError",
     "UnsupportedFamilyError", "VertexOutOfRangeError",
-    "DistanceMatrix", "EdgePartition", "Graph",
-    "add_edges", "all_pairs_distances", "complement_edges", "complete_graph",
-    "cycle_graph", "diameter", "distances_from", "edge_partition",
-    "from_edge_list", "is_connected", "is_spanning_subgraph", "path_graph",
-    "regular_degree", "relabel", "remove_edges",
+    "Graph", "add_edges", "complement_edges", "complete_graph", "cycle_graph",
+    "diameter", "from_edge_list", "is_connected", "is_spanning_subgraph",
+    "path_graph", "regular_degree", "relabel",
     "format_edge_list", "parse_edge_list", "read_edge_list", "write_edge_list",
     "EdgeBalance", "ImbalanceReport", "imbalance_report",
     "is_distance_balanced", "szeged_index",
@@ -97,6 +86,5 @@ __all__ = [
     "Certificate", "ClosureResult", "construct_closure",
     "minimum_additions_formula", "verify_closure",
     "MAX_SEARCH_VERTICES", "SearchConfig", "SearchResult",
-    "count_balanced_additions", "enumerate_regular_supergraphs",
     "search_minimum_additions",
 ]

@@ -137,10 +137,8 @@ def verify_closure(t: Graph, candidate: Graph,
 def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool]:
     """The closure of ``construct_closure`` with its family, certificate and
     ``via_search``, without the list of added edges."""
-    if not is_connected(t):
-        raise DisconnectedGraphError("closure construction requires a connected graph")
     via_search = False
-    if t.edge_count == t.n - 1:  # connected, so a tree
+    if t.edge_count == t.n - 1:  # classify_tree refuses a disconnected one
         family = classify_tree(t)
         if family.tag is FamilyTag.OTHER:
             raise UnsupportedFamilyError(
@@ -150,6 +148,10 @@ def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool]:
         removed = _removed(family.tag, family.m)
     else:
         if t.max_degree() != t.n - 1:
+            # the one route where the input's connectivity is still unknown
+            if not is_connected(t):
+                raise DisconnectedGraphError(
+                    "closure construction requires a connected graph")
             raise UnsupportedFamilyError(
                 "only trees with max degree >= n-3 and graphs with a "
                 "dominant vertex are supported")
@@ -184,8 +186,9 @@ def construct_closure(t: Graph) -> ClosureResult:
     """Minimal distance-balanced closure of a recognized tree (or of a
     connected graph with a dominant vertex, which closes to K_n).
 
-    Raises UnsupportedFamilyError for anything else.  The certificate is
-    always computed on the way out.
+    Raises UnsupportedFamilyError for any other connected graph, and for a
+    disconnected one NotATreeError (n - 1 edges) or DisconnectedGraphError.
+    The certificate is always computed on the way out.
     """
     closure, family, certificate, via_search = _certified_closure(t)
     added = tuple(_upper_pairs([row & ~old for row, old in zip(closure.adj, t.adj)]))

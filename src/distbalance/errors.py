@@ -41,10 +41,6 @@ class UnsupportedFamilyError(GraphError):
     """No closed-form closure is available for this input."""
 
 
-class InfeasibleDegreeError(GraphError):
-    """The requested regular degree cannot be realized."""
-
-
 class PruneModeUnjustifiedError(GraphError):
     """Regular-mode pruning requested outside its domain of validity."""
 

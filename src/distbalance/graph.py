@@ -8,9 +8,9 @@ its non-neighbours in Python steps.  Edge lists and a closure's added
 pairs (``_upper_pairs``) and the neighbour lists of ``_ball_sweep`` all
 read their rows through it.
 
-``_levels`` is a single-source BFS that returns level masks; distance
-rows, connectivity, the two-sweep tree diameter and the search's tree
-centre are read off it.
+``_levels`` is a single-source BFS that returns level masks;
+connectivity, the two-sweep tree diameter and the search's tree centre are
+read off it.
 ``_ball_sweep`` grows the balls of every vertex at once and gives
 transmissions, the diameter and the per-edge closer counts of a whole
 graph.  The analysis module decides balance as transmission-regularity
@@ -134,19 +134,6 @@ def add_edges(g: Graph, pairs: Iterable[Edge]) -> Graph:
     return Graph(n, tuple(adj), sum(row.bit_count() for row in adj) // 2)
 
 
-def remove_edges(g: Graph, pairs: Iterable[Edge]) -> Graph:
-    """A new graph with the given edges removed; every pair must be present."""
-    adj = list(g.adj)
-    removed = 0
-    for u, v in pairs:
-        if not adj[u] >> v & 1:
-            raise ValueError(f"edge ({u}, {v}) not present")
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        removed += 1
-    return Graph(g.n, tuple(adj), g.edge_count - removed)
-
-
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     """Apply a permutation: vertex v of the input becomes perm[v]."""
     perm = list(perm)
@@ -267,32 +254,6 @@ def is_connected(g: Graph) -> bool:
     return sum(mask.bit_count() for mask in _levels(g.adj, 0)) == g.n
 
 
-def distances_from(g: Graph, source: int) -> list[int]:
-    """BFS distances from one vertex of a connected graph."""
-    if not 0 <= source < g.n:
-        raise VertexOutOfRangeError(f"vertex {source} outside 0..{g.n - 1}")
-    row = [0] * g.n
-    for d, mask in enumerate(_spanning_levels(g.adj, source)):
-        for v in _bits(mask):
-            row[v] = d
-    return row
-
-
-class DistanceMatrix(NamedTuple):
-    """All-pairs hop distances of a connected graph."""
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def distance(self, u: int, v: int) -> int:
-        return self.rows[u][v]
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; raises DisconnectedGraphError if any pair is unreachable."""
-    return DistanceMatrix(g.n, tuple(tuple(distances_from(g, v)) for v in range(g.n)))
-
-
 def diameter(g: Graph) -> int:
     """The largest eccentricity; raises DisconnectedGraphError when disconnected.
 
@@ -303,45 +264,6 @@ def diameter(g: Graph) -> int:
         far = _spanning_levels(g.adj, 0)[-1]
         return len(_levels(g.adj, far.bit_length() - 1)) - 1
     return _ball_sweep(g.adj)[1]
-
-
-class EdgePartition(NamedTuple):
-    """Vertex classification by distance to an ordered pair (x, y).
-
-    ``closer_to_x`` holds the vertices strictly nearer x than y,
-    ``closer_to_y`` the reverse, and ``equidistant`` the rest; together
-    they partition the vertex set of a connected graph.
-    """
-
-    x: int
-    y: int
-    closer_to_x: frozenset[int]
-    closer_to_y: frozenset[int]
-    equidistant: frozenset[int]
-
-
-def edge_partition(g: Graph, x: int, y: int) -> EdgePartition:
-    """Partition the vertices by which of x, y they are nearer to.
-
-    Defined for any distinct pair, adjacent or not; callers that need an
-    actual edge must check adjacency themselves.
-    """
-    for v in (x, y):
-        if not 0 <= v < g.n:
-            raise VertexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
-    if x == y:
-        raise SelfLoopError("partition endpoints must differ")
-    dx = distances_from(g, x)
-    dy = distances_from(g, y)
-    near_x, near_y, equal = [], [], []
-    for v in range(g.n):
-        if dx[v] < dy[v]:
-            near_x.append(v)
-        elif dy[v] < dx[v]:
-            near_y.append(v)
-        else:
-            equal.append(v)
-    return EdgePartition(x, y, frozenset(near_x), frozenset(near_y), frozenset(equal))
 
 
 def regular_degree(g: Graph) -> int | None:

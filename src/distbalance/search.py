@@ -45,8 +45,7 @@ still tested: the m = 6 star balance-tests 325 of its 2^15 candidates,
 which fall into 156 orbits.  The order-7 spider with three legs of length
 2 has no twins; labelled with legs 0-1-2, 0-3-4 and 0-5-6, its two leg
 swaps leave 3,999 balance tests of the 19,274 candidates up to its first
-witness.  ``all_witnesses`` and ``count_balanced_additions`` scan
-without it.
+witness.  ``all_witnesses`` scans without it.
 
 Every level runs in this process, in lex order.  In naive mode
 ``explored`` counts the candidates in lex order up to and including the
@@ -66,11 +65,10 @@ from .analysis import _transmission_regular
 from .errors import (
     DisconnectedGraphError,
     GraphTooLargeError,
-    InfeasibleDegreeError,
     PruneModeUnjustifiedError,
     SearchBudgetError,
 )
-from .graph import Graph, _bits, _levels, add_edges, complement_edges, diameter, is_connected
+from .graph import Graph, _bits, _levels, complement_edges, diameter, is_connected
 
 MAX_SEARCH_VERTICES = 64
 # naive-mode enumeration nodes (dropped ones too), or regular-mode steps,
@@ -126,7 +124,7 @@ class _Expired(Exception):
 
 
 def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
-                       deadline: float | None = None) -> Iterator[tuple[int, ...]]:
+                       deadline: float | None) -> Iterator[tuple[int, ...]]:
     """Index sets of the k-subsets of ``comp`` (lex order) raising every
     degree to exactly r.
 
@@ -138,7 +136,8 @@ def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
     edge can leave a vertex short, one of its own ends, and the record of
     position i >= 1 is edge i - 1 with its ends' counts at positions >= i.
     The walk reads the clock at its first step and every _DEADLINE_STRIDE
-    steps after, and raises _Expired once ``deadline`` has passed.
+    steps after, and raises _Expired once ``deadline``, if not None, has
+    passed.
     """
     deficit = [r - d for d in degrees]
     left = [0] * len(degrees)
@@ -474,39 +473,3 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
                 f"time budget exhausted after level k={k}", exhausted, explored)
     raise SearchBudgetError(
         f"no witness with at most {k_cap} added edges", exhausted, explored)
-
-
-def enumerate_regular_supergraphs(g: Graph, r: int) -> Iterator[Graph]:
-    """Every r-regular supergraph of ``g`` on the same labels, exactly once,
-    in lexicographic order of the added-edge sets.
-
-    Exponential in general; intended for small graphs.
-    """
-    if r < g.max_degree():
-        raise InfeasibleDegreeError(
-            f"target degree {r} is below the max degree {g.max_degree()}")
-    if r > g.n - 1:
-        raise InfeasibleDegreeError(f"target degree {r} exceeds n-1 = {g.n - 1}")
-    if (g.n * r) % 2:
-        raise InfeasibleDegreeError(f"n*r = {g.n}*{r} must be even")
-    k = (g.n * r) // 2 - g.edge_count
-    comp = complement_edges(g)
-    degrees = g.degrees()
-
-    def _generate() -> Iterator[Graph]:
-        for added in _regular_additions(degrees, comp, r, k):
-            yield add_edges(g, (comp[i] for i in added))
-
-    return _generate()
-
-
-def count_balanced_additions(g: Graph, k: int) -> int:
-    """How many k-subsets of the complement edges balance ``g`` (exact count:
-    every subset is tested, without pruning)."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("count requires a connected graph")
-    comp = complement_edges(g)
-    if not 0 <= k <= len(comp):
-        raise ValueError(f"k must lie in 0..{len(comp)}, got {k}")
-    hits, _, _ = _naive_level(g.adj, comp, k, _image_tables([], comp), None, True)
-    return len(hits)

@@ -61,6 +61,16 @@ def edge_balance_oracle(g: Graph) -> list[tuple[int, int, int, int]]:
             for x, y in edges]
 
 
+def partition(g: Graph, x: int, y: int) -> tuple[set[int], set[int], set[int]]:
+    """The vertices nearer x than y, nearer y than x and equidistant, for
+    any distinct pair, from ``bfs_distances`` alone."""
+    edges = g.edges()
+    dx, dy = bfs_distances(g.n, edges, x), bfs_distances(g.n, edges, y)
+    return ({v for v in range(g.n) if dx[v] < dy[v]},
+            {v for v in range(g.n) if dy[v] < dx[v]},
+            {v for v in range(g.n) if dx[v] == dy[v]})
+
+
 def plain_check_oracle(g: Graph) -> tuple[bool, tuple[int, int] | None, int]:
     """(balanced, worst edge, diameter) as a plain ``check`` reports them,
     from ``edge_balance_oracle`` and ``bfs_distances`` alone: the worst edge
@@ -174,6 +184,12 @@ def three_diamonds() -> Graph:
     return from_edge_list(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5),
                               (2, 5), (3, 4), (3, 6), (4, 6), (5, 7), (5, 8),
                               (6, 7), (6, 8), (7, 8)])
+
+
+def complete_minus(n: int, pairs) -> Graph:
+    """K_n without the given pairs (each as (u, v) with u < v)."""
+    missing = set(pairs)
+    return from_edge_list(n, [p for p in combinations(range(n), 2) if p not in missing])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

@@ -10,13 +10,12 @@ import helpers
 from distbalance import (
     FamilyTag,
     SearchConfig,
-    all_pairs_distances,
     canonical_family_tree,
     complement_edges,
     complete_graph,
     construct_closure,
     cycle_graph,
-    edge_partition,
+    imbalance_report,
     is_distance_balanced,
     minimum_additions_formula,
     path_graph,
@@ -39,8 +38,8 @@ def test_criterion_1_balance_regularity_equivalence(small_connected_graphs):
     counterexamples = []
     for n, graphs in small_connected_graphs.items():
         for g in graphs:
-            dm = all_pairs_distances(g)
-            if max(max(row) for row in dm.rows) > 2:
+            edges = g.edges()
+            if any(max(helpers.bfs_distances(n, edges, v)) > 2 for v in range(n)):
                 continue
             checked += 1
             balanced = is_distance_balanced(g)
@@ -147,9 +146,11 @@ def test_criterion_4_structural_identities():
 
 def test_criterion_5_partition_and_neighborhood_properties(random_corpus):
     """On 1000 seeded random connected graphs: for every edge and up to 100
-    random non-adjacent pairs, the three closer-sets partition the vertex
-    set, nothing besides x itself is both closer to x and adjacent to y,
-    and neighbors of y that are not closer to y lie in N[x]."""
+    random non-adjacent pairs, the three closer-sets built from
+    ``helpers.bfs_distances`` partition the vertex set, nothing besides x
+    itself is both closer to x and adjacent to y, and neighbors of y that
+    are not closer to y lie in N[x]; for every edge, the product's per-edge
+    counts (the ``imbalance_report`` records) are the closer-sets' sizes."""
     rng = random.Random(991)
     violations = 0
     pairs_checked = 0
@@ -157,19 +158,21 @@ def test_criterion_5_partition_and_neighborhood_properties(random_corpus):
         non_edges = complement_edges(g)
         if len(non_edges) > 100:
             non_edges = rng.sample(non_edges, 100)
+        counts = {(r.x, r.y): (r.closer_to_x, r.closer_to_y)
+                  for r in imbalance_report(g).records}
         for x, y in g.edges() + non_edges:
             pairs_checked += 1
-            part = edge_partition(g, x, y)
-            union = part.closer_to_x | part.closer_to_y | part.equidistant
-            total = (len(part.closer_to_x) + len(part.closer_to_y)
-                     + len(part.equidistant))
+            near_x, near_y, equal = helpers.partition(g, x, y)
             ny = set(g.neighbors(y))
             nx = set(g.neighbors(x))
-            if union != set(range(g.n)) or total != g.n:
+            if near_x | near_y | equal != set(range(g.n)) or \
+                    len(near_x) + len(near_y) + len(equal) != g.n:
                 violations += 1
-            elif (part.closer_to_x - {x}) & ny:
+            elif (near_x - {x}) & ny:
                 violations += 1
-            elif not ny - part.closer_to_y <= nx | {x}:
+            elif not ny - near_y <= nx | {x}:
+                violations += 1
+            elif (x, y) in counts and counts[x, y] != (len(near_x), len(near_y)):
                 violations += 1
     ok = violations == 0
     _verdict(5, ok, f"{pairs_checked} pairs on {len(random_corpus)} graphs, "

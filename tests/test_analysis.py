@@ -141,6 +141,45 @@ class TestSzegedEqualsWienerOnTrees:
             assert szeged_index(t) == _wiener_index(t), (tag, m)
 
 
+def _hypercube(d):
+    return from_edge_list(1 << d, [(v, v | 1 << b) for v in range(1 << d)
+                                   for b in range(d) if not v >> b & 1])
+
+
+class TestSzegedEdgeBound:
+    """Sz(G) <= m n^2 / 4: the closer sets of an edge xy are disjoint, so
+    n_x n_y <= ((n_x + n_y) / 2)^2 <= n^2 / 4.  Equality holds exactly when
+    n_x = n_y = n / 2 on every edge: no vertex is equidistant from the ends
+    of an edge (the graph is bipartite) and every edge is balanced (Ilic,
+    Klavzar and Milanovic, Eur. J. Combin. 31 (2010))."""
+
+    @staticmethod
+    def _tight(g):
+        """Bipartite and distance-balanced, from ``helpers.bfs_distances``
+        alone: no edge inside a BFS level, and equal closer counts."""
+        edges = g.edges()
+        level = helpers.bfs_distances(g.n, edges, 0)
+        bipartite = all(level[x] != level[y] for x, y in edges)
+        return bipartite and all(cx == cy for _, _, cx, cy in helpers.edge_balance_oracle(g))
+
+    def _check(self, g):
+        four_sz, bound = 4 * szeged_index(g), g.edge_count * g.n ** 2
+        assert four_sz <= bound
+        assert (four_sz == bound) == self._tight(g)
+        return four_sz == bound
+
+    @given(helpers.connected_graphs())
+    def test_random_graphs(self, g):
+        self._check(g)
+
+    @pytest.mark.parametrize("g,tight", [
+        (cycle_graph(6), True), (_hypercube(3), True),
+        (cycle_graph(5), False), (complete_graph(4), False), (path_graph(4), False),
+    ], ids=["C6", "Q3", "C5", "K4", "P4"])
+    def test_named_graphs(self, g, tight):
+        assert self._check(g) is tight
+
+
 @given(helpers.connected_graphs())
 def test_szeged_at_least_edge_count(g):
     value = szeged_index(g)

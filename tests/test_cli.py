@@ -242,6 +242,20 @@ class TestClosure:
         assert result["certificate"]["distance_balanced"] is True
         assert result["certificate"]["matches_formula"] is True
 
+    @pytest.mark.parametrize("text,message", [
+        ("5\n0 1\n1 2\n0 2\n3 4\n", "input is not a tree (connected with n-1 edges)"),
+        ("6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n",
+         "closure construction requires a connected graph"),
+    ], ids=["n_minus_1_edges", "two_triangles"])
+    def test_construct_disconnected(self, capsys, tmp_path, text, message):
+        """A disconnected input exits 1.  With n - 1 edges the classifier
+        refuses it as not a tree; otherwise the closure's own BFS, which
+        runs only for a non-tree without a dominant vertex, does."""
+        path = tmp_path / "g.el"
+        path.write_text(text)
+        assert main(["closure", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_construct_unsupported_family(self, capsys, tmp_path):
         path = tmp_path / "p7.el"
         write_edge_list(path_graph(7), path)

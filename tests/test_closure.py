@@ -9,6 +9,7 @@ from distbalance import (
     DisconnectedGraphError,
     FamilyTag,
     GraphError,
+    NotATreeError,
     SizeMismatchError,
     TreeFamily,
     UnsupportedFamilyError,
@@ -22,7 +23,6 @@ from distbalance import (
     minimum_additions_formula,
     path_graph,
     relabel,
-    remove_edges,
     verify_closure,
 )
 from distbalance.graph import _bits
@@ -73,8 +73,7 @@ class TestConstruct:
     def test_s22_m3_is_k33(self):
         res = construct_closure(canonical_family_tree(FamilyTag.S22, 3))
         assert res.min_additions == 4
-        expected = remove_edges(complete_graph(6), [(1, 2), (2, 3), (1, 3),
-                                                    (0, 4), (0, 5), (4, 5)])
+        expected = helpers.complete_minus(6, [(1, 2), (2, 3), (1, 3), (0, 4), (0, 5), (4, 5)])
         assert res.closure == expected
         assert helpers.are_isomorphic(res.closure, helpers.complete_bipartite(3, 3))
         assert res.certificate.regular_degree == 3
@@ -83,8 +82,7 @@ class TestConstruct:
     def test_s2_even_matching_choice(self):
         res = construct_closure(canonical_family_tree(FamilyTag.S2, 4))
         assert res.min_additions == 7
-        assert res.closure == remove_edges(complete_graph(6),
-                                           [(0, 5), (1, 2), (3, 4)])
+        assert res.closure == helpers.complete_minus(6, [(0, 5), (1, 2), (3, 4)])
         assert res.certificate.regular_degree == 4
         assert res.certificate.diameter == 2
 
@@ -161,6 +159,9 @@ class TestConstruct:
             construct_closure(cycle_graph(6))  # non-tree without dominant vertex
         with pytest.raises(DisconnectedGraphError):
             construct_closure(from_edge_list(4, [(0, 1), (2, 3)]))
+        # n - 1 edges: the classifier's tree test is the connectivity test
+        with pytest.raises(NotATreeError):
+            construct_closure(from_edge_list(5, [(0, 1), (1, 2), (0, 2), (3, 4)]))
 
     @pytest.mark.parametrize("tag", FAMILIES)
     @pytest.mark.parametrize("m", range(3, 13))
@@ -205,7 +206,7 @@ class TestVerifyClosure:
 
     def test_s2_m4_explicit_candidate(self):
         tree = canonical_family_tree(FamilyTag.S2, 4)
-        candidate = remove_edges(complete_graph(6), [(0, 5), (1, 2), (3, 4)])
+        candidate = helpers.complete_minus(6, [(0, 5), (1, 2), (3, 4)])
         cert = verify_closure(tree, candidate, 7)
         assert cert.contains_input and cert.distance_balanced
         assert cert.matches_formula

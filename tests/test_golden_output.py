@@ -55,25 +55,25 @@ CASES = {
 # sha256 of "<exit code>\n<stdout>\n<stderr>", human form then --json
 GOLDEN = {
     "closure_s3_m40": ("4f5fd4e2be8e228a9b856ede636ad136b7a7892fc3ee4b918070812a5e2a565f",
-        "ac0ebdfe379e1528aa29a90b8e3c30819851404c90beb58697f4b8c41d6678e9"),
+        "f33c1e49c13dccf68a8c6adb059f50df3ed7d7b1e22335199df403764727b77f"),
     "closure_dominant": ("2f798e333c063cf826f3c6b6c92c17bc4199608c561919463943c6d467d37c16",
-        "6e0009e3f95116f5bb5b74af9d96b33ee7ce2a64121967d254219affc1336c77"),
+        "318c0defc775b58547eaf8b1d49c84ccc48b9cdaf521e8e30caef7f87f68cac7"),
     "closure_s3_m4_degenerate": ("8e045b91326b3fa80dbdfa4cadabade8c37b0883f42eaa418479ce557f953021",
-        "13291476403c52c34a6014f020333865bb24df14ee43ce6e7c3aede3b9010717"),
+        "8c8f9a4aa67d4643745fd313acf30a9a8a9b3320be6bea67b39d09ec9a2c6e8c"),
     "closure_unsupported": ("81400e72a26988d685a2e6f6b6f10677f0554bb26e4f6f3354bf7380c8d95ba4",
         "81400e72a26988d685a2e6f6b6f10677f0554bb26e4f6f3354bf7380c8d95ba4"),
     "search_s2_m4": ("cfbbace5548152b8f783061f927e5b836ea2f3201505492ba43d1aee4966781f",
-        "763c774859cccb8a22e6c3272c24e47b334d9a214de73d8883193cd8377b99f2"),
+        "21fa60a50369c55d0b1e4bd741fd3c86208900492dce8c91830f88d1ef08e4ee"),
     "search_broom_m3_all": ("53ffcb8ba5824be544abcf83cd7129ca96c5dcfb57cc692036b26749a30fb327",
-        "d6852e5d4297dbeab8c10e384be9dc7cd9deb31fd2b4189898fe81822c19178c"),
+        "a260ddd84336296e76afcc84ddb47638ea6793dbfaef51f6af59b71d39fd9225"),
     "check_report_broom": ("148428431b8470ab6e888e8831096066be8ba13617c90fc3356601b3c4a245c1",
-        "96d853da6d6b6329a63a9ea0c8026c0d289fba0469874a279eeadaf46b482f48"),
+        "d4c88f000d3731b5e29a177a4ca6dad1a0e76d178d5dc38bf54b08d971902a03"),
     "check_report_k6": ("8d6384e566b0982af302a4ef1ad5b6254788b3871f44fa6e1b6d6d9f847aafae",
-        "b65f4a9d28abf3b72a26a19ac2d6ed8b56911a8f069780d6c5c6a7b355a54531"),
+        "e9c542875226ab03e2192dbd4cba731027f7e62d07d26be7c6d24778bedd6f60"),
     "gen_starlike": ("cff1315de8908d12439f52a99eb14e12ab0f53fcb241cdaaf38070509c25b2fd",
-        "4871cae141b7f8d4d1443d3cd19f99333f62e4507a4a9daf632a1af1faf63469"),
+        "a53287c67ba662099c7179a882c5c1b394c435178b5de48c647aa31d3901cf63"),
     "gen_complete": ("34c5dc57f861f36324e1e5cd56687f730668c3c597024c314f9a685c2030101a",
-        "f449c63eb9acace6bb1556480ace30f783daf21bd62511920019a1dff7f0e058"),
+        "75f036dcdedc165cb85db15ce6bab954f6812013d581fb1f51dcdda919cd5d02"),
 }
 
 _TIMING = re.compile(r'"timing": [^,}]+')

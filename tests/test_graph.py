@@ -15,31 +15,45 @@ from distbalance import (
     SelfLoopError,
     SizeMismatchError,
     VertexOutOfRangeError,
-    all_pairs_distances,
     complement_edges,
     complete_graph,
     cycle_graph,
     diameter,
-    edge_partition,
     from_edge_list,
     is_connected,
     is_spanning_subgraph,
     path_graph,
     regular_degree,
     relabel,
-    remove_edges,
 )
-from distbalance.graph import MAX_VERTICES, _ball_sweep, _bits, _members
+from distbalance.graph import MAX_VERTICES, _ball_sweep, _bits, _members, _spanning_levels
 from distbalance.trees import FamilyTag, canonical_family_tree
 
 
 def k6_minus_perfect_matching():
-    return remove_edges(complete_graph(6), [(0, 1), (2, 3), (4, 5)])
+    return helpers.complete_minus(6, [(0, 1), (2, 3), (4, 5)])
 
 
 def k6_minus_two_triangles():
-    return remove_edges(complete_graph(6), [(0, 1), (1, 2), (0, 2),
-                                            (3, 4), (4, 5), (3, 5)])
+    return helpers.complete_minus(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+def _distances_from(g, source):
+    """The distance row of ``source``, read off the engine's BFS level masks."""
+    row = [0] * g.n
+    for d, mask in enumerate(_spanning_levels(g.adj, source)):
+        for v in _bits(mask):
+            row[v] = d
+    return row
+
+
+def _distance_rows(g):
+    return [_distances_from(g, v) for v in range(g.n)]
+
+
+def _closer_counts(g, x, y):
+    """(|closer to x|, |closer to y|) of the edge xy, from the ball sweep."""
+    return tuple(_ball_sweep(g.adj, [(x, y), (y, x)])[2])
 
 
 class TestFromEdgeList:
@@ -80,12 +94,6 @@ class TestFromEdgeList:
     def test_repr_lists_the_edges(self):
         assert repr(path_graph(3)) == "Graph(n=3, edges=[(0, 1), (1, 2)])"
 
-    def test_remove_edges(self):
-        g = remove_edges(cycle_graph(4), [(1, 0)])
-        assert (g.edges(), g.edge_count) == ([(0, 3), (1, 2), (2, 3)], 3)
-        with pytest.raises(ValueError, match=r"edge \(0, 2\) not present"):
-            remove_edges(cycle_graph(4), [(0, 2)])
-
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_cycle_needs_three_vertices(self, n):
         with pytest.raises(ParameterTooSmallError):
@@ -94,22 +102,21 @@ class TestFromEdgeList:
 
 class TestDistances:
     def test_path_distances(self):
-        dm = all_pairs_distances(path_graph(3))
-        assert dm.distance(0, 2) == 2
-        assert dm.distance(0, 1) == 1
+        rows = _distance_rows(path_graph(3))
+        assert rows[0][2] == 2
+        assert rows[0][1] == 1
 
     def test_complete_graph_distances(self):
-        dm = all_pairs_distances(complete_graph(4))
-        assert all(dm.distance(u, v) == 1 for u in range(4) for v in range(4) if u != v)
+        rows = _distance_rows(complete_graph(4))
+        assert all(rows[u][v] == 1 for u in range(4) for v in range(4) if u != v)
 
     def test_five_cycle_max_distance(self):
-        dm = all_pairs_distances(cycle_graph(5))
-        assert max(max(row) for row in dm.rows) == 2
+        assert max(max(row) for row in _distance_rows(cycle_graph(5))) == 2
 
     def test_disconnected_rejected(self):
         g = from_edge_list(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
-            all_pairs_distances(g)
+            _spanning_levels(g.adj, 0)
         with pytest.raises(DisconnectedGraphError):
             diameter(g)
 
@@ -159,35 +166,17 @@ class TestDiameter:
 
 
 class TestEdgePartition:
+    """The closer-set sizes of one edge, both ways round, from the ball sweep;
+    the rest of the vertices are equidistant."""
+
     def test_path3(self):
-        part = edge_partition(path_graph(3), 0, 1)
-        assert part.closer_to_x == {0}
-        assert part.closer_to_y == {1, 2}
-        assert part.equidistant == frozenset()
+        assert _closer_counts(path_graph(3), 0, 1) == (1, 2)  # {0} and {1, 2}
 
     def test_complete4(self):
-        part = edge_partition(complete_graph(4), 1, 2)
-        assert part.closer_to_x == {1}
-        assert part.closer_to_y == {2}
-        assert part.equidistant == {0, 3}
+        assert _closer_counts(complete_graph(4), 1, 2) == (1, 1)  # {0, 3} equidistant
 
     def test_cycle4(self):
-        part = edge_partition(cycle_graph(4), 0, 1)
-        assert part.closer_to_x == {0, 3}
-        assert part.closer_to_y == {1, 2}
-        assert part.equidistant == frozenset()
-
-    def test_non_adjacent_pair_allowed(self):
-        part = edge_partition(path_graph(4), 0, 3)
-        assert part.closer_to_x == {0, 1}
-        assert part.closer_to_y == {2, 3}
-
-    def test_bad_pairs(self):
-        g = path_graph(3)
-        with pytest.raises(SelfLoopError):
-            edge_partition(g, 1, 1)
-        with pytest.raises(VertexOutOfRangeError):
-            edge_partition(g, 0, 5)
+        assert _closer_counts(cycle_graph(4), 0, 1) == (2, 2)  # {0, 3} and {1, 2}
 
 
 class TestRegularDegree:
@@ -210,8 +199,7 @@ class TestSpanningSubgraph:
 
     def test_s22_in_k6_minus_triangles(self):
         tree = canonical_family_tree(FamilyTag.S22, 3)
-        host = remove_edges(complete_graph(6), [(1, 2), (2, 3), (1, 3),
-                                                (0, 4), (0, 5), (4, 5)])
+        host = helpers.complete_minus(6, [(1, 2), (2, 3), (1, 3), (0, 4), (0, 5), (4, 5)])
         assert is_spanning_subgraph(tree, host)
 
     def test_size_mismatch(self):
@@ -249,7 +237,7 @@ def test_distance_matrix_invariants_exhaustive(small_connected_graphs):
     over every connected graph on at most 6 vertices."""
     for n, graphs in small_connected_graphs.items():
         for g in graphs:
-            rows = all_pairs_distances(g).rows
+            rows = _distance_rows(g)
             for u in range(n):
                 assert rows[u][u] == 0
                 for v in range(u + 1, n):
@@ -263,11 +251,15 @@ def test_distance_matrix_invariants_exhaustive(small_connected_graphs):
 
 @given(helpers.connected_graphs())
 def test_partition_is_a_partition(g):
+    """For every edge xy, the closer sets built from ``helpers.bfs_distances``
+    hold x and y, cover the vertices with the equidistant ones, and have the
+    sizes of the ball sweep's per-edge counts."""
     for x, y in g.edges():
-        part = edge_partition(g, x, y)
-        assert x in part.closer_to_x and y in part.closer_to_y
-        assert part.closer_to_x | part.closer_to_y | part.equidistant == set(range(g.n))
-        assert len(part.closer_to_x) + len(part.closer_to_y) + len(part.equidistant) == g.n
+        near_x, near_y, equal = helpers.partition(g, x, y)
+        assert x in near_x and y in near_y
+        assert near_x | near_y | equal == set(range(g.n))
+        assert len(near_x) + len(near_y) + len(equal) == g.n
+        assert _closer_counts(g, x, y) == (len(near_x), len(near_y))
 
 
 @given(helpers.connected_graphs())
@@ -276,10 +268,10 @@ def test_neighborhood_exclusion_properties(g):
     adjacent to y, and neighbors of y not closer to y lie in N[x]."""
     pairs = g.edges() + complement_edges(g)
     for x, y in pairs:
-        part = edge_partition(g, x, y)
+        near_x, near_y, _ = helpers.partition(g, x, y)
         ny = set(g.neighbors(y))
-        assert (part.closer_to_x - {x}) & ny == set()
-        assert ny - part.closer_to_y <= set(g.neighbors(x)) | {x}
+        assert (near_x - {x}) & ny == set()
+        assert ny - near_y <= set(g.neighbors(x)) | {x}
 
 
 @given(helpers.connected_graphs())
@@ -299,15 +291,10 @@ def test_is_connected_small_cases():
 
 
 def test_distances_from_single_source():
-    from distbalance import distances_from
-
-    assert distances_from(path_graph(4), 0) == [0, 1, 2, 3]
-    assert distances_from(cycle_graph(5), 2) == [2, 1, 0, 1, 2]
+    assert _distances_from(path_graph(4), 0) == [0, 1, 2, 3]
+    assert _distances_from(cycle_graph(5), 2) == [2, 1, 0, 1, 2]
     with pytest.raises(DisconnectedGraphError):
-        distances_from(from_edge_list(3, [(0, 1)]), 0)
-    for source in (-1, 4):
-        with pytest.raises(VertexOutOfRangeError):
-            distances_from(path_graph(4), source)
+        _distances_from(from_edge_list(3, [(0, 1)]), 0)
 
 
 @st.composite

@@ -7,10 +7,8 @@ import distbalance
 from distbalance import (
     SearchConfig,
     StarlikeSpec,
-    all_pairs_distances,
     classify_tree,
     construct_closure,
-    edge_partition,
     from_edge_list,
     imbalance_report,
     path_graph,
@@ -19,8 +17,6 @@ from distbalance import (
 
 FIELDS = {
     "Graph": ("n", "adj", "edge_count"),
-    "DistanceMatrix": ("n", "rows"),
-    "EdgePartition": ("x", "y", "closer_to_x", "closer_to_y", "equidistant"),
     "EdgeBalance": ("x", "y", "closer_to_x", "closer_to_y"),
     "ImbalanceReport": ("records", "balanced", "worst_edge"),
     "StarlikeSpec": ("branches",),
@@ -40,8 +36,6 @@ def _instance(name):
     report = imbalance_report(g)
     return {
         "Graph": g,
-        "DistanceMatrix": all_pairs_distances(g),
-        "EdgePartition": edge_partition(g, 0, 1),
         "EdgeBalance": report.records[0],
         "ImbalanceReport": report,
         "StarlikeSpec": StarlikeSpec.from_text("2,2"),

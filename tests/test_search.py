@@ -14,7 +14,6 @@ from distbalance import (
     DisconnectedGraphError,
     FamilyTag,
     GraphTooLargeError,
-    InfeasibleDegreeError,
     PruneModeUnjustifiedError,
     SearchBudgetError,
     SearchConfig,
@@ -23,10 +22,8 @@ from distbalance import (
     complement_edges,
     complete_graph,
     construct_closure,
-    count_balanced_additions,
     cycle_graph,
     diameter,
-    enumerate_regular_supergraphs,
     from_edge_list,
     is_distance_balanced,
     path_graph,
@@ -121,24 +118,32 @@ class TestBudgets:
         assert exc.explored >= 1
 
 
+def _regular_supergraphs(g, r):
+    """The r-regular supergraphs of ``g`` that the regular mode's walk
+    yields, lazily, in lex order of the added-edge sets."""
+    comp = complement_edges(g)
+    k = g.n * r // 2 - g.edge_count
+    for added in search._regular_additions(g.degrees(), comp, r, k, None):
+        yield add_edges(g, (comp[i] for i in added))
+
+
 class TestRegularEnumeration:
     def test_cycle_is_its_own_supergraph(self):
-        graphs = list(enumerate_regular_supergraphs(cycle_graph(4), 2))
+        graphs = list(_regular_supergraphs(cycle_graph(4), 2))
         assert graphs == [cycle_graph(4)]
 
     def test_infeasible_degree(self):
-        with pytest.raises(InfeasibleDegreeError):
-            enumerate_regular_supergraphs(canonical_family_tree(FamilyTag.STAR, 3), 2)
-        with pytest.raises(InfeasibleDegreeError):
-            enumerate_regular_supergraphs(path_graph(3), 1)  # n*r odd
-        with pytest.raises(InfeasibleDegreeError):
-            enumerate_regular_supergraphs(path_graph(3), 3)  # r > n-1
-        with pytest.raises(InfeasibleDegreeError, match="must be even"):
-            enumerate_regular_supergraphs(path_graph(5), 3)  # n*r odd, r in range
+        """The walk's entry test refuses an infeasible degree: it yields
+        nothing."""
+        for g, r in [(canonical_family_tree(FamilyTag.STAR, 3), 2),  # r < max degree
+                     (path_graph(3), 1),  # n*r odd
+                     (path_graph(3), 3),  # r > n-1
+                     (path_graph(5), 3)]:  # n*r odd, r in range
+            assert list(_regular_supergraphs(g, r)) == [], (g, r)
 
     def test_s3_canonical_has_balanced_3_regular_supergraph(self):
         tree = canonical_family_tree(FamilyTag.S3, 3)
-        graphs = list(enumerate_regular_supergraphs(tree, 3))
+        graphs = list(_regular_supergraphs(tree, 3))
         assert graphs
         assert all(regular_degree(g) == 3 for g in graphs)
         assert any(is_distance_balanced(g) for g in graphs)
@@ -155,7 +160,7 @@ class TestRegularEnumeration:
         comp = complement_edges(g)
         expected = [add_edges(g, added) for added in combinations(comp, k)
                     if regular_degree(add_edges(g, added)) == r]
-        assert list(enumerate_regular_supergraphs(g, r)) == expected
+        assert list(_regular_supergraphs(g, r)) == expected
 
     def test_walk_on_every_small_graph_is_pinned_and_matches_brute_force(self):
         """Every labelled connected graph with n <= 5 and every r from its
@@ -170,7 +175,7 @@ class TestRegularEnumeration:
                     if n * r % 2:
                         continue
                     k = n * r // 2 - g.edge_count
-                    walked = list(search._regular_additions(degrees, comp, r, k))
+                    walked = list(search._regular_additions(degrees, comp, r, k, None))
                     digest.update(repr((g.edges(), r, walked)).encode())
                     expected = []
                     for added in combinations(range(len(comp)), k):
@@ -204,22 +209,27 @@ class TestRegularEnumeration:
 
 
 class TestCountBalancedAdditions:
+    """How many k-subsets balance the input, from the unpruned scan of
+    ``all_witnesses``."""
+
+    @staticmethod
+    def _every_witness(g, max_k=None):
+        return search_minimum_additions(g, SearchConfig(max_k=max_k, all_witnesses=True))
+
     def test_cycle_at_zero(self):
-        assert count_balanced_additions(cycle_graph(4), 0) == 1
+        assert self._every_witness(cycle_graph(4), 0).witnesses == ((),)
 
     def test_p5_unique_single_addition(self):
-        assert count_balanced_additions(path_graph(5), 1) == 1
+        assert self._every_witness(path_graph(5)).witnesses == (((0, 4),),)
 
     def test_star3_no_two_edge_fix(self):
-        assert count_balanced_additions(canonical_family_tree(FamilyTag.STAR, 3), 2) == 0
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            count_balanced_additions(cycle_graph(4), 5)
+        with pytest.raises(SearchBudgetError) as exc_info:
+            self._every_witness(canonical_family_tree(FamilyTag.STAR, 3), 2)
+        assert exc_info.value.exhausted_k == 2
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
-            count_balanced_additions(from_edge_list(4, [(0, 1), (2, 3)]), 1)
+            self._every_witness(from_edge_list(4, [(0, 1), (2, 3)]), 1)
 
 
 class TestAllWitnesses:
@@ -308,8 +318,8 @@ class TestRegularFirstCandidate:
         for g in graphs:
             res = search_minimum_additions(g, SearchConfig(prune_mode="regular"))
             assert res.explored == 1, g
-            first = next(s for r in range(g.max_degree(), g.n) if g.n * r % 2 == 0
-                         for s in enumerate_regular_supergraphs(g, r))
+            first = next(s for r in range(g.max_degree(), g.n)
+                         for s in _regular_supergraphs(g, r))
             assert add_edges(g, res.witnesses[0]) == first, g
 
     @pytest.mark.parametrize("all_witnesses", [False, True])
@@ -374,13 +384,19 @@ class TestBalancedNonRegular:
 
 
 def test_minimality_spot_check_on_acceptance_instances():
-    """Independent spot check one level below the answer: no (b-1)-subset
-    of complement edges balances any closed-form family instance."""
+    """Independent spot check one level below the answer: the unpruned level
+    scan of ``all_witnesses`` finds no (b-1)-subset of complement edges that
+    balances a closed-form family instance.  A search with
+    ``SearchConfig(max_k=b-1, all_witnesses=True)`` would scan every level
+    below b-1 as well, which takes about seven times as long."""
     from test_acceptance import CLOSED_FORM_INSTANCES
 
     for tag, m, expected in CLOSED_FORM_INSTANCES:
         tree = canonical_family_tree(tag, m)
-        assert count_balanced_additions(tree, expected - 1) == 0, (tag, m)
+        comp = complement_edges(tree)
+        hits, counted, timed_out = search._naive_level(
+            tree.adj, comp, expected - 1, search._image_tables([], comp), None, True)
+        assert (hits, counted, timed_out) == ([], comb(len(comp), expected - 1), False), (tag, m)
 
 
 def test_all_witness_sets_agree_between_modes(high_degree_trees):
@@ -451,8 +467,8 @@ class TestTheorem:
 
 
 @pytest.mark.parametrize("run,passes", [
-    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 40))[1]), 3),
-    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 4))[1]), 4),
+    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 40))[1]), 2),
+    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 4))[1]), 3),
     (lambda: search_minimum_additions(
         _two_labelings(canonical_family_tree(FamilyTag.STAR, 9))[1],
         SearchConfig(prune_mode="regular")), 1),
@@ -467,8 +483,8 @@ def test_bfs_passes(monkeypatch, run, passes):
     """Connectivity is tested once per layer: a connected graph with n - 1
     edges is a tree without a second BFS, and the regular mode takes an
     input as legal from its degrees before it reaches for the diameter.  A closure
-    takes one pass for connectivity, one in the classifier and one in the
-    certificate's ball sweep; a degenerate one adds the search's."""
+    takes one pass in the classifier, which is its connectivity test, and one
+    in the certificate's ball sweep; a degenerate one adds the search's."""
     calls = []
 
     def counted(adj, source, levels=graph._levels):
@@ -575,7 +591,6 @@ class TestTwinPruning:
                 added for added in combinations(complement_edges(g), res.min_additions)
                 if is_distance_balanced(add_edges(g, added)))
             assert res.witnesses == unfiltered, (g, mode)
-            assert count_balanced_additions(g, res.min_additions) == len(unfiltered)
 
     def test_twin_swaps_of_named_graphs(self):
         assert search._twin_swaps(canonical_family_tree(FamilyTag.STAR, 6).adj) == [

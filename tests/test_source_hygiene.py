@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +77,65 @@ def test_cli_start_imports_no_dataclasses_or_inspect():
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == []
+
+
+def _exported(tree):
+    """The names a module lists in a literal ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unused_imports(source):
+    """Names bound by an import that the module neither reads nor lists in
+    ``__all__``, as "name:line"; ``__future__`` imports are directives."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}" for name, line in imported.items()
+            if name not in read and name not in _exported(tree)]
+
+
+def test_every_import_is_used():
+    """An import that nothing reads is a leftover of a deleted caller."""
+    offenders = [f"{path.name} {name}" for path in sorted(PACKAGE.rglob("*.py"))
+                 for name in _unused_imports(path.read_text())]
+    assert offenders == []
+
+
+def test_unused_import_scan():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport time\nfrom math import comb, gcd as g\n"
+              "from .graph import add_edges\n"
+              "def f():\n    import json\n    return time.monotonic() + comb(2, 1)\n"
+              "__all__ = ['add_edges']\n")
+    assert _unused_imports(source) == ["os:2", "g:4", "json:7"]
+
+
+def test_all_is_the_imported_names():
+    """``__all__`` lists ``__version__`` and exactly the names ``__init__``
+    imports, once each, and every one of them resolves."""
+    import distbalance
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(distbalance.__all__) == len(set(distbalance.__all__))
+    assert set(distbalance.__all__) == imported | {"__version__"}
+    assert [name for name in distbalance.__all__ if not hasattr(distbalance, name)] == []
+
+
+def test_pyproject_version_is_the_package_version():
+    """One version: pyproject.toml's (read with a regex, since Python 3.10
+    has no tomllib) is ``distbalance.__version__``."""
+    import distbalance
+
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [distbalance.__version__]

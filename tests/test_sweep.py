@@ -150,5 +150,5 @@ def test_tiny_graph_reports_are_pinned(capsys, tmp_path, n, argv):
         "command": argv[0],
         "input": {"path": str(path), **_TINY_INPUT[n]},
         "result": _TINY_RESULT[n, argv[-1]],
-        "version": "0.1.0",
+        "version": "0.2.0",
     }
