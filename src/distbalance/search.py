@@ -1,28 +1,14 @@
 """Exhaustive computation of the minimum number of edge additions that make
 a graph distance-balanced.
 
-Iterative deepening over the number k of added edges: level k enumerates
-the k-subsets of the complement edges in lexicographic order, so the first
-witness found is canonical and minimality is guaranteed by construction.
-The complete graph is distance-balanced, hence the search always
-terminates when no cap is set.
+Iterative deepening over the number k of added edges: level k walks the
+k-subsets of the complement edges depth first, in lexicographic order, so
+the first witness found is canonical and minimal by construction.  The
+complete graph is balanced, so the search ends when no cap is set.
 
-The optional "regular" prune mode only tests candidates that are regular.
-It is legal on inputs of maximum degree at least n-3 or diameter at most
-2, and refused elsewhere.  There every balanced supergraph is regular: it
-keeps the maximum degree, so the paper's theorem applies, or it has
-diameter at most 2 and transmissions 2(n-1) - deg.  Every degree-feasible
-candidate is balanced too: r-regular with r >= n-3, it has 2r > n-2 for
-n >= 5, so two non-adjacent vertices share a neighbour, and for n <= 4 it
-is K1, K2, K3, C4 or K4; either way, like any supergraph of a diameter-2
-graph, it has diameter at most 2 and every transmission 2(n-1) - r.  For a
-fixed k the handshake identity pins r = 2(|E|+k)/n, so most levels are
-skipped without enumerating anything, and the first candidate a level
-yields is its witness; it is still balance-tested, as an independent check.
-
-A naive search for the first witness prunes by orderly generation (Read 1978;
-McKay, J. Algorithms 26 (1998)).  It takes a few automorphisms of the
-input, which map witnesses to witnesses:
+The walk prunes by orderly generation (Read 1978; McKay, J. Algorithms 26
+(1998)) with a few automorphisms of the input, which map witnesses to
+witnesses:
 
 - for a tree, the branch swaps of its rooted canonical code (Aho, Hopcroft
   and Ullman 1974): the swap of two label-adjacent sibling subtrees with
@@ -36,34 +22,46 @@ input, which map witnesses to witnesses:
 A set of added edges is dropped when one of these automorphisms maps it to
 a lexicographically smaller set.  The lex-first witness is the minimum of
 its orbit, so it is never dropped, and the first witness and the minimum
-are those of the plain scan.  The test is hereditary: when it drops a
-prefix of a k-subset, every extension of that prefix by larger edges is
-dropped too, so the naive mode walks the k-subsets depth first and drops a
-prefix together with its whole lex subtree.  Each automorphism is tested
-alone, not the whole group, so some non-minimal members of an orbit are
-still tested: the m = 6 star balance-tests 325 of its 2^15 candidates,
-which fall into 156 orbits.  The order-7 spider with three legs of length
-2 has no twins; labelled with legs 0-1-2, 0-3-4 and 0-5-6, its two leg
-swaps leave 3,999 balance tests of the 19,274 candidates up to its first
-witness.  ``all_witnesses`` scans without it.
+are those of the plain scan.  The test is hereditary: a dropped prefix of
+a k-subset drops every extension by larger edges, so the walk drops its
+whole lex subtree.  Each automorphism is tested alone, not the whole
+group, so some non-minimal members of an orbit are still tested: the m = 6
+star balance-tests 325 of its 2^15 candidates, which fall into 156 orbits.
+``all_witnesses`` walks every level pruned and rescans the witness level
+without pruning.
 
-Every level runs in this process, in lex order.  In naive mode
-``explored`` counts the candidates in lex order up to and including the
-first hit, dropped ones included (the earlier levels' sizes plus the
-hit's lex rank + 1), so it does not depend on the pruning.  In regular
-mode it counts the degree-feasible candidates enumerated, which is 1 for
-a first witness.
+The "regular" prune mode adds a degree bound to the walk, so that it only
+tests regular candidates.  It is legal on inputs of maximum degree at least
+n-3 or diameter at most 2, and refused elsewhere.  There every balanced
+supergraph is regular: it keeps the maximum degree, so the paper's theorem
+applies, or it has diameter at most 2 and transmissions 2(n-1) - deg.
+Every degree-feasible candidate is balanced too: r-regular with r >= n-3,
+it has 2r > n-2 for n >= 5, so two non-adjacent vertices share a
+neighbour, and for n <= 4 it is K1, K2, K3, C4 or K4; either way, like any
+supergraph of a diameter-2 graph, it has diameter at most 2 and every
+transmission 2(n-1) - r.  For a fixed k the handshake identity pins
+r = 2(|E|+k)/n, so most levels are skipped without a walk, and the first
+candidate a level tests is its witness.  It is still balance-tested, as an
+independent check: a level that tests a candidate it does not accept
+raises GraphError.
+
+``explored`` counts, in naive mode, the candidates in lex order up to and
+including the first hit, dropped ones included (the earlier levels' sizes
+plus the hit's lex rank + 1), so it does not depend on the pruning; in
+regular mode, the candidates balance-tested, which is 1 for a first
+witness.
 """
 
 from __future__ import annotations
 
 import time
 from math import comb
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .analysis import _transmission_regular
 from .errors import (
     DisconnectedGraphError,
+    GraphError,
     GraphTooLargeError,
     PruneModeUnjustifiedError,
     SearchBudgetError,
@@ -71,8 +69,7 @@ from .errors import (
 from .graph import Graph, _bits, _levels, complement_edges, diameter, is_connected
 
 MAX_SEARCH_VERTICES = 64
-# naive-mode enumeration nodes (dropped ones too), or regular-mode steps,
-# per clock read
+# walk nodes per clock read, dropped ones and passed-over edges included
 _DEADLINE_STRIDE = 512
 # bound on the packed image tables, which take about 2 W^2 bits per
 # permutation for W - 1 complement edges: 4 MiB, or 4 of the m = 63 star's 62
@@ -80,13 +77,16 @@ _MAX_TABLE_BITS = 1 << 25
 
 Edge = tuple[int, int]
 Witness = tuple[Edge, ...]
+# deficits, and per walk position the record of the edge before it
+Bound = tuple[list[int], list[tuple[int, int, int, int]]]
 
 
 class SearchConfig(NamedTuple):
     """Knobs for the exhaustive search.
 
     prune_mode: "naive" tests every subset, "regular" restricts to regular
-        candidates (see module docstring for when that is legal).
+        candidates (see module docstring for when that is legal); both
+        drop the subsets that an automorphism maps lex-smaller.
     max_k: stop after exhausting this many added edges (>= 0).
     all_witnesses: collect every minimal witness instead of the first.
     time_budget: wall-clock seconds before giving up with a certified bound
@@ -106,10 +106,10 @@ class SearchResult(NamedTuple):
     min_additions: smallest number of edges whose addition balances the input.
     witnesses: added-edge sets of that size (first = lexicographically
         smallest; all of them when requested).
-    explored: candidates in enumeration order up to and including the first
-        witness (the whole last level with all_witnesses): every k-subset
-        in lex order in naive mode, the degree-feasible ones in regular
-        mode, where a first witness is the first of them.
+    explored: candidates up to and including the first witness (the whole
+        last level with all_witnesses): every k-subset in lex order in naive
+        mode; in regular mode the balance-tested ones, the degree-feasible
+        candidates that survive the orbit prune, so 1 for a first witness.
     mode_used: the prune mode that produced the result.
     """
 
@@ -119,68 +119,29 @@ class SearchResult(NamedTuple):
     mode_used: str
 
 
-class _Expired(Exception):
-    """The deadline passed inside the regular-mode enumeration."""
-
-
-def _regular_additions(degrees: list[int], comp: list[Edge], r: int, k: int,
-                       deadline: float | None) -> Iterator[tuple[int, ...]]:
-    """Index sets of the k-subsets of ``comp`` (lex order) raising every
-    degree to exactly r.
-
-    A depth-first walk with an explicit stack, so k is not bounded by the
-    interpreter's recursion limit.  It backtracks at position i once a
-    vertex's deficit exceeds its candidate edges at positions >= i.  None
-    does at position 0, tested once before the walk, and taking an edge
-    lowers its ends' deficits and counts together; so only a passed-over
-    edge can leave a vertex short, one of its own ends, and the record of
-    position i >= 1 is edge i - 1 with its ends' counts at positions >= i.
-    The walk reads the clock at its first step and every _DEADLINE_STRIDE
-    steps after, and raises _Expired once ``deadline``, if not None, has
-    passed.
+def _regular_bounds(degrees: list[int], comp: list[Edge], r: int, k: int) -> Bound | None:
+    """The bound of the walk to the k-subsets of the complement edges
+    ``comp`` that raise every degree to r, or None when no k-subset does:
+    each vertex's deficit r - degree, and per position i a record.  At
+    position i no deficit may exceed the vertex's candidate edges at
+    positions >= i.  None does at position 0 (n - 1 - degree edges), tested
+    here, and taking an edge lowers its ends' deficits and counts together;
+    so only a passed-over edge can leave a vertex short, one of its own
+    ends, and the record of position i >= 1 is edge i - 1 with its ends'
+    counts at positions >= i.
     """
+    n = len(degrees)
     deficit = [r - d for d in degrees]
-    left = [0] * len(degrees)
-    for u, w in comp:
-        left[u] += 1
-        left[w] += 1
-    if sum(deficit) != 2 * k or not all(0 <= d <= c for d, c in zip(deficit, left)):
-        return
+    if sum(deficit) != 2 * k or not max(degrees) <= r < n:
+        return None
+    left = [n - 1 - d for d in degrees]
     m = len(comp)
     records = [(0, 0, m, m)]  # position 0 passed the test above
     for u, w in comp:
         left[u] -= 1
         left[w] -= 1
         records.append((u, w, left[u], left[w]))
-    chosen: list[int] = []
-    steps = 0
-    i = 0
-    while True:
-        need = k - len(chosen)
-        if not need:
-            yield tuple(chosen)
-        elif i <= m - need:
-            if deadline is not None:
-                if not steps % _DEADLINE_STRIDE and time.monotonic() > deadline:
-                    raise _Expired
-                steps += 1
-            a, b, left_a, left_b = records[i]
-            if deficit[a] <= left_a and deficit[b] <= left_b:
-                u, w = comp[i]
-                if deficit[u] and deficit[w]:
-                    deficit[u] -= 1
-                    deficit[w] -= 1
-                    chosen.append(i)
-                i += 1
-                continue
-            # else an end of edge i - 1 can no longer be saturated: backtrack
-        if not chosen:
-            return
-        i = chosen.pop()
-        u, w = comp[i]
-        deficit[u] += 1
-        deficit[w] += 1
-        i += 1
+    return deficit, records
 
 
 def _twin_swaps(adj: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -311,32 +272,33 @@ def _lex_rank(prefix: Sequence[int], n_comp: int, k: int) -> int:
     return rank
 
 
-def _naive_level(adj: tuple[int, ...], comp: list[Edge], k: int,
-                 tables: _ImageTables, deadline: float | None,
-                 all_witnesses: bool) -> tuple[list[tuple[int, ...]], int, bool]:
+def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
+           deadline: float | None, all_witnesses: bool, bound: Bound | None = None,
+           ) -> tuple[list[tuple[int, ...]], int, int, bool]:
     """Balance-test the k-subsets of ``comp`` in lex order, depth first.
 
     Each chosen edge is set in the rows in place and cleared on backtrack.
     A prefix that a permutation of ``tables`` maps lex-smaller is dropped
-    with its whole subtree; callers that want every witness pass tables of
-    no permutation.  The clock is read before every _DEADLINE_STRIDE-th node
-    visited.
+    with its whole subtree.  A ``bound`` of _regular_bounds skips edges with
+    a saturated end and backtracks once an end of the edge just passed can
+    no longer be saturated.  The clock is read every _DEADLINE_STRIDE nodes.
 
-    Returns the hits as index sets, the level's lex count and whether the
-    deadline passed.  The count runs up to and including the first hit
-    (the whole level without one, or with ``all_witnesses``); on a timeout
-    it is the number of subsets before the node being visited.
+    Returns the hits as index sets, the lex count, the leaves balance-tested
+    and whether the deadline passed.  The lex count runs up to and including
+    the first hit (the whole level without one, or with ``all_witnesses``);
+    on a timeout it is the number of subsets before the node being visited.
     """
     n_comp = len(comp)
     rows = list(adj)
     if not k:
-        return ([()] if _transmission_regular(rows) else []), 1, False
+        return ([()] if _transmission_regular(rows) else []), 1, 1, False
+    deficit, records = (None, None) if bound is None else (bound[0].copy(), bound[1])
     flips = [(u, 1 << u, v, 1 << v) for u, v in comp]
     reps, cols, ones = tables.reps, tables.cols, tables.ones
     held, image = tables.guards, 0
     hits: list[tuple[int, ...]] = []
     chosen: list[int] = []
-    visited = i = 0
+    visited = tested = i = 0
     last = k - 1
     while True:
         depth = len(chosen)
@@ -344,8 +306,12 @@ def _naive_level(adj: tuple[int, ...], comp: list[Edge], k: int,
             for i in range(i, n_comp):
                 if (deadline is not None and not visited % _DEADLINE_STRIDE
                         and time.monotonic() > deadline):
-                    return hits, _lex_rank(chosen + [i], n_comp, k), True
+                    return hits, _lex_rank(chosen + [i], n_comp, k), tested, True
                 visited += 1
+                if deficit is not None:
+                    u, v = comp[i]
+                    if not (deficit[u] and deficit[v]):
+                        continue  # an end of edge i is saturated
                 leaf = held ^ reps[i]
                 d = leaf ^ image ^ cols[i]
                 low = d ^ (d & (d - ones))
@@ -354,20 +320,31 @@ def _naive_level(adj: tuple[int, ...], comp: list[Edge], k: int,
                 u, bu, v, bv = flips[i]
                 rows[u] ^= bv
                 rows[v] ^= bu
+                tested += 1
                 balanced = _transmission_regular(rows)
                 rows[u] ^= bv
                 rows[v] ^= bu
                 if balanced:
                     hits.append((*chosen, i))
                     if not all_witnesses:
-                        return hits, _lex_rank(hits[0], n_comp, k) + 1, False
+                        return hits, _lex_rank(hits[0], n_comp, k) + 1, tested, False
             i = n_comp
         if i <= n_comp - k + depth:  # i can still start the rest of a subset
             if (deadline is not None and not visited % _DEADLINE_STRIDE
                     and time.monotonic() > deadline):
-                return hits, _lex_rank(chosen + [i], n_comp, k), True
+                return hits, _lex_rank(chosen + [i], n_comp, k), tested, True
             visited += 1
             u, bu, v, bv = flips[i]
+            if deficit is not None:
+                a, b, left_a, left_b = records[i]
+                if deficit[a] > left_a or deficit[b] > left_b:
+                    i = n_comp  # an end of edge i - 1 can no longer be saturated
+                    continue
+                if not (deficit[u] and deficit[v]):
+                    i += 1  # an end of edge i is saturated
+                    continue
+                deficit[u] -= 1
+                deficit[v] -= 1
             rows[u] ^= bv
             rows[v] ^= bu
             held ^= reps[i]
@@ -380,38 +357,17 @@ def _naive_level(adj: tuple[int, ...], comp: list[Edge], k: int,
                 continue
             # else a permutation maps the prefix lex-smaller: drop its subtree
         elif not chosen:
-            return hits, comb(n_comp, k), False
+            return hits, comb(n_comp, k), tested, False
         i = chosen.pop()
         u, bu, v, bv = flips[i]
         rows[u] ^= bv
         rows[v] ^= bu
         held ^= reps[i]
         image ^= cols[i]
+        if deficit is not None:
+            deficit[u] += 1
+            deficit[v] += 1
         i += 1
-
-
-def _regular_level(adj: tuple[int, ...], comp: list[Edge],
-                   candidates: Iterator[tuple[int, ...]],
-                   all_witnesses: bool) -> tuple[list[tuple[int, ...]], int, bool]:
-    """Balance-test the regular ``candidates``; returns the hits, the
-    candidates enumerated up to and including the first hit and whether the
-    enumeration expired."""
-    hits: list[tuple[int, ...]] = []
-    enumerated = 0
-    try:
-        for enumerated, cand in enumerate(candidates, 1):
-            rows = list(adj)
-            for i in cand:
-                u, v = comp[i]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            if _transmission_regular(rows):
-                hits.append(cand)
-                if not all_witnesses:
-                    break
-    except _Expired:
-        return hits, enumerated, True
-    return hits, enumerated, False
 
 
 def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) -> SearchResult:
@@ -419,6 +375,7 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
 
     Raises SearchBudgetError when max_k or time_budget runs out; the error
     carries the largest fully exhausted k, certifying the answer exceeds it.
+    Raises GraphError when the regular mode tests an unbalanced candidate.
     """
     if g.n > MAX_SEARCH_VERTICES:
         raise GraphTooLargeError(
@@ -432,8 +389,8 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
     if not is_connected(g):
         raise DisconnectedGraphError("search requires a connected graph")
     degrees = g.degrees()
-    max_deg = max(degrees)
-    if config.prune_mode == "regular" and max_deg < g.n - 3 and diameter(g) > 2:
+    regular = config.prune_mode == "regular"
+    if regular and max(degrees) < g.n - 3 and diameter(g) > 2:
         raise PruneModeUnjustifiedError(
             "regular pruning needs max degree >= n-3 or diameter <= 2")
 
@@ -442,28 +399,26 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
     deadline = (None if config.time_budget is None
                 else time.monotonic() + config.time_budget)
 
-    if config.prune_mode == "naive":
-        tables = _image_tables([] if config.all_witnesses else _generators(g), comp)
+    tables = _image_tables(_generators(g), comp)
     explored = 0
     exhausted = -1
     for k in range(k_cap + 1):
-        if config.prune_mode == "regular":
-            # the handshake rule; k <= |comp| keeps r <= n - 1
-            r, odd = divmod(2 * (g.edge_count + k), g.n)
-            if odd or r < max_deg:
-                # no regular graph with this many edges: provably empty level
-                exhausted = k
-                continue
-            hits, counted, timed_out = _regular_level(
-                g.adj, comp, _regular_additions(degrees, comp, r, k, deadline),
-                config.all_witnesses)
-        else:
-            hits, counted, timed_out = _naive_level(
-                g.adj, comp, k, tables, deadline, config.all_witnesses)
-        explored += counted
+        r = 2 * (g.edge_count + k) // g.n  # the only degree the handshake rule allows
+        bound = _regular_bounds(degrees, comp, r, k) if regular else None
+        if regular and bound is None:  # no regular supergraph has this many edges
+            exhausted = k
+            continue
+        hits, lex, tested, timed_out = _level(g.adj, comp, k, tables, deadline, False, bound)
+        if hits and config.all_witnesses:  # rescan this level unpruned
+            hits, lex, tested, timed_out = _level(
+                g.adj, comp, k, _image_tables([], comp), deadline, True, bound)
+        explored += tested if regular else lex
         if timed_out:
             raise SearchBudgetError(
                 f"time budget exhausted inside level k={k}", exhausted, explored)
+        if regular and tested != len(hits):
+            raise GraphError(f"regular mode: {tested - len(hits)} degree-feasible "
+                             f"candidate(s) with k={k} added edges not balanced")
         if hits:
             witnesses = tuple(tuple(comp[i] for i in hit) for hit in hits)
             return SearchResult(k, witnesses, explored, config.prune_mode)

@@ -287,6 +287,16 @@ class TestClosure:
         assert code == 0
         assert report["result"]["min_added_edges"] == 0
 
+    def test_search_prune_regular_unbalanced_candidate_exits_one(
+            self, capsys, monkeypatch, star3_file):
+        """A degree-feasible candidate that fails the balance test is an
+        error of the theorem or the search, not a skipped candidate."""
+        from distbalance import search
+
+        monkeypatch.setattr(search, "_transmission_regular", lambda rows: False)
+        assert main(["closure", star3_file, "--mode", "search", "--prune", "regular"]) == 1
+        assert capsys.readouterr().err.startswith("error: regular mode: 1 degree-feasible")
+
     def test_search_prune_regular_on_a_non_tree_of_diameter_3(self, capsys, tmp_path):
         """The bull, a triangle 0-1-2 with pendants 4 at 0 and 3 at 1, has
         diameter 3 and no tree's edge count, but max degree 3 >= n - 3, so

@@ -13,10 +13,12 @@ import helpers
 from distbalance import (
     DisconnectedGraphError,
     FamilyTag,
+    GraphError,
     GraphTooLargeError,
     PruneModeUnjustifiedError,
     SearchBudgetError,
     SearchConfig,
+    TreeFamily,
     add_edges,
     canonical_family_tree,
     complement_edges,
@@ -26,6 +28,7 @@ from distbalance import (
     diameter,
     from_edge_list,
     is_distance_balanced,
+    minimum_additions_formula,
     path_graph,
     regular_degree,
     relabel,
@@ -118,13 +121,31 @@ class TestBudgets:
         assert exc.explored >= 1
 
 
-def _regular_supergraphs(g, r):
-    """The r-regular supergraphs of ``g`` that the regular mode's walk
-    yields, lazily, in lex order of the added-edge sets."""
+def _degree_feasible(g, r, every=True):
+    """Index sets of the k-subsets of the complement of ``g`` that raise
+    every degree to r, in lex order (only the first unless ``every``): the
+    walk with the regular degree bound, no orbit pruning and a balance test
+    that accepts every candidate, so that its hits are the candidates it
+    tests."""
     comp = complement_edges(g)
     k = g.n * r // 2 - g.edge_count
-    for added in search._regular_additions(g.degrees(), comp, r, k, None):
-        yield add_edges(g, (comp[i] for i in added))
+    bound = search._regular_bounds(g.degrees(), comp, r, k)
+    if bound is None:
+        return []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_transmission_regular", lambda rows: True)
+        hits, _, tested, timed_out = search._level(
+            g.adj, comp, k, search._image_tables([], comp), None, every, bound)
+    assert (tested, timed_out) == (len(hits), False)
+    return hits
+
+
+def _regular_supergraphs(g, r, every=True):
+    """The r-regular supergraphs of ``g`` in lex order of the added-edge
+    sets (only the first unless ``every``), from the walk with the regular
+    degree bound."""
+    comp = complement_edges(g)
+    return [add_edges(g, (comp[i] for i in added)) for added in _degree_feasible(g, r, every)]
 
 
 class TestRegularEnumeration:
@@ -133,8 +154,8 @@ class TestRegularEnumeration:
         assert graphs == [cycle_graph(4)]
 
     def test_infeasible_degree(self):
-        """The walk's entry test refuses an infeasible degree: it yields
-        nothing."""
+        """The bound's entry test refuses an infeasible degree: nothing is
+        walked."""
         for g, r in [(canonical_family_tree(FamilyTag.STAR, 3), 2),  # r < max degree
                      (path_graph(3), 1),  # n*r odd
                      (path_graph(3), 3),  # r > n-1
@@ -175,7 +196,7 @@ class TestRegularEnumeration:
                     if n * r % 2:
                         continue
                     k = n * r // 2 - g.edge_count
-                    walked = list(search._regular_additions(degrees, comp, r, k, None))
+                    walked = _degree_feasible(g, r)
                     digest.update(repr((g.edges(), r, walked)).encode())
                     expected = []
                     for added in combinations(range(len(comp)), k):
@@ -190,10 +211,11 @@ class TestRegularEnumeration:
             "90e4c052b9f822c8850ee69149b84749042b5d5a2b3829a9eed30df10e802d7d")
 
     def test_walk_steps_are_pinned(self, monkeypatch):
-        """The walk's pruning, pinned by its exact step count: with the clock
-        read at every step, the walks to the first yield of each feasible r
-        on the family trees with m <= 8, under two labelings, take 12,198
-        steps.  Testing one end fewer of the edge just passed takes more."""
+        """The degree bound's pruning, pinned by the walk's exact node count:
+        with the clock read at every node and no orbit pruning, the walks to
+        the first hit of each feasible r on the family trees with m <= 8,
+        under two labelings, visit 12,199 nodes.  Testing one end fewer of
+        the edge just passed visits more."""
         reads = []
         monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
         monkeypatch.setattr(search.time, "monotonic", lambda: reads.append(0) or 0.0)
@@ -201,11 +223,13 @@ class TestRegularEnumeration:
             for m in range(row.min_m, 9):
                 for g in _two_labelings(canonical_family_tree(tag, m)):
                     comp = complement_edges(g)
+                    tables = search._image_tables([], comp)
                     for r in range(g.max_degree(), g.n):
-                        k, odd = divmod(g.n * r - 2 * g.edge_count, 2)
-                        if not odd:
-                            next(search._regular_additions(g.degrees(), comp, r, k, 1.0), None)
-        assert len(reads) == 12198
+                        k = g.n * r // 2 - g.edge_count
+                        bound = search._regular_bounds(g.degrees(), comp, r, k)
+                        if bound is not None:
+                            search._level(g.adj, comp, k, tables, 1.0, False, bound)
+        assert len(reads) == 12199
 
 
 class TestCountBalancedAdditions:
@@ -248,6 +272,26 @@ class TestAllWitnesses:
         assert set(res.witnesses) == expected
         assert res.witnesses[0] == min(expected)
 
+    @pytest.mark.parametrize("mode", ["naive", "regular"])
+    def test_only_the_witness_level_is_rescanned_unpruned(self, monkeypatch, mode):
+        """The levels below the minimum hold no witness to lose, so they are
+        walked with the generators' tables; the witness level is walked
+        with them too and then rescanned with empty tables for every hit."""
+        levels = []
+        real = search._level
+
+        def spy(adj, comp, k, tables, deadline, all_witnesses, bound=None):
+            levels.append((k, tables.ones != 0, all_witnesses))
+            return real(adj, comp, k, tables, deadline, all_witnesses, bound)
+
+        monkeypatch.setattr(search, "_level", spy)
+        tree = canonical_family_tree(FamilyTag.S2, 4)
+        res = search_minimum_additions(
+            tree, SearchConfig(prune_mode=mode, all_witnesses=True))
+        assert (res.min_additions, len(res.witnesses)) == (7, 3)
+        walked = range(8) if mode == "naive" else [7]  # regular: the handshake skips the rest
+        assert levels == [(k, True, False) for k in walked] + [(7, False, True)]
+
     def test_balanced_input_single_empty_witness(self):
         res = search_minimum_additions(cycle_graph(5),
                                        SearchConfig(all_witnesses=True))
@@ -263,10 +307,10 @@ class TestDeterminismAndThreads:
 
 
 def _spy_levels(monkeypatch) -> list[tuple[int, int]]:
-    """Record (k, lex count) of every naive level the search runs; the list
-    grows with k before the level starts."""
+    """Record (k, lex count) of every level the search walks; the list
+    grows with k before the walk starts."""
     levels = []
-    real = search._naive_level
+    real = search._level
 
     def spy(adj, comp, k, *args):
         levels.append((k, 0))
@@ -274,7 +318,7 @@ def _spy_levels(monkeypatch) -> list[tuple[int, int]]:
         levels[-1] = (k, out[1])
         return out
 
-    monkeypatch.setattr(search, "_naive_level", spy)
+    monkeypatch.setattr(search, "_level", spy)
     return levels
 
 
@@ -299,6 +343,43 @@ class TestModeAgreement:
                     t, SearchConfig(prune_mode="naive", all_witnesses=True)).witnesses)
 
 
+class TestRegularCheck:
+    """On the regular mode's domain every degree-feasible candidate is
+    balanced, so one that fails the balance test raises GraphError."""
+
+    @pytest.mark.parametrize("tag,m,all_witnesses,k", [
+        (FamilyTag.STAR, 3, False, 3), (FamilyTag.S2, 4, True, 7)])
+    def test_an_unbalanced_candidate_raises(self, monkeypatch, tag, m, all_witnesses, k):
+        calls = []
+        real = search._transmission_regular
+
+        def reject_the_first(rows):
+            calls.append(rows)
+            return len(calls) > 1 and real(rows)
+
+        monkeypatch.setattr(search, "_transmission_regular", reject_the_first)
+        with pytest.raises(GraphError, match=f"k={k} added edges not balanced"):
+            search_minimum_additions(canonical_family_tree(tag, m), SearchConfig(
+                prune_mode="regular", all_witnesses=all_witnesses))
+        assert calls
+
+
+@pytest.mark.parametrize("tag", [FamilyTag.S2, FamilyTag.S22, FamilyTag.S3, FamilyTag.BROOM])
+def test_regular_mode_under_shuffled_labels(tag):
+    """The regular walk shares the naive mode's orbit prune, which makes it
+    far less sensitive to the labelling: each of four seeded shuffles of the
+    m = 12 tree finds the closed form as its first test, inside a 5 s
+    budget."""
+    tree = canonical_family_tree(tag, 12)
+    expected = minimum_additions_formula(TreeFamily(tag, 12, None))
+    for seed in range(4):
+        perm = list(range(tree.n))
+        random.Random(seed).shuffle(perm)
+        res = search_minimum_additions(relabel(tree, perm), SearchConfig(
+            prune_mode="regular", time_budget=5))
+        assert (res.min_additions, res.explored) == (expected, 1), seed
+
+
 def _regular_legal_inputs():
     """Every labelled connected graph with n <= 5 that the regular mode
     accepts, and the family trees with m <= 8 under two labelings."""
@@ -319,11 +400,13 @@ class TestRegularFirstCandidate:
             res = search_minimum_additions(g, SearchConfig(prune_mode="regular"))
             assert res.explored == 1, g
             first = next(s for r in range(g.max_degree(), g.n)
-                         for s in _regular_supergraphs(g, r))
+                         for s in _regular_supergraphs(g, r, every=False))
             assert add_edges(g, res.witnesses[0]) == first, g
 
     @pytest.mark.parametrize("all_witnesses", [False, True])
-    def test_builds_no_orbit_tables(self, monkeypatch, all_witnesses):
+    def test_builds_the_orbit_tables_of_the_naive_mode(self, monkeypatch, all_witnesses):
+        """Both modes build the generators' tables once per search, and the
+        scan of every witness adds empty tables for the witness level."""
         calls = []
 
         def spy(name):
@@ -332,14 +415,15 @@ class TestRegularFirstCandidate:
 
         for name in ("_generators", "_image_tables"):
             monkeypatch.setattr(search, name, spy(name))
+        per_search = ["_generators", "_image_tables"] + ["_image_tables"] * all_witnesses
         for tag, m in [(FamilyTag.STAR, 5), (FamilyTag.S22, 4), (FamilyTag.S2, 4)]:
             search_minimum_additions(canonical_family_tree(tag, m), SearchConfig(
                 prune_mode="regular", all_witnesses=all_witnesses))
-        assert calls == []
+        assert calls == 3 * per_search
+        calls.clear()
         search_minimum_additions(canonical_family_tree(FamilyTag.STAR, 3),
                                  SearchConfig(all_witnesses=all_witnesses))
-        assert calls == (["_image_tables"] if all_witnesses
-                         else ["_generators", "_image_tables"])
+        assert calls == per_search
 
 
 class TestRegularOnMaxDegree:
@@ -384,17 +468,17 @@ class TestBalancedNonRegular:
 
 
 def test_minimality_spot_check_on_acceptance_instances():
-    """Independent spot check one level below the answer: the unpruned level
-    scan of ``all_witnesses`` finds no (b-1)-subset of complement edges that
-    balances a closed-form family instance.  A search with
-    ``SearchConfig(max_k=b-1, all_witnesses=True)`` would scan every level
-    below b-1 as well, which takes about seven times as long."""
+    """Independent spot check one level below the answer: the walk without
+    orbit pruning, as ``all_witnesses`` rescans a witness level, finds no
+    (b-1)-subset of complement edges that balances a closed-form family
+    instance.  A search would walk that level pruned, since it holds no
+    witness."""
     from test_acceptance import CLOSED_FORM_INSTANCES
 
     for tag, m, expected in CLOSED_FORM_INSTANCES:
         tree = canonical_family_tree(tag, m)
         comp = complement_edges(tree)
-        hits, counted, timed_out = search._naive_level(
+        hits, counted, _, timed_out = search._level(
             tree.adj, comp, expected - 1, search._image_tables([], comp), None, True)
         assert (hits, counted, timed_out) == ([], comb(len(comp), expected - 1), False), (tag, m)
 
@@ -414,8 +498,6 @@ def test_all_witness_sets_agree_between_modes(high_degree_trees):
 
 def test_oracle_matches_formula_small_range():
     """Search equals the closed form across the whole small range."""
-    from distbalance import FamilyTag, TreeFamily, minimum_additions_formula
-
     cases = ([(FamilyTag.STAR, m) for m in range(1, 7)]
              + [(FamilyTag.S2, m) for m in range(2, 7)]
              + [(FamilyTag.S22, m) for m in range(2, 6)]
@@ -468,12 +550,12 @@ class TestTheorem:
 
 @pytest.mark.parametrize("run,passes", [
     (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 40))[1]), 2),
-    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 4))[1]), 3),
+    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 4))[1]), 6),
     (lambda: search_minimum_additions(
         _two_labelings(canonical_family_tree(FamilyTag.STAR, 9))[1],
-        SearchConfig(prune_mode="regular")), 1),
+        SearchConfig(prune_mode="regular")), 4),
     (lambda: search_minimum_additions(
-        canonical_family_tree(FamilyTag.S22, 2), SearchConfig(prune_mode="regular")), 1),
+        canonical_family_tree(FamilyTag.S22, 2), SearchConfig(prune_mode="regular")), 4),
     (lambda: search_minimum_additions(
         from_edge_list(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)]),
         SearchConfig(prune_mode="regular")), 1),
@@ -484,7 +566,9 @@ def test_bfs_passes(monkeypatch, run, passes):
     edges is a tree without a second BFS, and the regular mode takes an
     input as legal from its degrees before it reaches for the diameter.  A closure
     takes one pass in the classifier, which is its connectivity test, and one
-    in the certificate's ball sweep; a degenerate one adds the search's."""
+    in the certificate's ball sweep; a degenerate one adds the search's.  A
+    search of a tree adds the three sweeps that find its centre for the
+    branch swaps; the bull is not a tree, and its twin swaps take none."""
     calls = []
 
     def counted(adj, source, levels=graph._levels):
@@ -746,7 +830,7 @@ class TestSubtreePruning:
         kept = tables.ones.bit_count()
         assert 0 < kept < len(perms) == 62
         assert kept * per_perm <= search._MAX_TABLE_BITS < (kept + 1) * per_perm
-        assert search._naive_level(star.adj, comp, len(comp), tables, None, False)[0] \
+        assert search._level(star.adj, comp, len(comp), tables, None, False)[0] \
             == [tuple(range(len(comp)))]
 
     def test_spider_balance_tests_only_subtree_survivors(self, monkeypatch):
@@ -791,15 +875,16 @@ class TestSubtreePruning:
 
     def test_budget_holds_at_every_node_of_a_level(self, monkeypatch):
         """With the clock read at every node, a clock that turns late at any
-        node of level 3 of the m = 4 star (no pruning, every witness wanted)
-        stops the search at that node, a leaf in the leaf loop or a prefix
-        before it.  ``explored`` counts the 3-subsets before the first one
-        that starts with the node's edges, the lex rank of a leaf."""
+        node of level 3 of the m = 4 star (below its witness level, so pruned
+        by the spoke swaps even with every witness wanted) stops the search
+        at that node, a leaf in the leaf loop or a prefix before it, dropped
+        or not.  ``explored`` counts the 3-subsets before the first one that
+        starts with the node's edges, the lex rank of a leaf."""
         level, star = 3, canonical_family_tree(FamilyTag.STAR, 4)
         comp = complement_edges(star)
         subsets = list(combinations(range(len(comp)), level))
-        nodes = [prefix for prefix, _ in _walk(comp, level, [])]
-        assert sum(len(prefix) == level for prefix in nodes) == len(subsets)
+        nodes = [prefix for prefix, _ in _walk(comp, level, search._generators(star))]
+        assert len(nodes) == 12  # 4 of them leaves
         monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
         levels = _spy_levels(monkeypatch)
         for late_read, prefix in enumerate(nodes, 1):
