@@ -4,14 +4,21 @@ The first non-comment line is the vertex count n; every following
 non-empty line is "u v" with 0-based indices, whitespace-delimited.
 Lines starting with '#' are comments.  Duplicate pairs and both
 orientations collapse to a single edge.
+
+The canonical form that ``format_edge_list`` writes ('#' lines, the count,
+then "u v" lines in ASCII digits with one space, each ending in "\\n") is read
+in C; any other text goes through the line loop, to the same graph or error.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 from .errors import EdgeListFormatError
 from .graph import Graph, from_edge_list
+
+_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))  # str.translate deletes them
 
 
 def _parse_int(token: str, lineno: int) -> int:
@@ -21,7 +28,7 @@ def _parse_int(token: str, lineno: int) -> int:
         raise EdgeListFormatError(f"line {lineno}: {token!r} is not an integer") from None
 
 
-def parse_edge_list(text: str) -> Graph:
+def _parse_lines(text: str) -> Graph:
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -43,6 +50,24 @@ def parse_edge_list(text: str) -> Graph:
     if n is None:
         raise EdgeListFormatError("missing vertex count line")
     return from_edge_list(n, edges)
+
+
+def parse_edge_list(text: str) -> Graph:
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1 or len(text)
+    body = text[start:]
+    # canonical: the header splits into the lines the line loop sees, then
+    # come only ASCII digits, one space a line and "\n"; the count is not 0 or ""
+    if (len(text[:start].splitlines()) == text.count("\n", 0, start)
+            and body.translate(_DIGITS) == "\n" + " \n" * (body.count("\n") - 1)
+            and not body.startswith(("0", "\n"))):
+        try:
+            ints = iter(json.loads("[" + body[:-1].replace(" ", ",").replace("\n", ",") + "]"))
+        except ValueError:  # an empty token, a leading zero or too many digits
+            return _parse_lines(text)
+        return from_edge_list(next(ints), zip(ints, ints))
+    return _parse_lines(text)
 
 
 def format_edge_list(g: Graph) -> str:
