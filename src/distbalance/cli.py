@@ -278,7 +278,7 @@ def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
             }
             passed = cert.ok
             if oracle and tree.n <= 8:
-                # naive is exact everywhere; the degree prune speeds up n=8
+                # naive is exact everywhere; the regular mode speeds up n=8
                 mode = "naive" if tree.n <= 7 else "regular"
                 found = search_minimum_additions(tree, SearchConfig(prune_mode=mode))
                 row["oracle"] = found.min_additions

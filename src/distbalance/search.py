@@ -1,54 +1,44 @@
 """Exhaustive computation of the minimum number of edge additions that make
 a graph distance-balanced.
 
-Iterative deepening over the number k of added edges: level k walks the
-k-subsets of the complement edges depth first, in lexicographic order, so
-the first witness found is canonical and minimal by construction.  The
-complete graph is balanced, so the search ends when no cap is set.
-
-The walk prunes by orderly generation (Read 1978; McKay, J. Algorithms 26
-(1998)) with a few automorphisms of the input, which map witnesses to
-witnesses:
+Iterative deepening over the number k of added edges, so the first witness
+found is minimal; the complete graph is balanced, so the search ends when
+no cap is set.  The naive mode walks the k-subsets of the complement edges
+depth first, in lexicographic order, and prunes by orderly generation
+(Read 1978; McKay, J. Algorithms 26 (1998)) with a few automorphisms of
+the input, which map witnesses to witnesses:
 
 - for a tree, the branch swaps of its rooted canonical code (Aho, Hopcroft
   and Ullman 1974): the swap of two label-adjacent sibling subtrees with
   equal codes, and the swap of the two halves of a bicentral tree whose
-  halves are equal.  These generate the automorphism group and include
-  every swap of two twin leaves;
-- for any other graph, the swaps of label-adjacent twins, vertices with
-  the same neighbours, adjacent to each other (true twins) or not (false
-  twins).
+  halves are equal.  These generate the automorphism group;
+- for any other graph, the swaps of label-adjacent twins: vertices with
+  the same neighbours, adjacent (true twins) or not (false twins).
 
 A set of added edges is dropped when one of these automorphisms maps it to
 a lexicographically smaller set.  The lex-first witness is the minimum of
-its orbit, so it is never dropped, and the first witness and the minimum
-are those of the plain scan.  The test is hereditary: a dropped prefix of
-a k-subset drops every extension by larger edges, so the walk drops its
-whole lex subtree.  Each automorphism is tested alone, not the whole
-group, so some non-minimal members of an orbit are still tested: the m = 6
-star balance-tests 325 of its 2^15 candidates, which fall into 156 orbits.
-``all_witnesses`` walks every level pruned and rescans the witness level
-without pruning.
+its orbit, so the first witness and the minimum are those of the plain
+scan.  The test is hereditary, so a dropped prefix drops its whole lex
+subtree.  Each automorphism is tested alone, not the whole group: the
+m = 6 star balance-tests 325 of its 2^15 candidates, which fall into 156
+orbits.  ``all_witnesses`` walks every level pruned and rescans the
+witness level without pruning.
 
-The "regular" prune mode adds a degree bound to the walk, so that it only
-tests regular candidates.  It is legal on inputs of maximum degree at least
-n-3 or diameter at most 2, and refused elsewhere.  There every balanced
-supergraph is regular: it keeps the maximum degree, so the paper's theorem
-applies, or it has diameter at most 2 and transmissions 2(n-1) - deg.
-Every degree-feasible candidate is balanced too: r-regular with r >= n-3,
-it has 2r > n-2 for n >= 5, so two non-adjacent vertices share a
-neighbour, and for n <= 4 it is K1, K2, K3, C4 or K4; either way, like any
-supergraph of a diameter-2 graph, it has diameter at most 2 and every
-transmission 2(n-1) - r.  For a fixed k the handshake identity pins
-r = 2(|E|+k)/n, so most levels are skipped without a walk, and the first
-candidate a level tests is its witness.  It is still balance-tested, as an
-independent check: a level that tests a candidate it does not accept
-raises GraphError.
+The "regular" mode is legal on inputs of maximum degree at least n-3 and
+refused elsewhere.  There every balanced supergraph keeps that degree, so
+by the paper's theorem it is r-regular with r >= n-3, and every such
+completion is balanced: with 2r > n-2 for n >= 5, two non-adjacent
+vertices share a neighbour, and for n <= 4 it is K1, K2, K3, C4 or K4; so
+it has diameter at most 2 and every transmission 2(n-1) - r.  The
+handshake identity pins r = 2(|E|+k)/n, so most levels are skipped.  A
+completion is K_n minus an s-factor S of the complement, s = n-1-r <= 2,
+so the walk runs over the at most n pairs of S, and the first completion
+it tests is the witness.  It is still balance-tested, as an independent
+check: a completion that fails raises GraphError.
 
 ``explored`` counts, in naive mode, the candidates in lex order up to and
-including the first hit, dropped ones included (the earlier levels' sizes
-plus the hit's lex rank + 1), so it does not depend on the pruning; in
-regular mode, the candidates balance-tested, which is 1 for a first
+including the first hit, dropped ones included, so it does not depend on
+the pruning; in regular mode, the completions tested, 1 for a first
 witness.
 """
 
@@ -66,7 +56,7 @@ from .errors import (
     PruneModeUnjustifiedError,
     SearchBudgetError,
 )
-from .graph import Graph, _bits, _levels, complement_edges, diameter, is_connected
+from .graph import Graph, _bits, _levels, complement_edges, is_connected
 
 MAX_SEARCH_VERTICES = 64
 # walk nodes per clock read, dropped ones and passed-over edges included
@@ -77,16 +67,14 @@ _MAX_TABLE_BITS = 1 << 25
 
 Edge = tuple[int, int]
 Witness = tuple[Edge, ...]
-# deficits, and per walk position the record of the edge before it
-Bound = tuple[list[int], list[tuple[int, int, int, int]]]
 
 
 class SearchConfig(NamedTuple):
     """Knobs for the exhaustive search.
 
-    prune_mode: "naive" tests every subset, "regular" restricts to regular
-        candidates (see module docstring for when that is legal); both
-        drop the subsets that an automorphism maps lex-smaller.
+    prune_mode: "naive" tests every subset that no automorphism maps
+        lex-smaller; "regular" only the regular completions, legal on
+        inputs of max degree >= n-3 (see module docstring).
     max_k: stop after exhausting this many added edges (>= 0).
     all_witnesses: collect every minimal witness instead of the first.
     time_budget: wall-clock seconds before giving up with a certified bound
@@ -107,9 +95,8 @@ class SearchResult(NamedTuple):
     witnesses: added-edge sets of that size (first = lexicographically
         smallest; all of them when requested).
     explored: candidates up to and including the first witness (the whole
-        last level with all_witnesses): every k-subset in lex order in naive
-        mode; in regular mode the balance-tested ones, the degree-feasible
-        candidates that survive the orbit prune, so 1 for a first witness.
+        last level with all_witnesses): k-subsets in lex order in naive
+        mode, regular completions in regular mode (1 for a first witness).
     mode_used: the prune mode that produced the result.
     """
 
@@ -117,31 +104,6 @@ class SearchResult(NamedTuple):
     witnesses: tuple[Witness, ...]
     explored: int
     mode_used: str
-
-
-def _regular_bounds(degrees: list[int], comp: list[Edge], r: int, k: int) -> Bound | None:
-    """The bound of the walk to the k-subsets of the complement edges
-    ``comp`` that raise every degree to r, or None when no k-subset does:
-    each vertex's deficit r - degree, and per position i a record.  At
-    position i no deficit may exceed the vertex's candidate edges at
-    positions >= i.  None does at position 0 (n - 1 - degree edges), tested
-    here, and taking an edge lowers its ends' deficits and counts together;
-    so only a passed-over edge can leave a vertex short, one of its own
-    ends, and the record of position i >= 1 is edge i - 1 with its ends'
-    counts at positions >= i.
-    """
-    n = len(degrees)
-    deficit = [r - d for d in degrees]
-    if sum(deficit) != 2 * k or not max(degrees) <= r < n:
-        return None
-    left = [n - 1 - d for d in degrees]
-    m = len(comp)
-    records = [(0, 0, m, m)]  # position 0 passed the test above
-    for u, w in comp:
-        left[u] -= 1
-        left[w] -= 1
-        records.append((u, w, left[u], left[w]))
-    return deficit, records
 
 
 def _twin_swaps(adj: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -273,15 +235,12 @@ def _lex_rank(prefix: Sequence[int], n_comp: int, k: int) -> int:
 
 
 def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
-           deadline: float | None, all_witnesses: bool, bound: Bound | None = None,
+           deadline: float | None, all_witnesses: bool,
            ) -> tuple[list[tuple[int, ...]], int, int, bool]:
-    """Balance-test the k-subsets of ``comp`` in lex order, depth first.
-
-    Each chosen edge is set in the rows in place and cleared on backtrack.
-    A prefix that a permutation of ``tables`` maps lex-smaller is dropped
-    with its whole subtree.  A ``bound`` of _regular_bounds skips edges with
-    a saturated end and backtracks once an end of the edge just passed can
-    no longer be saturated.  The clock is read every _DEADLINE_STRIDE nodes.
+    """Balance-test the k-subsets of ``comp`` in lex order, depth first,
+    setting each chosen edge in the rows in place.  A prefix that a
+    permutation of ``tables`` maps lex-smaller is dropped with its whole
+    subtree.  The clock is read every _DEADLINE_STRIDE nodes.
 
     Returns the hits as index sets, the lex count, the leaves balance-tested
     and whether the deadline passed.  The lex count runs up to and including
@@ -292,7 +251,6 @@ def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
     rows = list(adj)
     if not k:
         return ([()] if _transmission_regular(rows) else []), 1, 1, False
-    deficit, records = (None, None) if bound is None else (bound[0].copy(), bound[1])
     flips = [(u, 1 << u, v, 1 << v) for u, v in comp]
     reps, cols, ones = tables.reps, tables.cols, tables.ones
     held, image = tables.guards, 0
@@ -308,10 +266,6 @@ def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
                         and time.monotonic() > deadline):
                     return hits, _lex_rank(chosen + [i], n_comp, k), tested, True
                 visited += 1
-                if deficit is not None:
-                    u, v = comp[i]
-                    if not (deficit[u] and deficit[v]):
-                        continue  # an end of edge i is saturated
                 leaf = held ^ reps[i]
                 d = leaf ^ image ^ cols[i]
                 low = d ^ (d & (d - ones))
@@ -335,16 +289,6 @@ def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
                 return hits, _lex_rank(chosen + [i], n_comp, k), tested, True
             visited += 1
             u, bu, v, bv = flips[i]
-            if deficit is not None:
-                a, b, left_a, left_b = records[i]
-                if deficit[a] > left_a or deficit[b] > left_b:
-                    i = n_comp  # an end of edge i - 1 can no longer be saturated
-                    continue
-                if not (deficit[u] and deficit[v]):
-                    i += 1  # an end of edge i is saturated
-                    continue
-                deficit[u] -= 1
-                deficit[v] -= 1
             rows[u] ^= bv
             rows[v] ^= bu
             held ^= reps[i]
@@ -364,10 +308,63 @@ def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
         rows[v] ^= bu
         held ^= reps[i]
         image ^= cols[i]
-        if deficit is not None:
-            deficit[u] += 1
-            deficit[v] += 1
         i += 1
+
+
+def _regular_level(adj: tuple[int, ...], comp: list[Edge], r: int, deadline: float | None,
+                   all_witnesses: bool) -> tuple[list[tuple[int, ...]], int, bool]:
+    """Balance-test the r-regular completions of the rows ``adj``, r < n:
+    K_n minus an s-factor S of the complement ``comp``, s = n-1-r.
+
+    Depth first, the lowest vertex that still needs pairs takes a partner,
+    largest first; the partners it passes over leave S in that branch, so S
+    comes out in descending lex order and the added pairs, ``comp`` minus
+    S, in ascending lex order, as _level meets them.  A vertex with no
+    partner to spare takes them all; a branch ends once one has fewer than
+    it needs.  The clock is read every _DEADLINE_STRIDE nodes, the first
+    one included.  Returns the hits as index sets into ``comp``, the
+    completions tested and whether the deadline passed.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    hits: list[tuple[int, ...]] = []
+    tested = visited = 0
+
+    def walk(free: list[int], taken: list[int], need: list[int], pairs: list) -> bool:
+        nonlocal tested, visited  # a True return stops the walk
+        if (deadline is not None and not visited % _DEADLINE_STRIDE
+                and time.monotonic() > deadline):
+            return True
+        visited += 1
+        while True:  # each (u, w, 1) in ``pairs`` joins S, each (u, w, 0) leaves it
+            for u, w, joins in pairs:
+                for a, b in (u, w), (w, u):
+                    free[a] ^= 1 << b
+                    taken[a] ^= joins << b
+                    need[a] -= joins
+            needy = sum(1 << v for v in range(n) if need[v])
+            spare = {(free[v] & needy).bit_count() - need[v]: v for v in _bits(needy)}
+            if min(spare, default=0) < 0:
+                return False
+            if 0 not in spare:
+                break
+            pairs = [(spare[0], w, 1) for w in _bits(free[spare[0]] & needy)]
+        if not needy:  # S is complete
+            tested += 1
+            if _transmission_regular([full ^ 1 << v ^ t for v, t in enumerate(taken)]):
+                hits.append(tuple(i for i, (a, b) in enumerate(comp) if not taken[a] >> b & 1))
+            return bool(hits) and not all_witnesses
+        u = (needy & -needy).bit_length() - 1
+        partners = list(_bits(free[u] & needy))
+        for j in range(len(partners) - need[u], -1, -1):
+            pairs = [(u, x, 0) for x in partners[:j]] + [(u, partners[j], 1)]
+            if walk(free.copy(), taken.copy(), need.copy(), pairs):
+                return True
+        return False
+
+    free = [full ^ row ^ 1 << v for v, row in enumerate(adj)]  # pairs that may join S
+    stopped = walk(free, [0] * n, [n - 1 - r] * n, [])  # and those of S
+    return hits, tested, stopped and (all_witnesses or not hits)
 
 
 def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) -> SearchResult:
@@ -388,31 +385,34 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
         raise ValueError(f"time_budget must be > 0, got {config.time_budget}")
     if not is_connected(g):
         raise DisconnectedGraphError("search requires a connected graph")
-    degrees = g.degrees()
+    max_deg = g.max_degree()
     regular = config.prune_mode == "regular"
-    if regular and max(degrees) < g.n - 3 and diameter(g) > 2:
-        raise PruneModeUnjustifiedError(
-            "regular pruning needs max degree >= n-3 or diameter <= 2")
+    if regular and max_deg < g.n - 3:
+        raise PruneModeUnjustifiedError("regular pruning needs max degree >= n-3")
 
     comp = complement_edges(g)
     k_cap = len(comp) if config.max_k is None else min(config.max_k, len(comp))
     deadline = (None if config.time_budget is None
                 else time.monotonic() + config.time_budget)
 
-    tables = _image_tables(_generators(g), comp)
+    tables = None if regular else _image_tables(_generators(g), comp)
     explored = 0
     exhausted = -1
     for k in range(k_cap + 1):
-        r = 2 * (g.edge_count + k) // g.n  # the only degree the handshake rule allows
-        bound = _regular_bounds(degrees, comp, r, k) if regular else None
-        if regular and bound is None:  # no regular supergraph has this many edges
-            exhausted = k
-            continue
-        hits, lex, tested, timed_out = _level(g.adj, comp, k, tables, deadline, False, bound)
-        if hits and config.all_witnesses:  # rescan this level unpruned
-            hits, lex, tested, timed_out = _level(
-                g.adj, comp, k, _image_tables([], comp), deadline, True, bound)
-        explored += tested if regular else lex
+        if regular:
+            r, odd = divmod(2 * (g.edge_count + k), g.n)
+            if odd or r < max_deg:  # no regular supergraph has this many edges
+                exhausted = k
+                continue
+            hits, tested, timed_out = _regular_level(g.adj, comp, r, deadline,
+                                                     config.all_witnesses)
+            explored += tested
+        else:
+            hits, lex, _, timed_out = _level(g.adj, comp, k, tables, deadline, False)
+            if hits and config.all_witnesses:  # rescan this level unpruned
+                hits, lex, _, timed_out = _level(
+                    g.adj, comp, k, _image_tables([], comp), deadline, True)
+            explored += lex
         if timed_out:
             raise SearchBudgetError(
                 f"time budget exhausted inside level k={k}", exhausted, explored)

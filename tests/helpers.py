@@ -186,6 +186,13 @@ def three_diamonds() -> Graph:
                               (6, 7), (6, 8), (7, 8)])
 
 
+def petersen_graph() -> Graph:
+    """The Petersen graph: 3-regular on 10 vertices, diameter 2."""
+    return from_edge_list(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(i, i + 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
 def complete_minus(n: int, pairs) -> Graph:
     """K_n without the given pairs (each as (u, v) with u < v)."""
     missing = set(pairs)

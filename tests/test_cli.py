@@ -287,6 +287,17 @@ class TestClosure:
         assert code == 0
         assert report["result"]["min_added_edges"] == 0
 
+    def test_search_prune_regular_refused_on_petersen(self, capsys, tmp_path):
+        """Diameter 2 but max degree 3 < n - 3: outside the theorem's domain
+        the regular mode exits 1, and the naive mode still answers."""
+        path = tmp_path / "petersen.el"
+        write_edge_list(helpers.petersen_graph(), path)
+        assert main(["closure", str(path), "--mode", "search", "--prune", "regular"]) == 1
+        assert capsys.readouterr().err == "error: regular pruning needs max degree >= n-3\n"
+        code, report = run_json(capsys, ["closure", str(path), "--mode", "search", "--json"])
+        assert code == 0
+        assert report["result"]["min_added_edges"] == 0
+
     def test_search_prune_regular_unbalanced_candidate_exits_one(
             self, capsys, monkeypatch, star3_file):
         """A degree-feasible candidate that fails the balance test is an

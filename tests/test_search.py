@@ -96,6 +96,16 @@ class TestErrors:
         with pytest.raises(PruneModeUnjustifiedError):
             search_minimum_additions(path_graph(6), SearchConfig(prune_mode="regular"))
 
+    def test_regular_mode_refused_on_petersen(self):
+        """Diameter 2 with max degree 3 < n-3 = 7: outside the theorem's
+        domain the regular mode is refused, and the naive mode still answers."""
+        petersen = helpers.petersen_graph()
+        with pytest.raises(PruneModeUnjustifiedError,
+                           match=r"^regular pruning needs max degree >= n-3$"):
+            search_minimum_additions(petersen, SearchConfig(prune_mode="regular"))
+        res = search_minimum_additions(petersen)
+        assert (res.min_additions, res.witnesses) == (0, ((),))
+
     def test_regular_mode_allowed_on_diameter2_non_tree(self):
         res = search_minimum_additions(cycle_graph(5),
                                        SearchConfig(prune_mode="regular"))
@@ -124,26 +134,22 @@ class TestBudgets:
 def _degree_feasible(g, r, every=True):
     """Index sets of the k-subsets of the complement of ``g`` that raise
     every degree to r, in lex order (only the first unless ``every``): the
-    walk with the regular degree bound, no orbit pruning and a balance test
-    that accepts every candidate, so that its hits are the candidates it
-    tests."""
-    comp = complement_edges(g)
-    k = g.n * r // 2 - g.edge_count
-    bound = search._regular_bounds(g.degrees(), comp, r, k)
-    if bound is None:
+    regular mode's walk over the removed pairs, with a balance test that
+    accepts every completion, so that its hits are the completions it
+    tests.  The search never asks for r >= n."""
+    if r >= g.n:
         return []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_transmission_regular", lambda rows: True)
-        hits, _, tested, timed_out = search._level(
-            g.adj, comp, k, search._image_tables([], comp), None, every, bound)
+        hits, tested, timed_out = search._regular_level(
+            g.adj, complement_edges(g), r, None, every)
     assert (tested, timed_out) == (len(hits), False)
     return hits
 
 
 def _regular_supergraphs(g, r, every=True):
     """The r-regular supergraphs of ``g`` in lex order of the added-edge
-    sets (only the first unless ``every``), from the walk with the regular
-    degree bound."""
+    sets (only the first unless ``every``), from the regular mode's walk."""
     comp = complement_edges(g)
     return [add_edges(g, (comp[i] for i in added)) for added in _degree_feasible(g, r, every)]
 
@@ -154,8 +160,8 @@ class TestRegularEnumeration:
         assert graphs == [cycle_graph(4)]
 
     def test_infeasible_degree(self):
-        """The bound's entry test refuses an infeasible degree: nothing is
-        walked."""
+        """An infeasible degree has no completion: a vertex lacks free
+        partners, or n*s is odd and the last one finds none."""
         for g, r in [(canonical_family_tree(FamilyTag.STAR, 3), 2),  # r < max degree
                      (path_graph(3), 1),  # n*r odd
                      (path_graph(3), 3),  # r > n-1
@@ -211,11 +217,11 @@ class TestRegularEnumeration:
             "90e4c052b9f822c8850ee69149b84749042b5d5a2b3829a9eed30df10e802d7d")
 
     def test_walk_steps_are_pinned(self, monkeypatch):
-        """The degree bound's pruning, pinned by the walk's exact node count:
-        with the clock read at every node and no orbit pruning, the walks to
+        """The forced pairs and the free-partner prune, pinned by the walk's
+        exact node count: with the clock read at every node, the walks to
         the first hit of each feasible r on the family trees with m <= 8,
-        under two labelings, visit 12,199 nodes.  Testing one end fewer of
-        the edge just passed visits more."""
+        under two labelings, visit 319 nodes (the walk over the added pairs
+        with a degree bound visited 12,199)."""
         reads = []
         monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
         monkeypatch.setattr(search.time, "monotonic", lambda: reads.append(0) or 0.0)
@@ -223,13 +229,10 @@ class TestRegularEnumeration:
             for m in range(row.min_m, 9):
                 for g in _two_labelings(canonical_family_tree(tag, m)):
                     comp = complement_edges(g)
-                    tables = search._image_tables([], comp)
                     for r in range(g.max_degree(), g.n):
-                        k = g.n * r // 2 - g.edge_count
-                        bound = search._regular_bounds(g.degrees(), comp, r, k)
-                        if bound is not None:
-                            search._level(g.adj, comp, k, tables, 1.0, False, bound)
-        assert len(reads) == 12199
+                        if g.n * r % 2 == 0:
+                            search._regular_level(g.adj, comp, r, 1.0, False)
+        assert len(reads) == 319
 
 
 class TestCountBalancedAdditions:
@@ -276,21 +279,24 @@ class TestAllWitnesses:
     def test_only_the_witness_level_is_rescanned_unpruned(self, monkeypatch, mode):
         """The levels below the minimum hold no witness to lose, so they are
         walked with the generators' tables; the witness level is walked
-        with them too and then rescanned with empty tables for every hit."""
+        with them too and then rescanned with empty tables for every hit.
+        The regular mode walks the removed pairs and never calls _level."""
         levels = []
         real = search._level
 
-        def spy(adj, comp, k, tables, deadline, all_witnesses, bound=None):
+        def spy(adj, comp, k, tables, deadline, all_witnesses):
             levels.append((k, tables.ones != 0, all_witnesses))
-            return real(adj, comp, k, tables, deadline, all_witnesses, bound)
+            return real(adj, comp, k, tables, deadline, all_witnesses)
 
         monkeypatch.setattr(search, "_level", spy)
         tree = canonical_family_tree(FamilyTag.S2, 4)
         res = search_minimum_additions(
             tree, SearchConfig(prune_mode=mode, all_witnesses=True))
         assert (res.min_additions, len(res.witnesses)) == (7, 3)
-        walked = range(8) if mode == "naive" else [7]  # regular: the handshake skips the rest
-        assert levels == [(k, True, False) for k in walked] + [(7, False, True)]
+        if mode == "naive":
+            assert levels == [(k, True, False) for k in range(8)] + [(7, False, True)]
+        else:
+            assert levels == []
 
     def test_balanced_input_single_empty_witness(self):
         res = search_minimum_additions(cycle_graph(5),
@@ -366,18 +372,20 @@ class TestRegularCheck:
 
 @pytest.mark.parametrize("tag", [FamilyTag.S2, FamilyTag.S22, FamilyTag.S3, FamilyTag.BROOM])
 def test_regular_mode_under_shuffled_labels(tag):
-    """The regular walk shares the naive mode's orbit prune, which makes it
-    far less sensitive to the labelling: each of four seeded shuffles of the
-    m = 12 tree finds the closed form as its first test, inside a 5 s
-    budget."""
-    tree = canonical_family_tree(tag, 12)
-    expected = minimum_additions_formula(TreeFamily(tag, 12, None))
-    for seed in range(4):
-        perm = list(range(tree.n))
-        random.Random(seed).shuffle(perm)
-        res = search_minimum_additions(relabel(tree, perm), SearchConfig(
-            prune_mode="regular", time_budget=5))
-        assert (res.min_additions, res.explored) == (expected, 1), seed
+    """The regular walk runs over the at most n removed pairs, so its time
+    does not hang on the labelling: each of four seeded shuffles of the
+    trees with m = 40, 50 and 60 finds the closed form as its first test,
+    inside a 2 s budget.  The walk over the added pairs ran past 20 s on
+    17 of these 48 searches."""
+    for m in (40, 50, 60):
+        tree = canonical_family_tree(tag, m)
+        expected = minimum_additions_formula(TreeFamily(tag, m, None))
+        for seed in range(4):
+            perm = list(range(tree.n))
+            random.Random(seed).shuffle(perm)
+            res = search_minimum_additions(relabel(tree, perm), SearchConfig(
+                prune_mode="regular", time_budget=2))
+            assert (res.min_additions, res.explored) == (expected, 1), (m, seed)
 
 
 def _regular_legal_inputs():
@@ -404,9 +412,10 @@ class TestRegularFirstCandidate:
             assert add_edges(g, res.witnesses[0]) == first, g
 
     @pytest.mark.parametrize("all_witnesses", [False, True])
-    def test_builds_the_orbit_tables_of_the_naive_mode(self, monkeypatch, all_witnesses):
-        """Both modes build the generators' tables once per search, and the
-        scan of every witness adds empty tables for the witness level."""
+    def test_builds_no_orbit_tables(self, monkeypatch, all_witnesses):
+        """A regular search builds no generators or tables.  The naive mode
+        builds the generators' tables once per search, and the scan of every
+        witness adds empty tables for the witness level."""
         calls = []
 
         def spy(name):
@@ -419,8 +428,7 @@ class TestRegularFirstCandidate:
         for tag, m in [(FamilyTag.STAR, 5), (FamilyTag.S22, 4), (FamilyTag.S2, 4)]:
             search_minimum_additions(canonical_family_tree(tag, m), SearchConfig(
                 prune_mode="regular", all_witnesses=all_witnesses))
-        assert calls == 3 * per_search
-        calls.clear()
+        assert calls == []
         search_minimum_additions(canonical_family_tree(FamilyTag.STAR, 3),
                                  SearchConfig(all_witnesses=all_witnesses))
         assert calls == per_search
@@ -497,18 +505,20 @@ def test_all_witness_sets_agree_between_modes(high_degree_trees):
 
 
 def test_oracle_matches_formula_small_range():
-    """Search equals the closed form across the whole small range."""
-    cases = ([(FamilyTag.STAR, m) for m in range(1, 7)]
+    """Search equals the closed form at every order up to 8, by the naive
+    mode, which does not assume the paper's theorem, and by the regular
+    mode as a second route."""
+    cases = ([(FamilyTag.STAR, m) for m in range(1, 8)]
              + [(FamilyTag.S2, m) for m in range(2, 7)]
              + [(FamilyTag.S22, m) for m in range(2, 6)]
              + [(FamilyTag.S3, m) for m in range(3, 6)]
              + [(FamilyTag.BROOM, m) for m in range(3, 6)])
     for tag, m in cases:
         tree = canonical_family_tree(tag, m)
-        mode = "naive" if tree.n <= 7 else "regular"
-        res = search_minimum_additions(tree, SearchConfig(prune_mode=mode))
-        assert res.min_additions == minimum_additions_formula(
-            TreeFamily(tag, m, None)), (tag, m)
+        for mode in ("naive", "regular"):
+            res = search_minimum_additions(tree, SearchConfig(prune_mode=mode))
+            assert res.min_additions == minimum_additions_formula(
+                TreeFamily(tag, m, None)), (tag, m, mode)
 
 
 class TestTheorem:
@@ -550,12 +560,12 @@ class TestTheorem:
 
 @pytest.mark.parametrize("run,passes", [
     (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 40))[1]), 2),
-    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 4))[1]), 6),
+    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 4))[1]), 3),
     (lambda: search_minimum_additions(
         _two_labelings(canonical_family_tree(FamilyTag.STAR, 9))[1],
-        SearchConfig(prune_mode="regular")), 4),
+        SearchConfig(prune_mode="regular")), 1),
     (lambda: search_minimum_additions(
-        canonical_family_tree(FamilyTag.S22, 2), SearchConfig(prune_mode="regular")), 4),
+        canonical_family_tree(FamilyTag.S22, 2), SearchConfig(prune_mode="regular")), 1),
     (lambda: search_minimum_additions(
         from_edge_list(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)]),
         SearchConfig(prune_mode="regular")), 1),
@@ -564,11 +574,10 @@ class TestTheorem:
 def test_bfs_passes(monkeypatch, run, passes):
     """Connectivity is tested once per layer: a connected graph with n - 1
     edges is a tree without a second BFS, and the regular mode takes an
-    input as legal from its degrees before it reaches for the diameter.  A closure
-    takes one pass in the classifier, which is its connectivity test, and one
-    in the certificate's ball sweep; a degenerate one adds the search's.  A
-    search of a tree adds the three sweeps that find its centre for the
-    branch swaps; the bull is not a tree, and its twin swaps take none."""
+    input as legal from its degrees alone.  A closure takes one pass in the
+    classifier, which is its connectivity test, and one in the certificate's
+    ball sweep; a degenerate one adds the search's.  The regular mode builds
+    no branch swaps, so it takes no sweeps to find a tree's centre."""
     calls = []
 
     def counted(adj, source, levels=graph._levels):
