@@ -19,10 +19,27 @@ A set of added edges is dropped when one of these automorphisms maps it to
 a lexicographically smaller set.  The lex-first witness is the minimum of
 its orbit, so the first witness and the minimum are those of the plain
 scan.  The test is hereditary, so a dropped prefix drops its whole lex
-subtree.  Each automorphism is tested alone, not the whole group: the
-m = 6 star balance-tests 325 of its 2^15 candidates, which fall into 156
-orbits.  ``all_witnesses`` walks every level pruned and rescans the
-witness level without pruning.
+subtree.  Each automorphism is tested alone, not the whole group.
+``all_witnesses`` walks every level pruned and rescans the witness level
+without the automorphisms.
+
+The naive walk also cuts by domination, an elementary necessary condition
+that does not rest on the paper's theorem.  Call x dominated when it has a
+neighbour y with N[x] a proper subset of N[y]; then the graph is not
+balanced.  Proof: for any w != x, a shortest x-w path leaves x through
+some z in N(x), which lies in N[y], so d(y, w) <= 1 + d(z, w) = d(x, w);
+only x is closer to x than to y, while y and each vertex of N[y] - N[x]
+are closer to y.  (A pendant vertex is the special case.)  Added edges
+that miss x leave N[x] as it is and only grow N[y], so a dominated vertex
+of the graph of a prefix stays dominated in every completion whose later
+edges all miss it.  So a prefix with more dominated vertices than twice
+the edges still to pick is dropped, the next edge is picked only up to
+the last complement edge that touches each dominated vertex, and a last
+edge must touch all of them.  Every witness survives, so the witnesses,
+their order and ``explored`` are unchanged.  The m = 6 star balance-tests
+325 of its 2^15 candidates under the automorphisms alone, which fall into
+156 orbits, and 2 under both rules: the centre dominates every spoke that
+is not yet joined to all the others.
 
 The "regular" mode is legal on inputs of maximum degree at least n-3 and
 refused elsewhere.  There every balanced supergraph keeps that degree, so
@@ -73,8 +90,9 @@ class SearchConfig(NamedTuple):
     """Knobs for the exhaustive search.
 
     prune_mode: "naive" tests every subset that no automorphism maps
-        lex-smaller; "regular" only the regular completions, legal on
-        inputs of max degree >= n-3 (see module docstring).
+        lex-smaller, bar those the domination cut shows unbalanced;
+        "regular" only the regular completions, legal on inputs of max
+        degree >= n-3 (see module docstring).
     max_k: stop after exhausting this many added edges (>= 0).
     all_witnesses: collect every minimal witness instead of the first.
     time_budget: wall-clock seconds before giving up with a certified bound
@@ -234,13 +252,39 @@ def _lex_rank(prefix: Sequence[int], n_comp: int, k: int) -> int:
     return rank
 
 
+def _dominated(rows: list[int], among: int, by: int) -> int:
+    """The vertices x in the mask ``among`` that have a neighbour y in the
+    mask ``by`` with N[x] a proper subset of N[y], in the graph with
+    adjacency rows ``rows``."""
+    dom = 0
+    while among:
+        bit = among & -among
+        among ^= bit
+        row = rows[bit.bit_length() - 1]
+        closed = row | bit
+        row &= by
+        while row:
+            low = row & -row
+            other = rows[low.bit_length() - 1] | low
+            if closed & other == closed != other:
+                dom |= bit
+                break
+            row ^= low
+    return dom
+
+
 def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
            deadline: float | None, all_witnesses: bool,
            ) -> tuple[list[tuple[int, ...]], int, int, bool]:
     """Balance-test the k-subsets of ``comp`` in lex order, depth first,
     setting each chosen edge in the rows in place.  A prefix that a
     permutation of ``tables`` maps lex-smaller is dropped with its whole
-    subtree.  The clock is read every _DEADLINE_STRIDE nodes.
+    subtree, and so is one whose completions all keep a dominated vertex
+    (module docstring): a node with more dominated vertices than twice the
+    edges left to pick is dropped, the next edge is picked only up to the
+    last index that touches each of them, and a leaf is tested only when
+    its edge touches all of them.  The clock is read every
+    _DEADLINE_STRIDE nodes; a range that is cut is never visited.
 
     Returns the hits as index sets, the lex count, the leaves balance-tested
     and whether the deadline passed.  The lex count runs up to and including
@@ -251,17 +295,42 @@ def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
     rows = list(adj)
     if not k:
         return ([()] if _transmission_regular(rows) else []), 1, 1, False
+    everyone = (1 << len(rows)) - 1
+    dom = _dominated(rows, everyone, everyone)
+    if dom.bit_count() > 2 * k:
+        return [], comb(n_comp, k), 0, False
     flips = [(u, 1 << u, v, 1 << v) for u, v in comp]
+    touch = [0] * len(rows)  # per vertex, the indices whose edge touches it
+    for j, (u, v) in enumerate(comp):
+        touch[u] |= 1 << j
+        touch[v] |= 1 << j
+
+    def cut(dom: int) -> int:
+        # the largest next index that leaves an edge touching each vertex of ``dom``
+        last_touch = n_comp
+        while dom:
+            low = dom & -dom
+            last_touch = min(last_touch, touch[low.bit_length() - 1].bit_length() - 1)
+            dom ^= low
+        return last_touch
+
     reps, cols, ones = tables.reps, tables.cols, tables.ones
     held, image = tables.guards, 0
     hits: list[tuple[int, ...]] = []
     chosen: list[int] = []
+    doms, cuts = [dom], [cut(dom)]  # per depth, of the prefix graph
     visited = tested = i = 0
     last = k - 1
     while True:
         depth = len(chosen)
         if depth == last:  # the leaves, in a loop of their own: most nodes are leaves
-            for i in range(i, n_comp):
+            dom = doms[-1]
+            if dom:  # at most 2: the indices from i on whose edge touches all of dom
+                cover = touch[(dom & -dom).bit_length() - 1] & touch[dom.bit_length() - 1]
+                leaves = _bits(cover >> i << i)
+            else:
+                leaves = range(i, n_comp)
+            for i in leaves:
                 if (deadline is not None and not visited % _DEADLINE_STRIDE
                         and time.monotonic() > deadline):
                     return hits, _lex_rank(chosen + [i], n_comp, k), tested, True
@@ -283,7 +352,9 @@ def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
                     if not all_witnesses:
                         return hits, _lex_rank(hits[0], n_comp, k) + 1, tested, False
             i = n_comp
-        if i <= n_comp - k + depth:  # i can still start the rest of a subset
+        # i can still start the rest of a subset and leave an edge for each
+        # dominated vertex
+        if i <= n_comp - k + depth and i <= cuts[-1]:
             if (deadline is not None and not visited % _DEADLINE_STRIDE
                     and time.monotonic() > deadline):
                 return hits, _lex_rank(chosen + [i], n_comp, k), tested, True
@@ -297,10 +368,26 @@ def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
             d = held ^ image  # the survival test of _ImageTables
             low = d ^ (d & (d - ones))
             if low & held == low:
-                i += 1
-                continue
-            # else a permutation maps the prefix lex-smaller: drop its subtree
-        elif not chosen:
+                # a dominated vertex that the new edge misses stays so, one
+                # it touches is tested afresh, and any other can only
+                # become dominated by u or v
+                ends = bu | bv
+                dom = doms[-1]
+                stays = dom & ends
+                dom = dom & ~ends | _dominated(rows, (rows[u] | rows[v]) & ~dom, ends)
+                if stays:
+                    dom |= _dominated(rows, stays, everyone)
+                if dom.bit_count() <= 2 * (k - 1 - depth):
+                    doms.append(dom)
+                    cuts.append(cut(dom))
+                    i += 1
+                    continue
+            # else a permutation maps the prefix lex-smaller, or a vertex
+            # stays dominated: drop its subtree
+        elif chosen:
+            doms.pop()
+            cuts.pop()
+        else:
             return hits, comb(n_comp, k), tested, False
         i = chosen.pop()
         u, bu, v, bv = flips[i]
@@ -409,7 +496,7 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
             explored += tested
         else:
             hits, lex, _, timed_out = _level(g.adj, comp, k, tables, deadline, False)
-            if hits and config.all_witnesses:  # rescan this level unpruned
+            if hits and config.all_witnesses:  # rescan it without the automorphisms
                 hits, lex, _, timed_out = _level(
                     g.adj, comp, k, _image_tables([], comp), deadline, True)
             explored += lex

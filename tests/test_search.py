@@ -236,8 +236,8 @@ class TestRegularEnumeration:
 
 
 class TestCountBalancedAdditions:
-    """How many k-subsets balance the input, from the unpruned scan of
-    ``all_witnesses``."""
+    """How many k-subsets balance the input, from the scan of
+    ``all_witnesses`` without the automorphisms."""
 
     @staticmethod
     def _every_witness(g, max_k=None):
@@ -326,6 +326,21 @@ def _spy_levels(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(search, "_level", spy)
     return levels
+
+
+def _dominated_vertices(g, added=()) -> set[int]:
+    """The vertices x of ``g`` plus the edges ``added`` that have a
+    neighbour y with N[x] a proper subset of N[y], from neighbour sets."""
+    closed = [{v} for v in range(g.n)]
+    for u, v in [*g.edges(), *added]:
+        closed[u].add(v)
+        closed[v].add(u)
+    return {x for x in range(g.n) if any(closed[x] < closed[y] for y in closed[x])}
+
+
+def _without_cut(monkeypatch):
+    """Patch the domination cut out of the walk: no vertex is dominated."""
+    monkeypatch.setattr(search, "_dominated", lambda rows, among, by: 0)
 
 
 class TestProgress:
@@ -706,14 +721,22 @@ class TestTwinPruning:
 
     def test_star_balance_tests_only_twin_minimal_candidates(self, monkeypatch):
         """The m = 6 star enumerates all 2^15 candidates; its spokes are one
-        twin class, and a candidate reaches the BFS only when no swap of two
-        label-adjacent spokes makes it smaller: 325 of them, against 156
-        orbits under all permutations of the spokes."""
+        twin class, and with the domination cut patched out a candidate
+        reaches the BFS only when no swap of two label-adjacent spokes makes
+        it smaller: 325 of them, against 156 orbits under all permutations
+        of the spokes.  With the cut, every spoke stays dominated until an
+        added edge touches it, and 2 candidates are left."""
         calls = []
         check = search._transmission_regular
         monkeypatch.setattr(search, "_transmission_regular",
                             lambda rows: calls.append(1) or check(rows))
-        res = search_minimum_additions(canonical_family_tree(FamilyTag.STAR, 6))
+        star = canonical_family_tree(FamilyTag.STAR, 6)
+        cut = search_minimum_additions(star)
+        assert (cut.explored, len(calls)) == (2 ** 15, 2)
+        calls.clear()
+        _without_cut(monkeypatch)
+        res = search_minimum_additions(star)
+        assert res == cut
         assert res.explored == 2 ** 15
         assert len(calls) == 325
 
@@ -752,18 +775,44 @@ def _dropped(comp, prefix, perms):
                for p in perms)
 
 
-def _walk(comp, k, perms):
-    """The nodes of level k in the order the depth-first walk visits them,
-    each with the number of k-subsets before its lex subtree: every prefix
-    of a k-subset, taken in lex order, whose shorter prefixes survive."""
+def _walk(g, comp, k, perms, cut=True):
+    """The nodes of level k >= 1 in the order the depth-first walk visits
+    them, each with the number of k-subsets before its lex subtree: every
+    prefix of a k-subset, taken in lex order, whose shorter prefixes
+    survive.  A prefix survives when no permutation maps it lex-smaller
+    and, with the domination cut, when its graph has at most twice as many
+    dominated vertices as edges left to pick.  With the cut, a prefix is
+    visited only when its last edge touches every dominated vertex of the
+    graph before it (a whole k-subset) or comes no later than the last
+    edge that touches each of them (a shorter prefix), and a level whose
+    input has more than 2k dominated vertices visits nothing."""
+    last_touch = [max((j for j, e in enumerate(comp) if x in e), default=-1)
+                  for x in range(g.n)]
+    doms = {}
+
+    def dominated(prefix):
+        if prefix not in doms:
+            doms[prefix] = _dominated_vertices(g, [comp[j] for j in prefix])
+        return doms[prefix]
+
+    if cut and len(dominated(())) > 2 * k:
+        return []
     seen, nodes = set(), []
     for rank, cand in enumerate(combinations(range(len(comp)), k)):
         for depth in range(1, k + 1):
             prefix = cand[:depth]
+            if cut:
+                before, pick = dominated(prefix[:-1]), prefix[-1]
+                if depth == k and not before <= set(comp[pick]):
+                    break
+                if depth < k and any(pick > last_touch[x] for x in before):
+                    break
             if prefix not in seen:
                 seen.add(prefix)
                 nodes.append((prefix, rank))
             if _dropped(comp, prefix, perms):
+                break
+            if cut and depth < k and len(dominated(prefix)) > 2 * (k - depth):
                 break
     return nodes
 
@@ -844,12 +893,18 @@ class TestSubtreePruning:
 
     def test_spider_balance_tests_only_subtree_survivors(self, monkeypatch):
         """The spider has no twins, so the twin rule tests every one of its
-        19,274 candidates up to the first witness; its leg swaps leave 3,999."""
+        19,274 candidates up to the first witness; with the domination cut
+        patched out its leg swaps leave 3,999, and with the cut 389."""
         calls = []
         check = search._transmission_regular
         monkeypatch.setattr(search, "_transmission_regular",
                             lambda rows: calls.append(1) or check(rows))
+        cut = search_minimum_additions(SPIDER)
+        assert (cut.explored, len(calls)) == (19274, 389)
+        calls.clear()
+        _without_cut(monkeypatch)
         res = search_minimum_additions(SPIDER)
+        assert res == cut
         assert res.explored == 19274
         assert len(calls) == 3999
 
@@ -857,58 +912,159 @@ class TestSubtreePruning:
     def test_budget_holds_while_subtrees_are_dropped(self, monkeypatch, late_read):
         """The clock is read before every _DEADLINE_STRIDE-th node the walk
         visits, dropped ones included.  Level 5 of the spider, the first
-        level of more than one stride, visits 1,065 nodes.  A clock that
-        turns late at a later read inside it stops the search at the node
-        that read comes before, and ``explored`` counts the subsets before
-        that node's lex subtree."""
+        level of more than one stride, visits 1,065 nodes with the
+        domination cut patched out; with the cut it visits 294, which a
+        stride of 128 reads at three of them.  A clock that turns late at a
+        later read inside it stops the search at the node that read comes
+        before, and ``explored`` counts the subsets before that node's lex
+        subtree."""
         level = 5
-        levels = _spy_levels(monkeypatch)
-        reads = []
-
-        def clock():
-            if not levels or levels[-1][0] != level:
-                return 0.0
-            reads.append(1)
-            return 2.0 if len(reads) >= late_read else 0.0
-
-        monkeypatch.setattr(search.time, "monotonic", clock)
-        with pytest.raises(SearchBudgetError, match=f"inside level k={level}") as exc_info:
-            search_minimum_additions(SPIDER, SearchConfig(time_budget=1.0))
         comp = complement_edges(SPIDER)
-        nodes = _walk(comp, level, SPIDER_SWAPS)
-        late = (late_read - 1) * search._DEADLINE_STRIDE
-        assert len(nodes) == 1065
-        assert exc_info.value.exhausted_k == level - 1
-        assert exc_info.value.explored == sum(comb(len(comp), j) for j in range(level)) \
-            + nodes[late][1]
+        levels = _spy_levels(monkeypatch)
+        for cut, stride, count in (True, 128, 294), (False, search._DEADLINE_STRIDE, 1065):
+            if not cut:
+                _without_cut(monkeypatch)
+            monkeypatch.setattr(search, "_DEADLINE_STRIDE", stride)
+            levels.clear()
+            reads = []
+
+            def clock():
+                if not levels or levels[-1][0] != level:
+                    return 0.0
+                reads.append(1)
+                return 2.0 if len(reads) >= late_read else 0.0
+
+            monkeypatch.setattr(search.time, "monotonic", clock)
+            with pytest.raises(SearchBudgetError, match=f"inside level k={level}") as exc_info:
+                search_minimum_additions(SPIDER, SearchConfig(time_budget=1.0))
+            nodes = _walk(SPIDER, comp, level, SPIDER_SWAPS, cut)
+            late = (late_read - 1) * stride
+            assert len(nodes) == count
+            assert exc_info.value.exhausted_k == level - 1
+            assert exc_info.value.explored == sum(comb(len(comp), j) for j in range(level)) \
+                + nodes[late][1]
 
     def test_budget_holds_at_every_node_of_a_level(self, monkeypatch):
         """With the clock read at every node, a clock that turns late at any
         node of level 3 of the m = 4 star (below its witness level, so pruned
         by the spoke swaps even with every witness wanted) stops the search
         at that node, a leaf in the leaf loop or a prefix before it, dropped
-        or not.  ``explored`` counts the 3-subsets before the first one that
-        starts with the node's edges, the lex rank of a leaf."""
+        or not.  With the domination cut patched out the level has 12 nodes;
+        with it 5, none a leaf, as the centre dominates every spoke that is
+        not joined to all the others.  ``explored`` counts the 3-subsets
+        before the first one that starts with the node's edges, the lex
+        rank of a leaf."""
         level, star = 3, canonical_family_tree(FamilyTag.STAR, 4)
         comp = complement_edges(star)
         subsets = list(combinations(range(len(comp)), level))
-        nodes = [prefix for prefix, _ in _walk(comp, level, search._generators(star))]
-        assert len(nodes) == 12  # 4 of them leaves
         monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
         levels = _spy_levels(monkeypatch)
-        for late_read, prefix in enumerate(nodes, 1):
-            levels.clear()
-            reads = []
+        perms = search._generators(star)
+        for cut, count, leaves in (True, 5, 0), (False, 12, 4):
+            if not cut:
+                _without_cut(monkeypatch)
+            nodes = [prefix for prefix, _ in _walk(star, comp, level, perms, cut)]
+            assert (len(nodes), sum(len(p) == level for p in nodes)) == (count, leaves)
+            for late_read, prefix in enumerate(nodes, 1):
+                levels.clear()
+                reads = []
 
-            def clock():
-                if levels and levels[-1][0] == level:
-                    reads.append(1)
-                return 2.0 if len(reads) >= late_read else 0.0
+                def clock():
+                    if levels and levels[-1][0] == level:
+                        reads.append(1)
+                    return 2.0 if len(reads) >= late_read else 0.0
 
-            monkeypatch.setattr(search.time, "monotonic", clock)
-            with pytest.raises(SearchBudgetError, match=f"inside level k={level}") as exc_info:
-                search_minimum_additions(star, SearchConfig(all_witnesses=True, time_budget=1.0))
-            rank = next(r for r, s in enumerate(subsets) if s[:len(prefix)] == prefix)
-            assert exc_info.value.exhausted_k == level - 1
-            assert exc_info.value.explored == \
-                sum(comb(len(comp), j) for j in range(level)) + rank, prefix
+                monkeypatch.setattr(search.time, "monotonic", clock)
+                with pytest.raises(SearchBudgetError, match=f"inside level k={level}") as exc_info:
+                    search_minimum_additions(
+                        star, SearchConfig(all_witnesses=True, time_budget=1.0))
+                rank = next(r for r, s in enumerate(subsets) if s[:len(prefix)] == prefix)
+                assert exc_info.value.exhausted_k == level - 1
+                assert exc_info.value.explored == \
+                    sum(comb(len(comp), j) for j in range(level)) + rank, (cut, prefix)
+
+
+class TestDominationCut:
+    """A vertex x with a neighbour y such that N[x] is a proper subset of
+    N[y] has only itself closer to x than to y, so no balanced graph has
+    one; the walk cuts every lex subtree whose completions keep one."""
+
+    def test_dominated_matches_its_definition(self, small_connected_graphs):
+        for graphs in small_connected_graphs.values():
+            for g in graphs:
+                everyone = (1 << g.n) - 1
+                assert search._dominated(list(g.adj), everyone, everyone) == \
+                    sum(1 << x for x in _dominated_vertices(g)), g
+
+    def test_a_dominated_vertex_is_closer_only_to_itself(self, small_connected_graphs):
+        """The lemma's proof on every connected graph with n <= 5: for each
+        edge xy with N[x] a proper subset of N[y], every w other than x is
+        at least as close to y as to x, and y and the vertices N[y] has
+        beyond N[x] are closer to y."""
+        for n in range(1, 6):
+            for g in small_connected_graphs[n]:
+                closed = [{v} | {w for w in range(n) if g.adj[v] >> w & 1} for v in range(n)]
+                for x in _dominated_vertices(g):
+                    for y in closed[x]:
+                        if closed[x] < closed[y]:
+                            near_x, near_y, _ = helpers.partition(g, x, y)
+                            assert near_x == {x}, (g, x, y)
+                            assert near_y >= closed[y] - closed[x] | {y}, (g, x, y)
+
+    def test_balanced_graphs_have_no_dominated_vertex(self, small_connected_graphs):
+        balanced = [g for graphs in small_connected_graphs.values() for g in graphs
+                    if is_distance_balanced(g)] + [helpers.three_diamonds()]
+        assert len(balanced) > 100
+        for g in balanced:
+            assert not _dominated_vertices(g), g
+
+    def test_walk_visits_the_model_nodes(self, monkeypatch):
+        """With the clock read at every node, the walk of every level of
+        every connected graph with n <= 5 reads it once per node of
+        ``_walk``'s model, and balance-tests exactly its leaves that no
+        permutation maps lex-smaller."""
+        reads = []
+        monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
+        monkeypatch.setattr(search.time, "monotonic", lambda: reads.append(1) or 0.0)
+        for n in range(1, 6):
+            for g in helpers.all_connected_graphs(n):
+                comp = complement_edges(g)
+                perms = search._generators(g)
+                tables = search._image_tables(perms, comp)
+                for k in range(1, len(comp) + 1):
+                    reads.clear()
+                    _, lex, tested, timed_out = search._level(
+                        g.adj, comp, k, tables, 1.0, True)
+                    nodes = [prefix for prefix, _ in _walk(g, comp, k, perms)]
+                    leaves = [p for p in nodes if len(p) == k and not _dropped(comp, p, perms)]
+                    assert (len(reads), tested, lex, timed_out) == \
+                        (len(nodes), len(leaves), comb(len(comp), k), False), (g, k)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cut_changes_no_search_result(self, monkeypatch, small_connected_graphs, n):
+        """On every labelled connected graph with n <= 6, the search with the
+        cut and with it patched out returns the same result, with every
+        witness wanted and with the first.  Each search is run with every
+        witness wanted; its walk of each level up to the first witness's,
+        pruned, is the whole walk of a first-witness search, so the outputs
+        of those walks are compared too (all but the balance tests)."""
+        calls = []
+        real = search._level
+
+        def spy(*args):
+            out = real(*args)
+            calls.append((out[0], out[1], out[3]))
+            return out
+
+        monkeypatch.setattr(search, "_level", spy)
+        graphs = small_connected_graphs[n]
+        runs = []
+        for cut in True, False:
+            if not cut:
+                _without_cut(monkeypatch)
+            runs.append([])
+            for g in graphs:
+                calls.clear()
+                res = search_minimum_additions(g, SearchConfig(all_witnesses=True))
+                runs[-1].append((res, calls.copy()))
+        assert runs[0] == runs[1]
