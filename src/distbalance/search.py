@@ -35,11 +35,28 @@ of the graph of a prefix stays dominated in every completion whose later
 edges all miss it.  So a prefix with more dominated vertices than twice
 the edges still to pick is dropped, the next edge is picked only up to
 the last complement edge that touches each dominated vertex, and a last
-edge must touch all of them.  Every witness survives, so the witnesses,
-their order and ``explored`` are unchanged.  The m = 6 star balance-tests
-325 of its 2^15 candidates under the automorphisms alone, which fall into
-156 orbits, and 2 under both rules: the centre dominates every spoke that
-is not yet joined to all the others.
+edge must touch all of them.
+
+It cuts by a transmission floor too, which does not rest on the paper's
+theorem either.  Lemma F: let H be connected and H' a balanced graph on
+the same vertices that contains H; then every vertex v has
+deg_H'(v) >= f(H) = 2(n-1) - D_H(u), for any vertex u, D the
+transmission.  Proof: H' is transmission-regular with some value t
+(Jerebic, Klavzar and Rall 2008); the non-neighbours of v are at distance
+at least 2, so t = D_H'(v) >= 2(n-1) - deg_H'(v), and adding edges never
+makes a distance longer, so t = D_H'(u) <= D_H(u).  One BFS from a vertex
+of maximum degree gives f; a prefix graph with a vertex more than the
+edges still to pick below it, or below it by more than twice them in all,
+has no balanced completion, and a vertex below it must be touched by a
+later edge, like a dominated one.  A level whose input the floor rules out
+is skipped, and counted whole.
+
+Every witness survives both rules, so the witnesses, their order and
+``explored`` are unchanged.  The m = 6 star balance-tests 325 of its 2^15
+candidates under the automorphisms alone, which fall into 156 orbits, and
+2 under all three rules: the centre dominates every spoke that is not yet
+joined to all the others, and the floor, 6 at the star, skips every level
+below 15.
 
 The "regular" mode is legal on inputs of maximum degree at least n-3 and
 refused elsewhere.  There every balanced supergraph keeps that degree, so
@@ -90,7 +107,8 @@ class SearchConfig(NamedTuple):
     """Knobs for the exhaustive search.
 
     prune_mode: "naive" tests every subset that no automorphism maps
-        lex-smaller, bar those the domination cut shows unbalanced;
+        lex-smaller, bar those the domination cut or the transmission
+        floor shows unbalanced;
         "regular" only the regular completions, legal on inputs of max
         degree >= n-3 (see module docstring).
     max_k: stop after exhausting this many added edges (>= 0).
@@ -273,60 +291,99 @@ def _dominated(rows: list[int], among: int, by: int) -> int:
     return dom
 
 
-def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
+class _Setup(NamedTuple):
+    """What every level of a naive search shares."""
+
+    flips: list[tuple[int, int, int, int]]  # per complement edge (u, 1 << u, v, 1 << v)
+    touch: list[int]  # per vertex, the indices whose edge touches it
+    dominated: int  # the input's dominated vertices
+
+
+def _setup(adj: tuple[int, ...], comp: list[Edge]) -> _Setup:
+    """The per-search data of ``_level`` for the rows ``adj`` and the
+    complement edges ``comp``."""
+    touch = [0] * len(adj)
+    for j, (u, v) in enumerate(comp):
+        touch[u] |= 1 << j
+        touch[v] |= 1 << j
+    everyone = (1 << len(adj)) - 1
+    return _Setup([(u, 1 << u, v, 1 << v) for u, v in comp], touch,
+                  _dominated(list(adj), everyone, everyone))
+
+
+def _below_floor(rows: list[int], left: int) -> int | None:
+    """The vertices of the connected graph with adjacency rows ``rows`` whose
+    degree is below the transmission floor 2(n-1) - D(u), u a vertex of
+    maximum degree (module docstring), or None when ``left`` more edges
+    cannot lift them all to it: one of them is more than ``left`` short, or
+    all together more than 2 * ``left``."""
+    degrees = list(map(int.bit_count, rows))
+    top = max(degrees)
+    # D(u) = 2(n-1) - deg(u) + the sum over d >= 3 of (d - 2) |level d|
+    floor = top - sum(d * level.bit_count() for d, level in
+                      enumerate(_levels(rows, degrees.index(top))[3:], 1))
+    low = min(degrees)
+    if low >= floor:
+        return 0
+    if floor - low > left or sum(floor - d for d in degrees if d < floor) > 2 * left:
+        return None
+    return sum(1 << v for v, d in enumerate(degrees) if d < floor)
+
+
+def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
            deadline: float | None, all_witnesses: bool,
            ) -> tuple[list[tuple[int, ...]], int, int, bool]:
-    """Balance-test the k-subsets of ``comp`` in lex order, depth first,
-    setting each chosen edge in the rows in place.  A prefix that a
-    permutation of ``tables`` maps lex-smaller is dropped with its whole
-    subtree, and so is one whose completions all keep a dominated vertex
-    (module docstring): a node with more dominated vertices than twice the
-    edges left to pick is dropped, the next edge is picked only up to the
-    last index that touches each of them, and a leaf is tested only when
-    its edge touches all of them.  The clock is read every
-    _DEADLINE_STRIDE nodes; a range that is cut is never visited.
+    """Balance-test the k-subsets of the complement edges in lex order,
+    depth first, setting each chosen edge in the rows in place.  A prefix
+    that a permutation of ``tables`` maps lex-smaller is dropped with its
+    whole subtree, and so is one whose completions all leave a vertex that
+    must be touched untouched (module docstring).  Each node keeps a
+    must-touch set: the dominated vertices and those below the floor, and
+    those of its parent that its edge misses.  A level whose input has no
+    balanced completion by the floor is skipped; a node with more vertices
+    to touch than twice the edges left to pick, or one the floor rules
+    out, is dropped; the next edge is picked only up to the last index that
+    touches each of them, and a leaf is tested only when its edge touches
+    all of them.  The clock is read every _DEADLINE_STRIDE nodes; a range
+    that is cut is never visited.
 
     Returns the hits as index sets, the lex count, the leaves balance-tested
     and whether the deadline passed.  The lex count runs up to and including
     the first hit (the whole level without one, or with ``all_witnesses``);
     on a timeout it is the number of subsets before the node being visited.
     """
-    n_comp = len(comp)
+    flips, touch = setup.flips, setup.touch
+    n_comp = len(flips)
     rows = list(adj)
     if not k:
         return ([()] if _transmission_regular(rows) else []), 1, 1, False
-    everyone = (1 << len(rows)) - 1
-    dom = _dominated(rows, everyone, everyone)
-    if dom.bit_count() > 2 * k:
+    short = _below_floor(rows, k)
+    if short is None or (must := setup.dominated | short).bit_count() > 2 * k:
         return [], comb(n_comp, k), 0, False
-    flips = [(u, 1 << u, v, 1 << v) for u, v in comp]
-    touch = [0] * len(rows)  # per vertex, the indices whose edge touches it
-    for j, (u, v) in enumerate(comp):
-        touch[u] |= 1 << j
-        touch[v] |= 1 << j
+    everyone = (1 << len(rows)) - 1
 
-    def cut(dom: int) -> int:
-        # the largest next index that leaves an edge touching each vertex of ``dom``
+    def cut(must: int) -> int:
+        # the largest next index that leaves an edge touching each vertex of ``must``
         last_touch = n_comp
-        while dom:
-            low = dom & -dom
+        while must:
+            low = must & -must
             last_touch = min(last_touch, touch[low.bit_length() - 1].bit_length() - 1)
-            dom ^= low
+            must ^= low
         return last_touch
 
     reps, cols, ones = tables.reps, tables.cols, tables.ones
     held, image = tables.guards, 0
     hits: list[tuple[int, ...]] = []
     chosen: list[int] = []
-    doms, cuts = [dom], [cut(dom)]  # per depth, of the prefix graph
+    musts, cuts = [must], [cut(must)]  # per depth, of the prefix graph
     visited = tested = i = 0
     last = k - 1
     while True:
         depth = len(chosen)
         if depth == last:  # the leaves, in a loop of their own: most nodes are leaves
-            dom = doms[-1]
-            if dom:  # at most 2: the indices from i on whose edge touches all of dom
-                cover = touch[(dom & -dom).bit_length() - 1] & touch[dom.bit_length() - 1]
+            must = musts[-1]
+            if must:  # at most 2: the indices from i on whose edge touches all of must
+                cover = touch[(must & -must).bit_length() - 1] & touch[must.bit_length() - 1]
                 leaves = _bits(cover >> i << i)
             else:
                 leaves = range(i, n_comp)
@@ -353,7 +410,7 @@ def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
                         return hits, _lex_rank(hits[0], n_comp, k) + 1, tested, False
             i = n_comp
         # i can still start the rest of a subset and leave an edge for each
-        # dominated vertex
+        # vertex that must be touched
         if i <= n_comp - k + depth and i <= cuts[-1]:
             if (deadline is not None and not visited % _DEADLINE_STRIDE
                     and time.monotonic() > deadline):
@@ -368,24 +425,29 @@ def _level(adj: tuple[int, ...], comp: list[Edge], k: int, tables: _ImageTables,
             d = held ^ image  # the survival test of _ImageTables
             low = d ^ (d & (d - ones))
             if low & held == low:
-                # a dominated vertex that the new edge misses stays so, one
-                # it touches is tested afresh, and any other can only
-                # become dominated by u or v
+                # a vertex that the new edge misses must still be touched,
+                # a dominated one it touches is tested afresh, and any other
+                # can only become dominated by u or v
                 ends = bu | bv
-                dom = doms[-1]
-                stays = dom & ends
-                dom = dom & ~ends | _dominated(rows, (rows[u] | rows[v]) & ~dom, ends)
+                must = musts[-1]
+                stays = must & ends
+                must = must & ~ends | _dominated(rows, (rows[u] | rows[v]) & ~must, ends)
                 if stays:
-                    dom |= _dominated(rows, stays, everyone)
-                if dom.bit_count() <= 2 * (k - 1 - depth):
-                    doms.append(dom)
-                    cuts.append(cut(dom))
-                    i += 1
-                    continue
+                    must |= _dominated(rows, stays, everyone)
+                left = k - 1 - depth
+                if must.bit_count() <= 2 * left:
+                    short = _below_floor(rows, left)
+                    if short is not None:
+                        must |= short
+                        if must.bit_count() <= 2 * left:
+                            musts.append(must)
+                            cuts.append(cut(must))
+                            i += 1
+                            continue
             # else a permutation maps the prefix lex-smaller, or a vertex
-            # stays dominated: drop its subtree
+            # cannot be touched or lifted to the floor: drop its subtree
         elif chosen:
-            doms.pop()
+            musts.pop()
             cuts.pop()
         else:
             return hits, comb(n_comp, k), tested, False
@@ -482,7 +544,8 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
     deadline = (None if config.time_budget is None
                 else time.monotonic() + config.time_budget)
 
-    tables = None if regular else _image_tables(_generators(g), comp)
+    if not regular:
+        tables, setup = _image_tables(_generators(g), comp), _setup(g.adj, comp)
     explored = 0
     exhausted = -1
     for k in range(k_cap + 1):
@@ -495,10 +558,10 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
                                                      config.all_witnesses)
             explored += tested
         else:
-            hits, lex, _, timed_out = _level(g.adj, comp, k, tables, deadline, False)
+            hits, lex, _, timed_out = _level(g.adj, setup, k, tables, deadline, False)
             if hits and config.all_witnesses:  # rescan it without the automorphisms
                 hits, lex, _, timed_out = _level(
-                    g.adj, comp, k, _image_tables([], comp), deadline, True)
+                    g.adj, setup, k, _image_tables([], comp), deadline, True)
             explored += lex
         if timed_out:
             raise SearchBudgetError(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 
 import helpers
-from distbalance import cli, graph
+from distbalance import cli, graph, search
 from distbalance import (
     broom,
     canonical_family_tree,
@@ -368,7 +368,17 @@ class TestClosure:
         assert report["result"]["min_added_edges"] == 1953
         assert report["result"]["explored"] == 1
 
-    def test_search_naive_on_the_largest_star_keeps_its_budget(self, capsys, star63_file):
+    def test_search_naive_on_the_largest_star_keeps_its_budget(self, capsys, monkeypatch,
+                                                               star63_file):
+        """With the transmission floor, the naive search skips every level
+        below the full one, where the spokes first reach the floor of 63,
+        and finds the star's one witness; with the floor patched out it
+        walks the small levels until the budget runs out."""
+        code, report = run_json(capsys, [
+            "closure", star63_file, "--mode", "search", "--budget", "60", "--json"])
+        assert code == 0
+        assert report["result"]["min_added_edges"] == 1953
+        monkeypatch.setattr(search, "_below_floor", lambda rows, left: 0)
         assert main(["closure", star63_file, "--mode", "search",
                      "--budget", "0.5"]) == 4
         assert capsys.readouterr().err.startswith("budget exceeded: min added edges >= ")
@@ -394,6 +404,27 @@ class TestVerify:
         row = report["result"]["rows"][0]
         assert row["min_added_edges"] == 7
         assert row["oracle"] == 7
+
+    def test_oracle_is_the_naive_search_up_to_order_11(self, capsys, monkeypatch):
+        """``verify --oracle`` checks every row with n <= 11 by the naive
+        search, which does not rest on the paper's theorem, and leaves
+        larger rows without an oracle."""
+        searched = []
+        real = cli.search_minimum_additions
+
+        def spy(g, config):
+            searched.append((g.n, config.prune_mode))
+            return real(g, config)
+
+        monkeypatch.setattr(cli, "search_minimum_additions", spy)
+        code, report = run_json(capsys, ["verify", "--family", "broom", "--m", "4..9",
+                                         "--oracle", "--json"])
+        assert code == 0
+        rows = report["result"]["rows"]
+        assert [(row["n"], row["oracle"]) for row in rows] == [
+            (7, 8), (8, 13), (9, 19), (10, 26), (11, 34), (12, None)]
+        assert all(row["oracle"] in (None, row["min_added_edges"]) for row in rows)
+        assert searched == [(n, "naive") for n in range(7, 12)]
 
     def test_single_m(self, capsys):
         code, report = run_json(capsys, ["verify", "--family", "star", "--m", "5", "--json"])

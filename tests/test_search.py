@@ -343,6 +343,11 @@ def _without_cut(monkeypatch):
     monkeypatch.setattr(search, "_dominated", lambda rows, among, by: 0)
 
 
+def _without_floor(monkeypatch):
+    """Patch the transmission floor out of the walk: no vertex is below it."""
+    monkeypatch.setattr(search, "_below_floor", lambda rows, left: 0)
+
+
 class TestProgress:
     def test_progress_is_updated(self, monkeypatch):
         levels = _spy_levels(monkeypatch)
@@ -502,7 +507,8 @@ def test_minimality_spot_check_on_acceptance_instances():
         tree = canonical_family_tree(tag, m)
         comp = complement_edges(tree)
         hits, counted, _, timed_out = search._level(
-            tree.adj, comp, expected - 1, search._image_tables([], comp), None, True)
+            tree.adj, search._setup(tree.adj, comp), expected - 1,
+            search._image_tables([], comp), None, True)
         assert (hits, counted, timed_out) == ([], comb(len(comp), expected - 1), False), (tag, m)
 
 
@@ -724,21 +730,29 @@ class TestTwinPruning:
         twin class, and with the domination cut patched out a candidate
         reaches the BFS only when no swap of two label-adjacent spokes makes
         it smaller: 325 of them, against 156 orbits under all permutations
-        of the spokes.  With the cut, every spoke stays dominated until an
-        added edge touches it, and 2 candidates are left."""
+        of the spokes.  With the cut and the transmission floor patched out,
+        every spoke stays dominated until an added edge touches it, and 2
+        candidates are left.  With the floor too, the same 2: the centre's
+        transmission, 6, puts every spoke 5 below the floor of 6, which no
+        level below 15 can lift, so levels 1 to 14 are skipped before their
+        first node."""
         calls = []
         check = search._transmission_regular
         monkeypatch.setattr(search, "_transmission_regular",
                             lambda rows: calls.append(1) or check(rows))
         star = canonical_family_tree(FamilyTag.STAR, 6)
-        cut = search_minimum_additions(star)
-        assert (cut.explored, len(calls)) == (2 ** 15, 2)
-        calls.clear()
-        _without_cut(monkeypatch)
-        res = search_minimum_additions(star)
-        assert res == cut
-        assert res.explored == 2 ** 15
-        assert len(calls) == 325
+        results, tests = [], []
+        for patch_out in None, _without_floor, _without_cut:
+            if patch_out:
+                patch_out(monkeypatch)
+            calls.clear()
+            results.append(search_minimum_additions(star))
+            tests.append(len(calls))
+        assert results == [results[0]] * 3
+        assert results[0].explored == 2 ** 15
+        assert tests == [2, 2, 325]
+        comp, perms = complement_edges(star), search._generators(star)
+        assert all(_walk(star, comp, k, perms) == [] for k in range(1, 15))
 
 
 # the order-7 spider with three legs of length 2: no twins, and its two
@@ -775,34 +789,62 @@ def _dropped(comp, prefix, perms):
                for p in perms)
 
 
-def _walk(g, comp, k, perms, cut=True):
+def _short_of_floor(g, added, left):
+    """The vertices of ``g`` plus the edges ``added`` whose degree is below
+    the transmission floor 2(n-1) - D(u), u the first vertex of maximum
+    degree, from ``bfs_distances``; None when ``left`` more edges cannot
+    lift them all to it."""
+    edges = [*g.edges(), *added]
+    degree = [0] * g.n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    floor = 2 * (g.n - 1) - sum(helpers.bfs_distances(g.n, edges, degree.index(max(degree))))
+    gaps = {v: floor - d for v, d in enumerate(degree) if d < floor}
+    if any(gap > left for gap in gaps.values()) or sum(gaps.values()) > 2 * left:
+        return None
+    return set(gaps)
+
+
+def _walk(g, comp, k, perms, cut=True, floor=True):
     """The nodes of level k >= 1 in the order the depth-first walk visits
     them, each with the number of k-subsets before its lex subtree: every
     prefix of a k-subset, taken in lex order, whose shorter prefixes
     survive.  A prefix survives when no permutation maps it lex-smaller
-    and, with the domination cut, when its graph has at most twice as many
-    dominated vertices as edges left to pick.  With the cut, a prefix is
-    visited only when its last edge touches every dominated vertex of the
-    graph before it (a whole k-subset) or comes no later than the last
-    edge that touches each of them (a shorter prefix), and a level whose
-    input has more than 2k dominated vertices visits nothing."""
+    and, with a cut, when its graph has at most twice as many vertices to
+    touch as edges left to pick and, with the floor, when the floor does not
+    rule it out.  The vertices to touch are, with the domination cut, the
+    dominated ones, with the floor those below it, and those of the shorter
+    prefix that the last edge misses.  With a cut, a prefix is visited only
+    when its last edge touches every vertex the shorter prefix must touch
+    (a whole k-subset) or comes no later than the last edge that touches
+    each of them (a shorter prefix), and a level whose input has more than
+    2k vertices to touch, or that the floor rules out, visits nothing."""
     last_touch = [max((j for j, e in enumerate(comp) if x in e), default=-1)
                   for x in range(g.n)]
-    doms = {}
+    musts = {}
 
-    def dominated(prefix):
-        if prefix not in doms:
-            doms[prefix] = _dominated_vertices(g, [comp[j] for j in prefix])
-        return doms[prefix]
+    def must(prefix):  # None when the floor rules the prefix out
+        if prefix not in musts:
+            added = [comp[j] for j in prefix]
+            out = _dominated_vertices(g, added) if cut else set()
+            if prefix:
+                out |= must(prefix[:-1]) - set(comp[prefix[-1]])
+            short = _short_of_floor(g, added, k - len(prefix)) if floor else set()
+            musts[prefix] = None if short is None else out | short
+        return musts[prefix]
 
-    if cut and len(dominated(())) > 2 * k:
+    def dead(prefix):
+        return must(prefix) is None or len(must(prefix)) > 2 * (k - len(prefix))
+
+    if (cut or floor) and dead(()):
         return []
     seen, nodes = set(), []
     for rank, cand in enumerate(combinations(range(len(comp)), k)):
         for depth in range(1, k + 1):
             prefix = cand[:depth]
-            if cut:
-                before, pick = dominated(prefix[:-1]), prefix[-1]
+            if cut or floor:
+                before, pick = must(prefix[:-1]), prefix[-1]
                 if depth == k and not before <= set(comp[pick]):
                     break
                 if depth < k and any(pick > last_touch[x] for x in before):
@@ -812,7 +854,7 @@ def _walk(g, comp, k, perms, cut=True):
                 nodes.append((prefix, rank))
             if _dropped(comp, prefix, perms):
                 break
-            if cut and depth < k and len(dominated(prefix)) > 2 * (k - depth):
+            if (cut or floor) and depth < k and dead(prefix):
                 break
     return nodes
 
@@ -888,40 +930,48 @@ class TestSubtreePruning:
         kept = tables.ones.bit_count()
         assert 0 < kept < len(perms) == 62
         assert kept * per_perm <= search._MAX_TABLE_BITS < (kept + 1) * per_perm
-        assert search._level(star.adj, comp, len(comp), tables, None, False)[0] \
+        setup = search._setup(star.adj, comp)
+        assert search._level(star.adj, setup, len(comp), tables, None, False)[0] \
             == [tuple(range(len(comp)))]
 
     def test_spider_balance_tests_only_subtree_survivors(self, monkeypatch):
         """The spider has no twins, so the twin rule tests every one of its
         19,274 candidates up to the first witness; with the domination cut
-        patched out its leg swaps leave 3,999, and with the cut 389."""
+        and the transmission floor patched out its leg swaps leave 3,999,
+        with the cut alone 389, and with the cut and the floor 8."""
         calls = []
         check = search._transmission_regular
         monkeypatch.setattr(search, "_transmission_regular",
                             lambda rows: calls.append(1) or check(rows))
-        cut = search_minimum_additions(SPIDER)
-        assert (cut.explored, len(calls)) == (19274, 389)
-        calls.clear()
-        _without_cut(monkeypatch)
-        res = search_minimum_additions(SPIDER)
-        assert res == cut
-        assert res.explored == 19274
-        assert len(calls) == 3999
+        results, tests = [], []
+        for patch_out in None, _without_floor, _without_cut:
+            if patch_out:
+                patch_out(monkeypatch)
+            calls.clear()
+            results.append(search_minimum_additions(SPIDER))
+            tests.append(len(calls))
+        assert results == [results[0]] * 3
+        assert results[0].explored == 19274
+        assert tests == [8, 389, 3999]
 
     @pytest.mark.parametrize("late_read", [2, 3])
     def test_budget_holds_while_subtrees_are_dropped(self, monkeypatch, late_read):
         """The clock is read before every _DEADLINE_STRIDE-th node the walk
         visits, dropped ones included.  Level 5 of the spider, the first
-        level of more than one stride, visits 1,065 nodes with the
-        domination cut patched out; with the cut it visits 294, which a
-        stride of 128 reads at three of them.  A clock that turns late at a
-        later read inside it stops the search at the node that read comes
-        before, and ``explored`` counts the subsets before that node's lex
-        subtree."""
+        level the walk enters, visits 71 nodes, which a stride of 16 reads at
+        five of them.  With the transmission floor patched out it is the
+        first level of more than one stride: it visits 294, which a stride
+        of 128 reads at three of them, and with the domination cut patched
+        out too 1,065.  A clock that turns late at a later read inside it
+        stops the search at the node that read comes before, and
+        ``explored`` counts the subsets before that node's lex subtree."""
         level = 5
         comp = complement_edges(SPIDER)
         levels = _spy_levels(monkeypatch)
-        for cut, stride, count in (True, 128, 294), (False, search._DEADLINE_STRIDE, 1065):
+        for cut, floor, stride, count in ((True, True, 16, 71), (True, False, 128, 294),
+                                          (False, False, search._DEADLINE_STRIDE, 1065)):
+            if not floor:
+                _without_floor(monkeypatch)
             if not cut:
                 _without_cut(monkeypatch)
             monkeypatch.setattr(search, "_DEADLINE_STRIDE", stride)
@@ -937,7 +987,7 @@ class TestSubtreePruning:
             monkeypatch.setattr(search.time, "monotonic", clock)
             with pytest.raises(SearchBudgetError, match=f"inside level k={level}") as exc_info:
                 search_minimum_additions(SPIDER, SearchConfig(time_budget=1.0))
-            nodes = _walk(SPIDER, comp, level, SPIDER_SWAPS, cut)
+            nodes = _walk(SPIDER, comp, level, SPIDER_SWAPS, cut, floor)
             late = (late_read - 1) * stride
             assert len(nodes) == count
             assert exc_info.value.exhausted_k == level - 1
@@ -946,24 +996,31 @@ class TestSubtreePruning:
 
     def test_budget_holds_at_every_node_of_a_level(self, monkeypatch):
         """With the clock read at every node, a clock that turns late at any
-        node of level 3 of the m = 4 star (below its witness level, so pruned
-        by the spoke swaps even with every witness wanted) stops the search
-        at that node, a leaf in the leaf loop or a prefix before it, dropped
-        or not.  With the domination cut patched out the level has 12 nodes;
-        with it 5, none a leaf, as the centre dominates every spoke that is
-        not joined to all the others.  ``explored`` counts the 3-subsets
-        before the first one that starts with the node's edges, the lex
-        rank of a leaf."""
-        level, star = 3, canonical_family_tree(FamilyTag.STAR, 4)
-        comp = complement_edges(star)
-        subsets = list(combinations(range(len(comp)), level))
+        node of a level below the witness level (so pruned by the
+        automorphisms even with every witness wanted) stops the search at
+        that node, a leaf in the leaf loop or a prefix before it, dropped or
+        not.  Level 5 of the spider has 71 nodes, 6 of them leaves.  Level 3
+        of the m = 4 star has none: its spokes are 3 below the floor of 4.
+        With the transmission floor patched out it has 5, none a leaf, as
+        the centre dominates every spoke that is not joined to all the
+        others; with the domination cut patched out too, 12.  ``explored``
+        counts the k-subsets before the first one that starts with the
+        node's edges, the lex rank of a leaf."""
+        star = canonical_family_tree(FamilyTag.STAR, 4)
+        assert _walk(star, complement_edges(star), 3, search._generators(star)) == []
         monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
         levels = _spy_levels(monkeypatch)
-        perms = search._generators(star)
-        for cut, count, leaves in (True, 5, 0), (False, 12, 4):
+        cases = [(SPIDER, 5, True, True, 71, 6), (star, 3, True, False, 5, 0),
+                 (star, 3, False, False, 12, 4)]
+        for g, level, cut, floor, count, leaves in cases:
+            if not floor:
+                _without_floor(monkeypatch)
             if not cut:
                 _without_cut(monkeypatch)
-            nodes = [prefix for prefix, _ in _walk(star, comp, level, perms, cut)]
+            comp = complement_edges(g)
+            subsets = list(combinations(range(len(comp)), level))
+            nodes = [prefix for prefix, _ in
+                     _walk(g, comp, level, search._generators(g), cut, floor)]
             assert (len(nodes), sum(len(p) == level for p in nodes)) == (count, leaves)
             for late_read, prefix in enumerate(nodes, 1):
                 levels.clear()
@@ -977,11 +1034,11 @@ class TestSubtreePruning:
                 monkeypatch.setattr(search.time, "monotonic", clock)
                 with pytest.raises(SearchBudgetError, match=f"inside level k={level}") as exc_info:
                     search_minimum_additions(
-                        star, SearchConfig(all_witnesses=True, time_budget=1.0))
+                        g, SearchConfig(all_witnesses=True, time_budget=1.0))
                 rank = next(r for r, s in enumerate(subsets) if s[:len(prefix)] == prefix)
                 assert exc_info.value.exhausted_k == level - 1
                 assert exc_info.value.explored == \
-                    sum(comb(len(comp), j) for j in range(level)) + rank, (cut, prefix)
+                    sum(comb(len(comp), j) for j in range(level)) + rank, (g, cut, floor, prefix)
 
 
 class TestDominationCut:
@@ -1018,53 +1075,123 @@ class TestDominationCut:
         for g in balanced:
             assert not _dominated_vertices(g), g
 
-    def test_walk_visits_the_model_nodes(self, monkeypatch):
+    def test_walk_visits_the_model_nodes(self, monkeypatch, small_connected_graphs):
         """With the clock read at every node, the walk of every level of
         every connected graph with n <= 5 reads it once per node of
         ``_walk``'s model, and balance-tests exactly its leaves that no
-        permutation maps lex-smaller."""
+        permutation maps lex-smaller; with the transmission floor and with
+        it patched out."""
         reads = []
         monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
         monkeypatch.setattr(search.time, "monotonic", lambda: reads.append(1) or 0.0)
-        for n in range(1, 6):
-            for g in helpers.all_connected_graphs(n):
-                comp = complement_edges(g)
-                perms = search._generators(g)
-                tables = search._image_tables(perms, comp)
-                for k in range(1, len(comp) + 1):
-                    reads.clear()
-                    _, lex, tested, timed_out = search._level(
-                        g.adj, comp, k, tables, 1.0, True)
-                    nodes = [prefix for prefix, _ in _walk(g, comp, k, perms)]
-                    leaves = [p for p in nodes if len(p) == k and not _dropped(comp, p, perms)]
-                    assert (len(reads), tested, lex, timed_out) == \
-                        (len(nodes), len(leaves), comb(len(comp), k), False), (g, k)
+        for floor in True, False:
+            if not floor:
+                _without_floor(monkeypatch)
+            for n in range(1, 6):
+                for g in small_connected_graphs[n]:
+                    comp = complement_edges(g)
+                    setup = search._setup(g.adj, comp)
+                    perms = search._generators(g)
+                    tables = search._image_tables(perms, comp)
+                    for k in range(1, len(comp) + 1):
+                        reads.clear()
+                        _, lex, tested, timed_out = search._level(
+                            g.adj, setup, k, tables, 1.0, True)
+                        nodes = [prefix for prefix, _ in _walk(g, comp, k, perms, floor=floor)]
+                        leaves = [p for p in nodes
+                                  if len(p) == k and not _dropped(comp, p, perms)]
+                        assert (len(reads), tested, lex, timed_out) == \
+                            (len(nodes), len(leaves), comb(len(comp), k), False), (g, k, floor)
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_cut_changes_no_search_result(self, monkeypatch, small_connected_graphs, n):
+    def test_cut_changes_no_search_result(self, monkeypatch, small_connected_graphs,
+                                          uncut_runs, n):
         """On every labelled connected graph with n <= 6, the search with the
-        cut and with it patched out returns the same result, with every
-        witness wanted and with the first.  Each search is run with every
-        witness wanted; its walk of each level up to the first witness's,
-        pruned, is the whole walk of a first-witness search, so the outputs
-        of those walks are compared too (all but the balance tests)."""
-        calls = []
-        real = search._level
+        cut and with it patched out, the transmission floor patched out in
+        both, returns the same result, with every witness wanted and with
+        the first (``_level_runs``)."""
+        _without_floor(monkeypatch)
+        assert _level_runs(monkeypatch, small_connected_graphs[n]) == uncut_runs(n)
 
-        def spy(*args):
-            out = real(*args)
-            calls.append((out[0], out[1], out[3]))
-            return out
 
-        monkeypatch.setattr(search, "_level", spy)
-        graphs = small_connected_graphs[n]
-        runs = []
-        for cut in True, False:
-            if not cut:
-                _without_cut(monkeypatch)
-            runs.append([])
+def _level_runs(monkeypatch, graphs):
+    """Per graph, its search with every witness wanted and the outputs of
+    the level walks it makes, all but the balance tests.  A walk of each
+    level up to the first witness's, pruned, is the whole walk of a
+    first-witness search, so these outputs also decide the result of one."""
+    calls = []
+    real = search._level
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((out[0], out[1], out[3]))
+        return out
+
+    monkeypatch.setattr(search, "_level", spy)
+    runs = []
+    for g in graphs:
+        calls.clear()
+        res = search_minimum_additions(g, SearchConfig(all_witnesses=True))
+        runs.append((res, calls.copy()))
+    return runs
+
+
+@pytest.fixture(scope="session")
+def uncut_runs(small_connected_graphs):
+    """``_level_runs`` of every labelled connected graph with n vertices,
+    n <= 6, with the domination cut and the transmission floor patched out:
+    the baseline each cut is compared against, taken once per n."""
+    runs = {}
+
+    def of_order(n):
+        if n not in runs:
+            with pytest.MonkeyPatch.context() as patch:
+                _without_cut(patch)
+                _without_floor(patch)
+                runs[n] = _level_runs(patch, small_connected_graphs[n])
+        return runs[n]
+
+    return of_order
+
+
+class TestTransmissionFloor:
+    """Lemma F: a balanced graph that contains a connected graph H on the
+    same vertices has no degree below 2(n-1) - D_H(u), for any u.  The walk
+    drops every lex subtree whose completions cannot lift each vertex to
+    that floor."""
+
+    def test_lemma_on_every_small_graph(self, small_connected_graphs):
+        """For every connected graph H with n <= 6 and each balanced graph
+        on its vertices that contains it, the least degree of the balanced
+        graph is at least 2(n-1) - D_H(u) for the u of least transmission,
+        and so for every u; transmissions from ``bfs_distances``."""
+        pairs_checked = 0
+        for n, graphs in small_connected_graphs.items():
+            index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
+            least = {}  # edge mask -> the least transmission
+            balanced = []  # (edge mask, least degree)
             for g in graphs:
-                calls.clear()
-                res = search_minimum_additions(g, SearchConfig(all_witnesses=True))
-                runs[-1].append((res, calls.copy()))
-        assert runs[0] == runs[1]
+                edges = g.edges()
+                mask = sum(1 << index[e] for e in edges)
+                trans = [sum(helpers.bfs_distances(n, edges, u)) for u in range(n)]
+                least[mask] = min(trans)
+                if len(set(trans)) == 1:
+                    balanced.append((mask, min(g.degree(v) for v in range(n))))
+            for big, low in balanced:
+                sub = big
+                while sub:  # every edge set inside ``big``
+                    if sub in least:
+                        assert low >= 2 * (n - 1) - least[sub], (n, big, sub)
+                        pairs_checked += 1
+                    sub = (sub - 1) & big
+        assert pairs_checked == 81752
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_floor_changes_no_search_result(self, monkeypatch, small_connected_graphs,
+                                            uncut_runs, n):
+        """On every labelled connected graph with n <= 6, the search with
+        the floor and the domination cut returns the same result as with
+        both patched out, with every witness wanted and with the first;
+        with ``test_cut_changes_no_search_result``, the floor changes no
+        result of the search with the cut."""
+        assert _level_runs(monkeypatch, small_connected_graphs[n]) == uncut_runs(n)
