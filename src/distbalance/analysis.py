@@ -8,10 +8,16 @@ Balance is decided as transmission-regularity: for an edge xy, |closer to
 x| - |closer to y| = D(y) - D(x), where D(v) is the sum of the distances
 from v, so a connected graph is balanced iff all D(v) are equal (Jerebic,
 Klavzar and Rall, "Distance-balanced graphs", Ann. Comb. 12 (2008)).
-Every report takes one all-sources ball sweep (``graph._ball_sweep``), and
-its diameter comes from the same sweep.  With B_d(v) the vertices within
-distance d of v, |closer to x| is the sum over d of |B_d(x) - B_d(y)|, and
-|closer to y| follows from the identity.  The search's balance test grows
+Every report takes one call of ``graph._ball_sweep``, and its diameter
+comes from the same call.  In general that is an all-sources ball sweep:
+with B_d(v) the vertices within distance d of v, |closer to x| is the sum
+over d of |B_d(x) - B_d(y)|, and |closer to y| follows from the identity.
+Two kinds of graph skip that per-edge work.  A tree (degree sum 2(n - 1))
+gets its transmissions from two O(n) passes over a BFS tree, with D(c) =
+D(parent) + n - 2 |subtree(c)| for a child c.  A bipartite graph (no edge
+inside a BFS level) has no vertex equidistant from the ends of an edge, so
+the identity alone gives |closer to x| = (n + D(y) - D(x)) / 2; a tree
+takes this formula too.  The search's balance test grows
 one vertex's ball at a time in a fused loop that sums D as the ball grows,
 so it can stop at the first vertex whose D differs.
 """

@@ -5,17 +5,30 @@ vector: bit v of row u is set when uv is an edge, for any n.  ``_members``
 lists a row's vertices: bit by bit when sparse, and as its range minus the
 few clear bits, filtered in C, when dense, so a near-complete row costs
 its non-neighbours in Python steps.  Edge lists and a closure's added
-pairs (``_upper_pairs``) and the neighbour lists of ``_ball_sweep`` all
-read their rows through it.
+pairs (``_upper_pairs``) and the neighbour lists of ``_sweep`` all read
+their rows through it.
 
 ``_levels`` is a single-source BFS that returns level masks;
 connectivity, the two-sweep tree diameter and the search's tree centre are
 read off it.
-``_ball_sweep`` grows the balls of every vertex at once and gives
-transmissions, the diameter and the per-edge closer counts of a whole
-graph.  The analysis module decides balance as transmission-regularity
-(Jerebic, Klavzar and Rall, Ann. Comb. 12 (2008)); the search's test there
-fuses the growth of each ball with the transmission sum.
+``_ball_sweep`` gives the transmissions, the diameter and the per-edge
+closer counts of a whole graph, by one of three routes picked from vertex
+0's BFS levels, which it takes anyway to refuse a disconnected graph:
+- a tree (degree sum 2(n - 1)) takes two O(n) passes over the BFS tree:
+  subtree sizes and heights bottom-up, then D(c) = D(parent) + n - 2
+  |subtree(c)| top-down, since moving the root to c brings c's subtree one
+  step closer and the rest one step farther;
+- a bipartite graph (no edge inside one level) takes the general sweep
+  without its per-edge meets: no vertex is equidistant from the ends of an
+  edge (Ilic, Klavzar and Milanovic, Eur. J. Combin. 31 (2010)), so the two
+  closer counts sum to n and |closer to x| = (n + D(y) - D(x)) / 2;
+- every other graph takes ``_sweep``, which grows the balls of every vertex
+  at once (K_n is read off its degrees).
+The identity behind the bipartite route, |closer to x| - |closer to y| =
+D(y) - D(x), is also how the analysis module decides balance, as
+transmission-regularity (Jerebic, Klavzar and Rall, Ann. Comb. 12 (2008));
+the search's test there fuses the growth of each ball with the
+transmission sum.
 All distance computations reject disconnected graphs; there are no
 infinite distances anywhere in the API.
 """
@@ -192,7 +205,63 @@ _BLOCK = 4096
 
 def _ball_sweep(adj, edges=None) -> tuple[list[int], int, list[int] | None]:
     """(transmissions, the diameter, |closer to x| of each (x, y) in
-    ``edges``) of a connected graph, from the balls of every vertex at once.
+    ``edges``) of a connected graph.
+
+    The BFS levels of vertex 0, taken to refuse a disconnected graph, pick
+    the route (see the module docstring): K_n from its degrees, a tree from
+    ``_tree_sweep``, the counts of a bipartite graph from ``_sweep``'s
+    transmissions and |closer to x| = (n + D(y) - D(x)) / 2, and any other
+    graph from ``_sweep`` with its per-edge meets.
+    """
+    levels = _spanning_levels(adj, 0)
+    n = len(adj)
+    degrees = list(map(int.bit_count, adj))
+    if degrees.count(n - 1) == n:  # complete: B_1 is full
+        return [n - 1] * n, min(n - 1, 1), None if edges is None else [1] * len(edges)
+    if sum(degrees) == 2 * (n - 1):
+        trans, diam = _tree_sweep(adj, levels)
+    elif edges is not None and not any(adj[v] & level for level in levels
+                                       for v in _members(level, 0, n)):
+        trans, diam, _ = _sweep(adj, degrees)
+    else:
+        return _sweep(adj, degrees, edges)
+    near = None if edges is None else [(n + trans[y] - trans[x]) >> 1 for x, y in edges]
+    return trans, diam, near
+
+
+def _tree_sweep(adj, levels) -> tuple[list[int], int]:
+    """(transmissions, the diameter) of a tree from the BFS levels of vertex 0.
+
+    A vertex's parent is its one neighbour in the level before its own.
+    Bottom-up, each vertex adds its subtree size and its height to its
+    parent's, and the diameter is the largest sum of two branch heights at a
+    vertex.  Top-down, D(0) = sum of i |L_i|, and moving the root across the
+    edge to a child c brings the |subtree(c)| vertices one closer and the
+    others one farther: D(c) = D(parent) + n - 2 |subtree(c)|.
+    """
+    n = len(adj)
+    order, parent = [0], [0] * n
+    for prev, level in zip(levels, levels[1:]):
+        for v in _members(level, 0, n):
+            parent[v] = (adj[v] & prev).bit_length() - 1
+            order.append(v)
+    size, height, diam = [1] * n, [0] * n, 0
+    for v in order[:0:-1]:
+        p, h = parent[v], height[v] + 1
+        size[p] += size[v]
+        if height[p] + h > diam:
+            diam = height[p] + h
+        if h > height[p]:
+            height[p] = h
+    trans = [0] * n
+    trans[0] = sum(i * level.bit_count() for i, level in enumerate(levels))
+    for v in order[1:]:
+        trans[v] = trans[parent[v]] + n - 2 * size[v]
+    return trans, diam
+
+
+def _sweep(adj, degrees, edges=None) -> tuple[list[int], int, list[int] | None]:
+    """``_ball_sweep``'s general route, from the balls of every vertex at once.
 
     B_d(u), the vertices within distance d of u, starts at the closed row
     B_1(u) and grows by B_{d+1}(u) = the union of B_d(w) over w in N[u],
@@ -204,13 +273,10 @@ def _ball_sweep(adj, edges=None) -> tuple[list[int], int, list[int] | None]:
     columns run in blocks of ``_BLOCK``; the blocks' sums add up, and the
     diameter is the largest of their last d.
     """
-    _spanning_levels(adj, 0)  # refuse a disconnected graph before allocating
     n = len(adj)
-    if all(row.bit_count() == n - 1 for row in adj):  # complete: B_1 is full
-        return [n - 1] * n, min(n - 1, 1), None if edges is None else [1] * len(edges)
     # positions by falling degree, so the vertices with a j-th neighbour are
     # a prefix and a step is a few whole-list maps
-    order = sorted(range(n), key=lambda u: -adj[u].bit_count())
+    order = sorted(range(n), key=degrees.__getitem__, reverse=True)
     pos = [0] * n
     for i, u in enumerate(order):
         pos[u] = i

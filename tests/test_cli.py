@@ -111,11 +111,12 @@ def test_plain_check_matches_oracle(g):
 
 
 @pytest.mark.parametrize("command", [["check"], ["check", "--report"], ["szeged"]])
-@pytest.mark.parametrize("g", [cycle_graph(9), complete_graph(6), broom(4)],
-                         ids=["C9", "K6", "broom4"])
+@pytest.mark.parametrize("g", [cycle_graph(9), complete_graph(6), broom(4), cycle_graph(8)],
+                         ids=["C9", "K6", "broom4", "C8"])
 def test_one_bfs_pass_per_report(monkeypatch, capsys, tmp_path, command, g):
-    """Each report takes one ball sweep, whose connectivity gate is its one
-    single-source BFS; the input's diameter is read off the same sweep."""
+    """Each report takes one ball sweep or, for a tree, two passes over a BFS
+    tree; their connectivity gate is the one single-source BFS, which also
+    picks the route, and the input's diameter is read off the same route."""
     expected_diameter = diameter(g)
     calls = []
 

@@ -1,6 +1,7 @@
 """The all-sources ball sweep behind transmissions, eccentricities, the
 diameter and per-edge counts: block widths, graphs past the exhaustive
-range, and the one- and two-vertex graphs where the sweep only starts."""
+range, the tree and bipartite routes that skip the general sweep's per-edge
+work, and the one- and two-vertex graphs where the sweep only starts."""
 
 import json
 import random
@@ -48,6 +49,13 @@ def random_connected(n: int, extra: int, rng: random.Random) -> Graph:
     return from_edge_list(n, edges)
 
 
+def tree_with_triangle(n: int, rng: random.Random) -> Graph:
+    """A random tree plus the chord from one vertex to its grandparent."""
+    parent = [0] + [rng.randrange(v) for v in range(1, n)]
+    v = rng.choice([v for v in range(1, n) if parent[v]])
+    return from_edge_list(n, [(parent[u], u) for u in range(1, n)] + [(parent[parent[v]], v)])
+
+
 def assert_matches_oracle(g: Graph) -> None:
     """Transmissions, eccentricities, records, Szeged index, plain check and
     diameter against queue-BFS distance rows and the per-edge definition."""
@@ -75,9 +83,70 @@ def test_block_width_does_not_change_results(monkeypatch, random_corpus, width):
         random_tree(90, rng), random_connected(80, 40, rng),
         cycle_graph(70), hypercube(7), torus(6, 12), broom(70),
         complete_graph(66), canonical_family_tree(FamilyTag.S3, 64),
+        # trees and bipartite graphs skip the blocks or the meets, so these
+        # keep long-diameter inputs on the general sweep at every width
+        cycle_graph(71), torus(5, 12), tree_with_triangle(90, rng),
     ]
     for g in graphs:
         assert_matches_oracle(g)
+
+
+def _refuse(*args):
+    raise AssertionError("general sweep step taken")
+
+
+def test_odd_block_inputs_take_the_meets(monkeypatch):
+    """Odd cycles, odd tori and trees plus a triangle, the block test's
+    general-sweep inputs, are not bipartite: their per-edge counts come from
+    the sweep's meets."""
+    monkeypatch.setattr(graph, "and_", _refuse)
+    for g in (cycle_graph(71), torus(5, 12), tree_with_triangle(90, random.Random(1))):
+        with pytest.raises(AssertionError, match="general sweep"):
+            _ball_sweep(g.adj, g.edges())
+
+
+def _cli_results(capsys, tmp_path, g):
+    """The JSON result and input diameter of check, check --report and szeged."""
+    path = tmp_path / "g.el"
+    write_edge_list(g, path)
+    out = []
+    for argv in (["check"], ["check", "--report"], ["szeged"]):
+        main([argv[0], str(path), *argv[1:], "--json"])
+        report = json.loads(capsys.readouterr().out)
+        out.append((report["input"]["diameter"], report["result"]))
+    return out
+
+
+def _oracle_results(g):
+    records = helpers.edge_balance_oracle(g)
+    balanced, worst, diam = helpers.plain_check_oracle(g)
+    worst = worst and list(worst)
+    return [(diam, {"balanced": balanced, "worst_edge": worst}),
+            (diam, {"balanced": balanced, "worst_edge": worst,
+                    "records": [list(r) for r in records]}),
+            (diam, {"szeged_index": sum(cx * cy for _, _, cx, cy in records)})]
+
+
+@pytest.mark.parametrize("g", [
+    path_graph(3), broom(6), canonical_family_tree(FamilyTag.S22, 9),
+    random_tree(60, random.Random(60)), path_graph(150),
+], ids=["P3", "broom6", "s22_9", "random60", "P150"])
+def test_trees_take_two_passes_and_no_ball_step(monkeypatch, capsys, tmp_path, g):
+    """A tree's reports come from subtree sizes and heights over vertex 0's BFS
+    tree: the general sweep never cuts a neighbour column."""
+    monkeypatch.setattr(graph, "zip_longest", _refuse)
+    assert _cli_results(capsys, tmp_path, g) == _oracle_results(g)
+
+
+@pytest.mark.parametrize("g", [
+    cycle_graph(8), hypercube(3), hypercube(6), torus(4, 6),
+    helpers.complete_bipartite(3, 5),
+], ids=["C8", "Q3", "Q6", "T4x6", "K3,5"])
+def test_bipartite_records_take_no_meets(monkeypatch, capsys, tmp_path, g):
+    """A bipartite graph's per-edge counts come from its transmissions: no
+    vertex is equidistant from the ends of an edge, so the sweep takes no meet."""
+    monkeypatch.setattr(graph, "and_", _refuse)
+    assert _cli_results(capsys, tmp_path, g) == _oracle_results(g)
 
 
 def test_random_trees_of_order_200():
