@@ -279,7 +279,7 @@ def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
             passed = cert.ok
             if oracle and tree.n <= 11:
                 # the naive mode, which does not rest on the paper's theorem,
-                # up to n = 11: the five n = 11 trees take about 0.26 s in all
+                # up to n = 11: the five n = 11 trees take about 0.3 s in all
                 found = search_minimum_additions(tree, SearchConfig())
                 row["oracle"] = found.min_additions
                 passed = passed and found.min_additions == row["min_added_edges"]

@@ -23,23 +23,9 @@ subtree.  Each automorphism is tested alone, not the whole group.
 ``all_witnesses`` walks every level pruned and rescans the witness level
 without the automorphisms.
 
-The naive walk also cuts by domination, an elementary necessary condition
-that does not rest on the paper's theorem.  Call x dominated when it has a
-neighbour y with N[x] a proper subset of N[y]; then the graph is not
-balanced.  Proof: for any w != x, a shortest x-w path leaves x through
-some z in N(x), which lies in N[y], so d(y, w) <= 1 + d(z, w) = d(x, w);
-only x is closer to x than to y, while y and each vertex of N[y] - N[x]
-are closer to y.  (A pendant vertex is the special case.)  Added edges
-that miss x leave N[x] as it is and only grow N[y], so a dominated vertex
-of the graph of a prefix stays dominated in every completion whose later
-edges all miss it.  So a prefix with more dominated vertices than twice
-the edges still to pick is dropped, the next edge is picked only up to
-the last complement edge that touches each dominated vertex, and a last
-edge must touch all of them.
-
-It cuts by a transmission floor too, which does not rest on the paper's
-theorem either.  Lemma F: let H be connected and H' a balanced graph on
-the same vertices that contains H; then every vertex v has
+The naive walk also cuts by a transmission floor, which does not rest on
+the paper's theorem.  Lemma F: let H be connected and H' a balanced graph
+on the same vertices that contains H; then every vertex v has
 deg_H'(v) >= f(H) = 2(n-1) - D_H(u), for any vertex u, D the
 transmission.  Proof: H' is transmission-regular with some value t
 (Jerebic, Klavzar and Rall 2008); the non-neighbours of v are at distance
@@ -47,16 +33,16 @@ at least 2, so t = D_H'(v) >= 2(n-1) - deg_H'(v), and adding edges never
 makes a distance longer, so t = D_H'(u) <= D_H(u).  One BFS from a vertex
 of maximum degree gives f; a prefix graph with a vertex more than the
 edges still to pick below it, or below it by more than twice them in all,
-has no balanced completion, and a vertex below it must be touched by a
-later edge, like a dominated one.  A level whose input the floor rules out
-is skipped, and counted whole.
+has no balanced completion.  A vertex below f must be touched by a later
+edge, so the next edge is picked only up to the last complement edge that
+touches each of them, and a last edge must touch all of them.  A level
+whose input the floor rules out is skipped, and counted whole.
 
-Every witness survives both rules, so the witnesses, their order and
+Every witness survives the floor, so the witnesses, their order and
 ``explored`` are unchanged.  The m = 6 star balance-tests 325 of its 2^15
 candidates under the automorphisms alone, which fall into 156 orbits, and
-2 under all three rules: the centre dominates every spoke that is not yet
-joined to all the others, and the floor, 6 at the star, skips every level
-below 15.
+2 with the floor: 6 at the star, it puts every spoke 5 below it, so every
+level below 15 is skipped.
 
 The "regular" mode is legal on inputs of maximum degree at least n-3 and
 refused elsewhere.  There every balanced supergraph keeps that degree, so
@@ -107,8 +93,7 @@ class SearchConfig(NamedTuple):
     """Knobs for the exhaustive search.
 
     prune_mode: "naive" tests every subset that no automorphism maps
-        lex-smaller, bar those the domination cut or the transmission
-        floor shows unbalanced;
+        lex-smaller, bar those the transmission floor shows unbalanced;
         "regular" only the regular completions, legal on inputs of max
         degree >= n-3 (see module docstring).
     max_k: stop after exhausting this many added edges (>= 0).
@@ -270,33 +255,11 @@ def _lex_rank(prefix: Sequence[int], n_comp: int, k: int) -> int:
     return rank
 
 
-def _dominated(rows: list[int], among: int, by: int) -> int:
-    """The vertices x in the mask ``among`` that have a neighbour y in the
-    mask ``by`` with N[x] a proper subset of N[y], in the graph with
-    adjacency rows ``rows``."""
-    dom = 0
-    while among:
-        bit = among & -among
-        among ^= bit
-        row = rows[bit.bit_length() - 1]
-        closed = row | bit
-        row &= by
-        while row:
-            low = row & -row
-            other = rows[low.bit_length() - 1] | low
-            if closed & other == closed != other:
-                dom |= bit
-                break
-            row ^= low
-    return dom
-
-
 class _Setup(NamedTuple):
     """What every level of a naive search shares."""
 
     flips: list[tuple[int, int, int, int]]  # per complement edge (u, 1 << u, v, 1 << v)
     touch: list[int]  # per vertex, the indices whose edge touches it
-    dominated: int  # the input's dominated vertices
 
 
 def _setup(adj: tuple[int, ...], comp: list[Edge]) -> _Setup:
@@ -306,9 +269,7 @@ def _setup(adj: tuple[int, ...], comp: list[Edge]) -> _Setup:
     for j, (u, v) in enumerate(comp):
         touch[u] |= 1 << j
         touch[v] |= 1 << j
-    everyone = (1 << len(adj)) - 1
-    return _Setup([(u, 1 << u, v, 1 << v) for u, v in comp], touch,
-                  _dominated(list(adj), everyone, everyone))
+    return _Setup([(u, 1 << u, v, 1 << v) for u, v in comp], touch)
 
 
 def _below_floor(rows: list[int], left: int) -> int | None:
@@ -338,14 +299,14 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
     that a permutation of ``tables`` maps lex-smaller is dropped with its
     whole subtree, and so is one whose completions all leave a vertex that
     must be touched untouched (module docstring).  Each node keeps a
-    must-touch set: the dominated vertices and those below the floor, and
-    those of its parent that its edge misses.  A level whose input has no
-    balanced completion by the floor is skipped; a node with more vertices
-    to touch than twice the edges left to pick, or one the floor rules
-    out, is dropped; the next edge is picked only up to the last index that
-    touches each of them, and a leaf is tested only when its edge touches
-    all of them.  The clock is read every _DEADLINE_STRIDE nodes; a range
-    that is cut is never visited.
+    must-touch set: the vertices below the floor, and those of its parent
+    that its edge misses.  A level whose input has no balanced completion
+    by the floor is skipped; a node with more vertices to touch than twice
+    the edges left to pick, or one the floor rules out, is dropped; the
+    next edge is picked only up to the last index that touches each of
+    them, and a leaf is tested only when its edge touches all of them.  The
+    clock is read every _DEADLINE_STRIDE nodes; a range that is cut is
+    never visited.
 
     Returns the hits as index sets, the lex count, the leaves balance-tested
     and whether the deadline passed.  The lex count runs up to and including
@@ -357,10 +318,9 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
     rows = list(adj)
     if not k:
         return ([()] if _transmission_regular(rows) else []), 1, 1, False
-    short = _below_floor(rows, k)
-    if short is None or (must := setup.dominated | short).bit_count() > 2 * k:
+    must = _below_floor(rows, k)
+    if must is None:
         return [], comb(n_comp, k), 0, False
-    everyone = (1 << len(rows)) - 1
 
     def cut(must: int) -> int:
         # the largest next index that leaves an edge touching each vertex of ``must``
@@ -425,15 +385,8 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
             d = held ^ image  # the survival test of _ImageTables
             low = d ^ (d & (d - ones))
             if low & held == low:
-                # a vertex that the new edge misses must still be touched,
-                # a dominated one it touches is tested afresh, and any other
-                # can only become dominated by u or v
-                ends = bu | bv
-                must = musts[-1]
-                stays = must & ends
-                must = must & ~ends | _dominated(rows, (rows[u] | rows[v]) & ~must, ends)
-                if stays:
-                    must |= _dominated(rows, stays, everyone)
+                # a vertex that the new edge misses must still be touched
+                must = musts[-1] & ~(bu | bv)
                 left = k - 1 - depth
                 if must.bit_count() <= 2 * left:
                     short = _below_floor(rows, left)

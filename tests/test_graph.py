@@ -135,23 +135,30 @@ class TestDiameter:
     def test_k6_minus_matching(self):
         assert diameter(k6_minus_perfect_matching()) == 2
 
+    @staticmethod
+    def _largest_eccentricity(g):
+        return max(max(helpers.bfs_distances(g.n, g.edges(), v)) for v in range(g.n))
+
     def test_tree_sweeps_match_all_sources(self):
-        """The two-sweep tree route agrees with the largest eccentricity over
-        every source, on every tree with n <= 8 under two labelings."""
+        """The two-sweep tree route of ``diameter`` and the height pass of
+        ``_ball_sweep`` agree with the largest eccentricity over every
+        source, from ``bfs_distances``, on every tree with n <= 8 under two
+        labelings."""
         rng = random.Random(8)
         for n in range(1, 9):
             for t in helpers.all_trees(n):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 for g in (t, relabel(t, perm)):
-                    assert diameter(g) == _ball_sweep(g.adj)[1]
+                    assert diameter(g) == _ball_sweep(g.adj)[1] == \
+                        self._largest_eccentricity(g), g
 
     @given(helpers.trees(max_n=40), st.randoms(use_true_random=False))
     def test_random_tree_sweeps_match_all_sources(self, t, rng):
         perm = list(range(t.n))
         rng.shuffle(perm)
         g = relabel(t, perm)
-        assert diameter(g) == _ball_sweep(g.adj)[1]
+        assert diameter(g) == _ball_sweep(g.adj)[1] == self._largest_eccentricity(g)
 
     @pytest.mark.parametrize("n,edges", [
         (4, [(1, 2), (2, 3), (1, 3)]),          # vertex 0 isolated, a triangle

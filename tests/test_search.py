@@ -338,11 +338,6 @@ def _dominated_vertices(g, added=()) -> set[int]:
     return {x for x in range(g.n) if any(closed[x] < closed[y] for y in closed[x])}
 
 
-def _without_cut(monkeypatch):
-    """Patch the domination cut out of the walk: no vertex is dominated."""
-    monkeypatch.setattr(search, "_dominated", lambda rows, among, by: 0)
-
-
 def _without_floor(monkeypatch):
     """Patch the transmission floor out of the walk: no vertex is below it."""
     monkeypatch.setattr(search, "_below_floor", lambda rows, left: 0)
@@ -727,30 +722,27 @@ class TestTwinPruning:
 
     def test_star_balance_tests_only_twin_minimal_candidates(self, monkeypatch):
         """The m = 6 star enumerates all 2^15 candidates; its spokes are one
-        twin class, and with the domination cut patched out a candidate
+        twin class, and with the transmission floor patched out a candidate
         reaches the BFS only when no swap of two label-adjacent spokes makes
         it smaller: 325 of them, against 156 orbits under all permutations
-        of the spokes.  With the cut and the transmission floor patched out,
-        every spoke stays dominated until an added edge touches it, and 2
-        candidates are left.  With the floor too, the same 2: the centre's
-        transmission, 6, puts every spoke 5 below the floor of 6, which no
-        level below 15 can lift, so levels 1 to 14 are skipped before their
-        first node."""
+        of the spokes.  With the floor, 2: the centre's transmission, 6,
+        puts every spoke 5 below the floor of 6, which no level below 15 can
+        lift, so levels 1 to 14 are skipped before their first node."""
         calls = []
         check = search._transmission_regular
         monkeypatch.setattr(search, "_transmission_regular",
                             lambda rows: calls.append(1) or check(rows))
         star = canonical_family_tree(FamilyTag.STAR, 6)
         results, tests = [], []
-        for patch_out in None, _without_floor, _without_cut:
-            if patch_out:
-                patch_out(monkeypatch)
+        for floor in True, False:
+            if not floor:
+                _without_floor(monkeypatch)
             calls.clear()
             results.append(search_minimum_additions(star))
             tests.append(len(calls))
-        assert results == [results[0]] * 3
+        assert results[0] == results[1]
         assert results[0].explored == 2 ** 15
-        assert tests == [2, 2, 325]
+        assert tests == [2, 325]
         comp, perms = complement_edges(star), search._generators(star)
         assert all(_walk(star, comp, k, perms) == [] for k in range(1, 15))
 
@@ -806,44 +798,41 @@ def _short_of_floor(g, added, left):
     return set(gaps)
 
 
-def _walk(g, comp, k, perms, cut=True, floor=True):
+def _walk(g, comp, k, perms, floor=True):
     """The nodes of level k >= 1 in the order the depth-first walk visits
     them, each with the number of k-subsets before its lex subtree: every
     prefix of a k-subset, taken in lex order, whose shorter prefixes
     survive.  A prefix survives when no permutation maps it lex-smaller
-    and, with a cut, when its graph has at most twice as many vertices to
-    touch as edges left to pick and, with the floor, when the floor does not
-    rule it out.  The vertices to touch are, with the domination cut, the
-    dominated ones, with the floor those below it, and those of the shorter
-    prefix that the last edge misses.  With a cut, a prefix is visited only
-    when its last edge touches every vertex the shorter prefix must touch
-    (a whole k-subset) or comes no later than the last edge that touches
-    each of them (a shorter prefix), and a level whose input has more than
-    2k vertices to touch, or that the floor rules out, visits nothing."""
+    and, with the floor, when the floor does not rule it out and its graph
+    has at most twice as many vertices to touch as edges left to pick.  The
+    vertices to touch are those below the floor and those of the shorter
+    prefix that the last edge misses.  With the floor, a prefix is visited
+    only when its last edge touches every vertex the shorter prefix must
+    touch (a whole k-subset) or comes no later than the last edge that
+    touches each of them (a shorter prefix), and a level whose input the
+    floor rules out visits nothing."""
     last_touch = [max((j for j, e in enumerate(comp) if x in e), default=-1)
                   for x in range(g.n)]
     musts = {}
 
     def must(prefix):  # None when the floor rules the prefix out
         if prefix not in musts:
-            added = [comp[j] for j in prefix]
-            out = _dominated_vertices(g, added) if cut else set()
-            if prefix:
+            out = _short_of_floor(g, [comp[j] for j in prefix], k - len(prefix))
+            if prefix and out is not None:
                 out |= must(prefix[:-1]) - set(comp[prefix[-1]])
-            short = _short_of_floor(g, added, k - len(prefix)) if floor else set()
-            musts[prefix] = None if short is None else out | short
+            musts[prefix] = out
         return musts[prefix]
 
     def dead(prefix):
         return must(prefix) is None or len(must(prefix)) > 2 * (k - len(prefix))
 
-    if (cut or floor) and dead(()):
+    if floor and dead(()):
         return []
     seen, nodes = set(), []
     for rank, cand in enumerate(combinations(range(len(comp)), k)):
         for depth in range(1, k + 1):
             prefix = cand[:depth]
-            if cut or floor:
+            if floor:
                 before, pick = must(prefix[:-1]), prefix[-1]
                 if depth == k and not before <= set(comp[pick]):
                     break
@@ -854,7 +843,7 @@ def _walk(g, comp, k, perms, cut=True, floor=True):
                 nodes.append((prefix, rank))
             if _dropped(comp, prefix, perms):
                 break
-            if (cut or floor) and depth < k and dead(prefix):
+            if floor and depth < k and dead(prefix):
                 break
     return nodes
 
@@ -936,44 +925,39 @@ class TestSubtreePruning:
 
     def test_spider_balance_tests_only_subtree_survivors(self, monkeypatch):
         """The spider has no twins, so the twin rule tests every one of its
-        19,274 candidates up to the first witness; with the domination cut
-        and the transmission floor patched out its leg swaps leave 3,999,
-        with the cut alone 389, and with the cut and the floor 8."""
+        19,274 candidates up to the first witness; with the transmission
+        floor patched out its leg swaps leave 3,999, and with the floor 8."""
         calls = []
         check = search._transmission_regular
         monkeypatch.setattr(search, "_transmission_regular",
                             lambda rows: calls.append(1) or check(rows))
         results, tests = [], []
-        for patch_out in None, _without_floor, _without_cut:
-            if patch_out:
-                patch_out(monkeypatch)
+        for floor in True, False:
+            if not floor:
+                _without_floor(monkeypatch)
             calls.clear()
             results.append(search_minimum_additions(SPIDER))
             tests.append(len(calls))
-        assert results == [results[0]] * 3
+        assert results[0] == results[1]
         assert results[0].explored == 19274
-        assert tests == [8, 389, 3999]
+        assert tests == [8, 3999]
 
     @pytest.mark.parametrize("late_read", [2, 3])
     def test_budget_holds_while_subtrees_are_dropped(self, monkeypatch, late_read):
         """The clock is read before every _DEADLINE_STRIDE-th node the walk
         visits, dropped ones included.  Level 5 of the spider, the first
-        level the walk enters, visits 71 nodes, which a stride of 16 reads at
+        level the walk enters, visits 73 nodes, which a stride of 16 reads at
         five of them.  With the transmission floor patched out it is the
-        first level of more than one stride: it visits 294, which a stride
-        of 128 reads at three of them, and with the domination cut patched
-        out too 1,065.  A clock that turns late at a later read inside it
-        stops the search at the node that read comes before, and
-        ``explored`` counts the subsets before that node's lex subtree."""
+        first level of more than one stride: it visits 1,065.  A clock that
+        turns late at a later read inside it stops the search at the node
+        that read comes before, and ``explored`` counts the subsets before
+        that node's lex subtree."""
         level = 5
         comp = complement_edges(SPIDER)
         levels = _spy_levels(monkeypatch)
-        for cut, floor, stride, count in ((True, True, 16, 71), (True, False, 128, 294),
-                                          (False, False, search._DEADLINE_STRIDE, 1065)):
+        for floor, stride, count in ((True, 16, 73), (False, search._DEADLINE_STRIDE, 1065)):
             if not floor:
                 _without_floor(monkeypatch)
-            if not cut:
-                _without_cut(monkeypatch)
             monkeypatch.setattr(search, "_DEADLINE_STRIDE", stride)
             levels.clear()
             reads = []
@@ -987,7 +971,7 @@ class TestSubtreePruning:
             monkeypatch.setattr(search.time, "monotonic", clock)
             with pytest.raises(SearchBudgetError, match=f"inside level k={level}") as exc_info:
                 search_minimum_additions(SPIDER, SearchConfig(time_budget=1.0))
-            nodes = _walk(SPIDER, comp, level, SPIDER_SWAPS, cut, floor)
+            nodes = _walk(SPIDER, comp, level, SPIDER_SWAPS, floor)
             late = (late_read - 1) * stride
             assert len(nodes) == count
             assert exc_info.value.exhausted_k == level - 1
@@ -999,28 +983,23 @@ class TestSubtreePruning:
         node of a level below the witness level (so pruned by the
         automorphisms even with every witness wanted) stops the search at
         that node, a leaf in the leaf loop or a prefix before it, dropped or
-        not.  Level 5 of the spider has 71 nodes, 6 of them leaves.  Level 3
+        not.  Level 5 of the spider has 73 nodes, 6 of them leaves.  Level 3
         of the m = 4 star has none: its spokes are 3 below the floor of 4.
-        With the transmission floor patched out it has 5, none a leaf, as
-        the centre dominates every spoke that is not joined to all the
-        others; with the domination cut patched out too, 12.  ``explored``
+        With the transmission floor patched out it has 12, 4 of them
+        leaves.  ``explored``
         counts the k-subsets before the first one that starts with the
         node's edges, the lex rank of a leaf."""
         star = canonical_family_tree(FamilyTag.STAR, 4)
         assert _walk(star, complement_edges(star), 3, search._generators(star)) == []
         monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
         levels = _spy_levels(monkeypatch)
-        cases = [(SPIDER, 5, True, True, 71, 6), (star, 3, True, False, 5, 0),
-                 (star, 3, False, False, 12, 4)]
-        for g, level, cut, floor, count, leaves in cases:
+        for g, level, floor, count, leaves in (SPIDER, 5, True, 73, 6), (star, 3, False, 12, 4):
             if not floor:
                 _without_floor(monkeypatch)
-            if not cut:
-                _without_cut(monkeypatch)
             comp = complement_edges(g)
             subsets = list(combinations(range(len(comp)), level))
             nodes = [prefix for prefix, _ in
-                     _walk(g, comp, level, search._generators(g), cut, floor)]
+                     _walk(g, comp, level, search._generators(g), floor)]
             assert (len(nodes), sum(len(p) == level for p in nodes)) == (count, leaves)
             for late_read, prefix in enumerate(nodes, 1):
                 levels.clear()
@@ -1038,20 +1017,16 @@ class TestSubtreePruning:
                 rank = next(r for r, s in enumerate(subsets) if s[:len(prefix)] == prefix)
                 assert exc_info.value.exhausted_k == level - 1
                 assert exc_info.value.explored == \
-                    sum(comb(len(comp), j) for j in range(level)) + rank, (g, cut, floor, prefix)
+                    sum(comb(len(comp), j) for j in range(level)) + rank, (g, floor, prefix)
 
 
 class TestDominationCut:
-    """A vertex x with a neighbour y such that N[x] is a proper subset of
-    N[y] has only itself closer to x than to y, so no balanced graph has
-    one; the walk cuts every lex subtree whose completions keep one."""
-
-    def test_dominated_matches_its_definition(self, small_connected_graphs):
-        for graphs in small_connected_graphs.values():
-            for g in graphs:
-                everyone = (1 << g.n) - 1
-                assert search._dominated(list(g.adj), everyone, everyone) == \
-                    sum(1 << x for x in _dominated_vertices(g)), g
+    """The domination lemma: a vertex x with a neighbour y such that N[x]
+    is a proper subset of N[y] has only itself closer to x than to y, so no
+    balanced graph has one.  The search does not cut by it, as the
+    transmission floor does the same work for less (README); the lemma is a
+    step of the proof of the regularity theorem.  Also the walk's one cut,
+    the floor, against the test-side model of the walk."""
 
     def test_a_dominated_vertex_is_closer_only_to_itself(self, small_connected_graphs):
         """The lemma's proof on every connected graph with n <= 5: for each
@@ -1077,41 +1052,34 @@ class TestDominationCut:
 
     def test_walk_visits_the_model_nodes(self, monkeypatch, small_connected_graphs):
         """With the clock read at every node, the walk of every level of
-        every connected graph with n <= 5 reads it once per node of
-        ``_walk``'s model, and balance-tests exactly its leaves that no
-        permutation maps lex-smaller; with the transmission floor and with
-        it patched out."""
+        every connected graph with n <= 5, and of every tree with n = 6
+        under two labelings, reads it once per node of ``_walk``'s model,
+        and balance-tests exactly its leaves that no permutation maps
+        lex-smaller; with the transmission floor and with it patched out.
+        One of those trees, 0-1, 0-5, 1-2, 1-4, 2-3, has a prefix with a
+        vertex to touch that is below its parent's floor but not its own."""
+        graphs = [g for n in range(1, 6) for g in small_connected_graphs[n]]
+        graphs += [g for t in helpers.all_trees(6) for g in _two_labelings(t)]
         reads = []
         monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
         monkeypatch.setattr(search.time, "monotonic", lambda: reads.append(1) or 0.0)
         for floor in True, False:
             if not floor:
                 _without_floor(monkeypatch)
-            for n in range(1, 6):
-                for g in small_connected_graphs[n]:
-                    comp = complement_edges(g)
-                    setup = search._setup(g.adj, comp)
-                    perms = search._generators(g)
-                    tables = search._image_tables(perms, comp)
-                    for k in range(1, len(comp) + 1):
-                        reads.clear()
-                        _, lex, tested, timed_out = search._level(
-                            g.adj, setup, k, tables, 1.0, True)
-                        nodes = [prefix for prefix, _ in _walk(g, comp, k, perms, floor=floor)]
-                        leaves = [p for p in nodes
-                                  if len(p) == k and not _dropped(comp, p, perms)]
-                        assert (len(reads), tested, lex, timed_out) == \
-                            (len(nodes), len(leaves), comb(len(comp), k), False), (g, k, floor)
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_cut_changes_no_search_result(self, monkeypatch, small_connected_graphs,
-                                          uncut_runs, n):
-        """On every labelled connected graph with n <= 6, the search with the
-        cut and with it patched out, the transmission floor patched out in
-        both, returns the same result, with every witness wanted and with
-        the first (``_level_runs``)."""
-        _without_floor(monkeypatch)
-        assert _level_runs(monkeypatch, small_connected_graphs[n]) == uncut_runs(n)
+            for g in graphs:
+                comp = complement_edges(g)
+                setup = search._setup(g.adj, comp)
+                perms = search._generators(g)
+                tables = search._image_tables(perms, comp)
+                for k in range(1, len(comp) + 1):
+                    reads.clear()
+                    _, lex, tested, timed_out = search._level(
+                        g.adj, setup, k, tables, 1.0, True)
+                    nodes = [prefix for prefix, _ in _walk(g, comp, k, perms, floor=floor)]
+                    leaves = [p for p in nodes
+                              if len(p) == k and not _dropped(comp, p, perms)]
+                    assert (len(reads), tested, lex, timed_out) == \
+                        (len(nodes), len(leaves), comb(len(comp), k), False), (g, k, floor)
 
 
 def _level_runs(monkeypatch, graphs):
@@ -1134,24 +1102,6 @@ def _level_runs(monkeypatch, graphs):
         res = search_minimum_additions(g, SearchConfig(all_witnesses=True))
         runs.append((res, calls.copy()))
     return runs
-
-
-@pytest.fixture(scope="session")
-def uncut_runs(small_connected_graphs):
-    """``_level_runs`` of every labelled connected graph with n vertices,
-    n <= 6, with the domination cut and the transmission floor patched out:
-    the baseline each cut is compared against, taken once per n."""
-    runs = {}
-
-    def of_order(n):
-        if n not in runs:
-            with pytest.MonkeyPatch.context() as patch:
-                _without_cut(patch)
-                _without_floor(patch)
-                runs[n] = _level_runs(patch, small_connected_graphs[n])
-        return runs[n]
-
-    return of_order
 
 
 class TestTransmissionFloor:
@@ -1187,11 +1137,11 @@ class TestTransmissionFloor:
         assert pairs_checked == 81752
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_floor_changes_no_search_result(self, monkeypatch, small_connected_graphs,
-                                            uncut_runs, n):
+    def test_floor_changes_no_search_result(self, monkeypatch, small_connected_graphs, n):
         """On every labelled connected graph with n <= 6, the search with
-        the floor and the domination cut returns the same result as with
-        both patched out, with every witness wanted and with the first;
-        with ``test_cut_changes_no_search_result``, the floor changes no
-        result of the search with the cut."""
-        assert _level_runs(monkeypatch, small_connected_graphs[n]) == uncut_runs(n)
+        the floor returns the same result as with it patched out, with every
+        witness wanted and with the first (``_level_runs``)."""
+        with pytest.MonkeyPatch.context() as patch:
+            _without_floor(patch)
+            floorless = _level_runs(patch, small_connected_graphs[n])
+        assert _level_runs(monkeypatch, small_connected_graphs[n]) == floorless
