@@ -26,10 +26,12 @@ non-tree input handled here: its unique closure is K_n.
 The removed pairs are written on the canonical labels of ``trees``.  They
 are mapped to the input's labels through the inverse of the classifier's
 relabeling and cleared from full bit rows, so the closure is built in the
-input's labels and never relabeled.  The fallback searches the relabeled
-tree and maps its witness back the same way.  The about C(n, 2) added
-pairs are read off near-full rows by ``graph._upper_pairs``, as ranges
-minus a few gaps (``graph._members``).
+input's labels and never relabeled.  The fallback runs the regular search
+on the input in its own labels and adds its first witness; that search
+walks only the pairs a regular completion leaves out, so its speed does
+not hang on the labeling.  The about C(n, 2) added pairs are read off
+near-full rows by ``graph._upper_pairs``, as ranges minus a few gaps
+(``graph._members``).
 
 Every result carries a computational certificate; minimality beyond the
 certified edge count is the search module's job.
@@ -52,7 +54,6 @@ from .graph import (
     is_connected,
     is_spanning_subgraph,
     regular_degree,
-    relabel,
 )
 from .trees import FamilyTag, TreeFamily, classify_tree
 
@@ -158,20 +159,19 @@ def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool]:
         family = TreeFamily(FamilyTag.DOMINANT, t.n - 1, tuple(range(t.n)))
         expected = t.n * (t.n - 1) // 2 - t.edge_count
         removed = []
-    # the input vertex of each canonical label
-    vertex = sorted(range(t.n), key=family.relabeling.__getitem__)
     if removed is None:
         # degenerate cycle sizes: certify the formula with the exact search
         from .search import SearchConfig, search_minimum_additions
 
-        found = search_minimum_additions(
-            relabel(t, family.relabeling), SearchConfig(prune_mode="regular"))
+        found = search_minimum_additions(t, SearchConfig(prune_mode="regular"))
         if found.min_additions != expected:
             raise GraphError(
                 f"search found {found.min_additions}, formula says {expected}")
-        closure = add_edges(t, ((vertex[a], vertex[b]) for a, b in found.witnesses[0]))
+        closure = add_edges(t, found.witnesses[0])
         via_search = True
     else:
+        # the input vertex of each canonical label
+        vertex = sorted(range(t.n), key=family.relabeling.__getitem__)
         everyone = (1 << t.n) - 1
         rows = [everyone ^ (1 << v) for v in range(t.n)]
         for a, b in removed:

@@ -31,12 +31,13 @@ transmission.  Proof: H' is transmission-regular with some value t
 (Jerebic, Klavzar and Rall 2008); the non-neighbours of v are at distance
 at least 2, so t = D_H'(v) >= 2(n-1) - deg_H'(v), and adding edges never
 makes a distance longer, so t = D_H'(u) <= D_H(u).  One BFS from a vertex
-of maximum degree gives f; a prefix graph with a vertex more than the
-edges still to pick below it, or below it by more than twice them in all,
-has no balanced completion.  A vertex below f must be touched by a later
-edge, so the next edge is picked only up to the last complement edge that
-touches each of them, and a last edge must touch all of them.  A level
-whose input the floor rules out is skipped, and counted whole.
+of maximum degree gives f.  A prefix graph with a vertex more than the
+edges still to pick below f, or below it by more than twice them in all,
+has no balanced completion: the walk drops its lex subtree, and skips,
+counted whole, a level whose input it rules out.  Otherwise each vertex
+below f, one short at least, must be touched by a later edge: the next
+edge is picked only up to the last complement edge that touches each of
+them, and a last edge must touch all of them, at most 2.
 
 Every witness survives the floor, so the witnesses, their order and
 ``explored`` are unchanged.  The m = 6 star balance-tests 325 of its 2^15
@@ -93,9 +94,9 @@ class SearchConfig(NamedTuple):
     """Knobs for the exhaustive search.
 
     prune_mode: "naive" tests every subset that no automorphism maps
-        lex-smaller, bar those the transmission floor shows unbalanced;
-        "regular" only the regular completions, legal on inputs of max
-        degree >= n-3 (see module docstring).
+        lex-smaller, bar those that the transmission floor of a prefix
+        rules out; "regular" only the regular completions, legal on inputs
+        of max degree >= n-3 (see module docstring).
     max_k: stop after exhausting this many added edges (>= 0).
     all_witnesses: collect every minimal witness instead of the first.
     time_budget: wall-clock seconds before giving up with a certified bound
@@ -297,16 +298,13 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
     """Balance-test the k-subsets of the complement edges in lex order,
     depth first, setting each chosen edge in the rows in place.  A prefix
     that a permutation of ``tables`` maps lex-smaller is dropped with its
-    whole subtree, and so is one whose completions all leave a vertex that
-    must be touched untouched (module docstring).  Each node keeps a
-    must-touch set: the vertices below the floor, and those of its parent
-    that its edge misses.  A level whose input has no balanced completion
-    by the floor is skipped; a node with more vertices to touch than twice
-    the edges left to pick, or one the floor rules out, is dropped; the
-    next edge is picked only up to the last index that touches each of
-    them, and a leaf is tested only when its edge touches all of them.  The
-    clock is read every _DEADLINE_STRIDE nodes; a range that is cut is
-    never visited.
+    whole subtree, and so is one whose prefix graph ``_below_floor`` rules
+    out; a level whose input it rules out is skipped.  Otherwise the
+    vertices it returns for a node's prefix graph, and only those, must be
+    touched: the next edge is picked only up to the last index that touches
+    each of them, and a leaf is tested only when its edge touches all of
+    them (module docstring).  The clock is read every _DEADLINE_STRIDE
+    nodes; a range that is cut is never visited.
 
     Returns the hits as index sets, the lex count, the leaves balance-tested
     and whether the deadline passed.  The lex count runs up to and including
@@ -335,14 +333,14 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
     held, image = tables.guards, 0
     hits: list[tuple[int, ...]] = []
     chosen: list[int] = []
-    musts, cuts = [must], [cut(must)]  # per depth, of the prefix graph
+    cuts = [cut(must)]  # per depth, of the prefix graph
     visited = tested = i = 0
     last = k - 1
     while True:
         depth = len(chosen)
         if depth == last:  # the leaves, in a loop of their own: most nodes are leaves
-            must = musts[-1]
-            if must:  # at most 2: the indices from i on whose edge touches all of must
+            # must is the leaves' parent's: at most 2 vertices, by the floor with one edge left
+            if must:  # the indices from i on whose edge touches all of must
                 cover = touch[(must & -must).bit_length() - 1] & touch[must.bit_length() - 1]
                 leaves = _bits(cover >> i << i)
             else:
@@ -385,22 +383,14 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
             d = held ^ image  # the survival test of _ImageTables
             low = d ^ (d & (d - ones))
             if low & held == low:
-                # a vertex that the new edge misses must still be touched
-                must = musts[-1] & ~(bu | bv)
-                left = k - 1 - depth
-                if must.bit_count() <= 2 * left:
-                    short = _below_floor(rows, left)
-                    if short is not None:
-                        must |= short
-                        if must.bit_count() <= 2 * left:
-                            musts.append(must)
-                            cuts.append(cut(must))
-                            i += 1
-                            continue
-            # else a permutation maps the prefix lex-smaller, or a vertex
-            # cannot be touched or lifted to the floor: drop its subtree
+                must = _below_floor(rows, k - 1 - depth)
+                if must is not None:
+                    cuts.append(cut(must))
+                    i += 1
+                    continue
+            # else a permutation maps the prefix lex-smaller, or the floor
+            # rules it out: drop its subtree
         elif chosen:
-            musts.pop()
             cuts.pop()
         else:
             return hits, comb(n_comp, k), tested, False

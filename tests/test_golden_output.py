@@ -58,8 +58,8 @@ GOLDEN = {
         "f33c1e49c13dccf68a8c6adb059f50df3ed7d7b1e22335199df403764727b77f"),
     "closure_dominant": ("2f798e333c063cf826f3c6b6c92c17bc4199608c561919463943c6d467d37c16",
         "318c0defc775b58547eaf8b1d49c84ccc48b9cdaf521e8e30caef7f87f68cac7"),
-    "closure_s3_m4_degenerate": ("8e045b91326b3fa80dbdfa4cadabade8c37b0883f42eaa418479ce557f953021",
-        "8c8f9a4aa67d4643745fd313acf30a9a8a9b3320be6bea67b39d09ec9a2c6e8c"),
+    "closure_s3_m4_degenerate": ("77d3910ff734f12f5d2eb5f1fdba1047f902b6ce92ce5ef11f2b372380acad8a",
+        "92591fef19e7e9461a204f2e69f2599913841bb8b716706c2dd8eeee27b2edf5"),
     "closure_unsupported": ("81400e72a26988d685a2e6f6b6f10677f0554bb26e4f6f3354bf7380c8d95ba4",
         "81400e72a26988d685a2e6f6b6f10677f0554bb26e4f6f3354bf7380c8d95ba4"),
     "search_s2_m4": ("cfbbace5548152b8f783061f927e5b836ea2f3201505492ba43d1aee4966781f",

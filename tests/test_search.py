@@ -803,30 +803,23 @@ def _walk(g, comp, k, perms, floor=True):
     them, each with the number of k-subsets before its lex subtree: every
     prefix of a k-subset, taken in lex order, whose shorter prefixes
     survive.  A prefix survives when no permutation maps it lex-smaller
-    and, with the floor, when the floor does not rule it out and its graph
-    has at most twice as many vertices to touch as edges left to pick.  The
-    vertices to touch are those below the floor and those of the shorter
-    prefix that the last edge misses.  With the floor, a prefix is visited
-    only when its last edge touches every vertex the shorter prefix must
-    touch (a whole k-subset) or comes no later than the last edge that
-    touches each of them (a shorter prefix), and a level whose input the
-    floor rules out visits nothing."""
+    and, with the floor, when the floor does not rule its graph out.  The
+    vertices to touch are those of its graph below the floor, and only
+    those.  With the floor, a prefix is visited only when its last edge
+    touches every vertex the shorter prefix must touch (a whole k-subset)
+    or comes no later than the last edge that touches each of them (a
+    shorter prefix), and a level whose input the floor rules out visits
+    nothing."""
     last_touch = [max((j for j, e in enumerate(comp) if x in e), default=-1)
                   for x in range(g.n)]
     musts = {}
 
     def must(prefix):  # None when the floor rules the prefix out
         if prefix not in musts:
-            out = _short_of_floor(g, [comp[j] for j in prefix], k - len(prefix))
-            if prefix and out is not None:
-                out |= must(prefix[:-1]) - set(comp[prefix[-1]])
-            musts[prefix] = out
+            musts[prefix] = _short_of_floor(g, [comp[j] for j in prefix], k - len(prefix))
         return musts[prefix]
 
-    def dead(prefix):
-        return must(prefix) is None or len(must(prefix)) > 2 * (k - len(prefix))
-
-    if floor and dead(()):
+    if floor and must(()) is None:
         return []
     seen, nodes = set(), []
     for rank, cand in enumerate(combinations(range(len(comp)), k)):
@@ -843,7 +836,7 @@ def _walk(g, comp, k, perms, floor=True):
                 nodes.append((prefix, rank))
             if _dropped(comp, prefix, perms):
                 break
-            if floor and depth < k and dead(prefix):
+            if floor and depth < k and must(prefix) is None:
                 break
     return nodes
 
@@ -1025,8 +1018,8 @@ class TestDominationCut:
     is a proper subset of N[y] has only itself closer to x than to y, so no
     balanced graph has one.  The search does not cut by it, as the
     transmission floor does the same work for less (README); the lemma is a
-    step of the proof of the regularity theorem.  Also the walk's one cut,
-    the floor, against the test-side model of the walk."""
+    step of the proof of the regularity theorem.  Also the walk, whose one
+    cut is the floor, against its test-side model ``_walk``."""
 
     def test_a_dominated_vertex_is_closer_only_to_itself(self, small_connected_graphs):
         """The lemma's proof on every connected graph with n <= 5: for each
@@ -1056,8 +1049,10 @@ class TestDominationCut:
         under two labelings, reads it once per node of ``_walk``'s model,
         and balance-tests exactly its leaves that no permutation maps
         lex-smaller; with the transmission floor and with it patched out.
-        One of those trees, 0-1, 0-5, 1-2, 1-4, 2-3, has a prefix with a
-        vertex to touch that is below its parent's floor but not its own."""
+        A node must touch only the vertices below its own floor: the tree
+        0-5, 1-2, 2-3, 2-5, 4-5 tells this walk from one whose nodes also
+        keep those of their parent that their edge misses, which visits 16
+        nodes at k = 4, not 18, and balance-tests the same 2 leaves."""
         graphs = [g for n in range(1, 6) for g in small_connected_graphs[n]]
         graphs += [g for t in helpers.all_trees(6) for g in _two_labelings(t)]
         reads = []
@@ -1135,6 +1130,22 @@ class TestTransmissionFloor:
                         pairs_checked += 1
                     sub = (sub - 1) & big
         assert pairs_checked == 81752
+
+    def test_below_floor_matches_its_model(self, small_connected_graphs):
+        """For every connected graph with n <= 6 and every number of edges
+        left, from 0 to its missing edges, ``_below_floor`` rules the graph
+        out exactly when ``_short_of_floor`` does, and otherwise returns
+        the same vertices, at most twice as many as the edges left: each is
+        at least one edge short."""
+        for n, graphs in small_connected_graphs.items():
+            for g in graphs:
+                for left in range(comb(n, 2) - g.edge_count + 1):
+                    want = _short_of_floor(g, [], left)
+                    got = search._below_floor(list(g.adj), left)
+                    assert (got is None) is (want is None), (g, left)
+                    if want is not None:
+                        assert set(graph._bits(got)) == want, (g, left)
+                        assert len(want) <= 2 * left, (g, left)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_floor_changes_no_search_result(self, monkeypatch, small_connected_graphs, n):
