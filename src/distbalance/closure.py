@@ -1,27 +1,25 @@
 """Minimal distance-balanced closures for the recognized tree families.
 
 A distance-balanced closure of G is a distance-balanced supergraph on the
-same vertices with the minimum possible number of extra edges.  For trees
-whose maximum degree m is at least n-3, that minimum has a closed form and
-the closure itself can be written down:
+same vertices with the minimum possible number of extra edges.  For a
+connected G with n vertices, |E| edges and maximum degree d >= n-3 that
+minimum has one closed form,
 
-  star          complete graph K_{m+1}; adds C(m+1,2) - m edges
-  s2, m odd     K_{m+2}; adds C(m+1,2)
-  s2, m even    K_{m+2} minus a perfect matching through the hub/tail
-                pair; adds m^2/2 - 1
-  s22, broom    K_{m+3} minus the spoke cycle 1..m and the triangle on
-                {hub, m+1, m+2}; adds (m^2+m-4)/2       (m >= 3)
-  s3            K_{m+3} minus the cycle on spokes 3..m and the 5-cycle
-                hub,(m+1),2,1,(m+2); adds (m^2+m-4)/2   (m >= 5)
+    r*n/2 - |E|,   r the least degree >= d with r*n even,
 
-Every removed edge avoids the tree, each removed cycle lowers the degree
-of its vertices from m+2 by exactly 2, and the results are regular with
-diameter at most 2, which makes them distance-balanced.  Where the cycles
-degenerate (s22 with m=2, s3 with m in {3,4}) the construction falls back
-to the exhaustive search and checks the closed form against it.
+in two steps.  Lower bound: a distance-balanced supergraph has maximum
+degree >= d >= n-3, so it is regular (the paper's theorem), of a degree
+>= d whose product with n is even (the handshake identity), and it has at
+least r*n/2 edges.  Upper bound: K_n minus an s-factor, s = n-1-r <= 2,
+that avoids G is an r-regular supergraph of diameter <= 2, so every
+transmission is r + 2(n-1-r) = 2(n-1) - r and it is distance-balanced.
 
-A connected non-tree with a dominant (degree n-1) vertex is the one
-non-tree input handled here: its unique closure is K_n.
+For a tree (|E| = n-1) the family table ``trees.FAMILIES`` lists that
+factor per family.  Where its cycles degenerate (s22 with m=2, s3 with m
+in {3,4}) the construction falls back to the exhaustive search and checks
+the closed form against it.  A connected non-tree with a dominant (degree
+n-1) vertex is the one non-tree input handled here: r = n-1, and its
+unique closure is K_n.
 
 The removed pairs are written on the canonical labels of ``trees``.  They
 are mapped to the input's labels through the inverse of the classifier's
@@ -55,7 +53,7 @@ from .graph import (
     is_spanning_subgraph,
     regular_degree,
 )
-from .trees import FamilyTag, TreeFamily, classify_tree
+from .trees import FAMILIES, FamilyTag, TreeFamily, classify_tree
 
 
 class Certificate(NamedTuple):
@@ -84,34 +82,19 @@ class ClosureResult(NamedTuple):
     via_search: bool
 
 
+def _additions(n: int, degree: int, edges: int) -> int:
+    """r*n/2 - edges, r the least degree >= ``degree`` with r*n even."""
+    r = degree + degree * n % 2
+    return r * n // 2 - edges
+
+
 def minimum_additions_formula(family: TreeFamily) -> int:
-    """Closed-form minimum number of added edges for a recognized tree family."""
-    m = family.m
-    if family.tag is FamilyTag.STAR:
-        return m * (m + 1) // 2 - m
-    if family.tag is FamilyTag.S2:
-        if m % 2 == 0:
-            return m * m // 2 - 1
-        return m * (m + 1) // 2
-    if family.tag in (FamilyTag.S22, FamilyTag.S3, FamilyTag.BROOM):
-        return (m * m + m - 4) // 2
-    raise UnsupportedFamilyError(f"no closed form for family {family.tag.value!r}")
-
-
-def _removed(tag: FamilyTag, m: int) -> list[tuple[int, int]] | None:
-    """The canonical pairs that the closed-form closure leaves out of K_n;
-    None where its cycles degenerate."""
-    if tag is FamilyTag.STAR or tag is FamilyTag.S2 and m % 2:
-        return []
-    if tag is FamilyTag.S2:
-        return [(0, m + 1)] + [(i, i + 1) for i in range(1, m, 2)]
-    if tag in (FamilyTag.S22, FamilyTag.BROOM) and m >= 3:
-        cycles = [range(1, m + 1), [0, m + 1, m + 2]]
-    elif tag is FamilyTag.S3 and m >= 5:
-        cycles = [range(3, m + 1), [0, m + 1, 2, 1, m + 2]]
-    else:
-        return None
-    return [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
+    """Minimum number of added edges for a recognized tree family: r*n/2 - (n-1)."""
+    row = FAMILIES.get(family.tag)  # neither OTHER nor DOMINANT has a row
+    if row is None:
+        raise UnsupportedFamilyError(f"no closed form for family {family.tag.value!r}")
+    n = family.m + row.order_offset
+    return _additions(n, family.m, n - 1)
 
 
 def verify_closure(t: Graph, candidate: Graph,
@@ -146,7 +129,7 @@ def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool]:
                 f"classification is {FamilyTag.OTHER.value!r}: max degree "
                 f"{family.m} is below n-3 = {t.n - 3}")
         expected = minimum_additions_formula(family)
-        removed = _removed(family.tag, family.m)
+        removed = FAMILIES[family.tag].removed(family.m)
     else:
         if t.max_degree() != t.n - 1:
             # the one route where the input's connectivity is still unknown
@@ -157,7 +140,7 @@ def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool]:
                 "only trees with max degree >= n-3 and graphs with a "
                 "dominant vertex are supported")
         family = TreeFamily(FamilyTag.DOMINANT, t.n - 1, tuple(range(t.n)))
-        expected = t.n * (t.n - 1) // 2 - t.edge_count
+        expected = _additions(t.n, t.n - 1, t.edge_count)
         removed = []
     if removed is None:
         # degenerate cycle sizes: certify the formula with the exact search

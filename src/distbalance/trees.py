@@ -14,7 +14,8 @@ the vertex count:
 Canonical labels, in order: hub 0; hub neighbors 1..m, the long/loaded
 spoke at 1 (s22's second one at 2); tails m+1 and m+2, where a length-3
 branch runs 0-1-(m+1)-(m+2).  ``FAMILIES`` holds each family's tail
-edges and its starlike branches longer than 1; the generators read both.
+edges and its starlike branches longer than 1, which the generators read,
+and the pairs its closure leaves out of K_n, which ``closure`` reads.
 
 A tree with m >= n-3 is one of these families, and the vertices outside
 a hub's closed neighbourhood say which: none is a star, one is s2, two
@@ -100,17 +101,32 @@ class FamilyRow(NamedTuple):
     verify_min_m: int  # the smallest m >= 1 whose canonical tree classifies as this family
     long_branches: tuple[int, ...] | None  # sorted starlike branches > 1; None: not starlike
     tails: Callable[[int], list[Edge]]  # m -> the canonical edges besides the spokes
+    removed: Callable[[int], list[Edge] | None]  # m -> what the closure leaves out of K_n
+
+
+def _cycles(*cycles) -> list[Edge]:
+    return [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
 
 
 # The one family table, in classification precedence.  Below verify_min_m
 # families coincide (P_5 is the s3 tree with m = 2 but classifies as s22),
-# so `verify` starts each family there.
+# so `verify` starts each family there.  ``removed`` gives canonical pairs
+# that avoid the tree: a perfect matching for s2 with m even, two cycles
+# for the order m+3 families, and None where those cycles degenerate.
 FAMILIES = {
-    FamilyTag.STAR: FamilyRow(1, 0, 1, (), lambda m: []),
-    FamilyTag.S2: FamilyRow(2, 2, 2, (2,), lambda m: [(1, m + 1)]),
-    FamilyTag.S22: FamilyRow(3, 2, 2, (2, 2), lambda m: [(1, m + 1), (2, m + 2)]),
-    FamilyTag.S3: FamilyRow(3, 2, 3, (3,), lambda m: [(1, m + 1), (m + 1, m + 2)]),
-    FamilyTag.BROOM: FamilyRow(3, 3, 3, None, lambda m: [(1, m + 1), (1, m + 2)]),
+    FamilyTag.STAR: FamilyRow(1, 0, 1, (), lambda m: [], lambda m: []),
+    FamilyTag.S2: FamilyRow(
+        2, 2, 2, (2,), lambda m: [(1, m + 1)],
+        lambda m: [] if m % 2 else [(0, m + 1), *((i, i + 1) for i in range(1, m, 2))]),
+    FamilyTag.S22: FamilyRow(
+        3, 2, 2, (2, 2), lambda m: [(1, m + 1), (2, m + 2)],
+        lambda m: _cycles(range(1, m + 1), [0, m + 1, m + 2]) if m >= 3 else None),
+    FamilyTag.S3: FamilyRow(
+        3, 2, 3, (3,), lambda m: [(1, m + 1), (m + 1, m + 2)],
+        lambda m: _cycles(range(3, m + 1), [0, m + 1, 2, 1, m + 2]) if m >= 5 else None),
+    FamilyTag.BROOM: FamilyRow(
+        3, 3, 3, None, lambda m: [(1, m + 1), (1, m + 2)],
+        lambda m: _cycles(range(1, m + 1), [0, m + 1, m + 2]) if m >= 3 else None),
 }
 
 

@@ -34,7 +34,7 @@ from distbalance import (
     relabel,
     search_minimum_additions,
 )
-from distbalance import graph, search
+from distbalance import closure, graph, search
 from distbalance.analysis import _transmission_regular
 from distbalance.trees import FAMILIES
 
@@ -235,8 +235,8 @@ class TestRegularEnumeration:
         assert len(reads) == 319
 
 
-class TestCountBalancedAdditions:
-    """How many k-subsets balance the input, from the scan of
+class TestEveryBalancingSubset:
+    """Which k-subsets balance the input, from the scan of
     ``all_witnesses`` without the automorphisms."""
 
     @staticmethod
@@ -535,6 +535,42 @@ def test_oracle_matches_formula_small_range():
             res = search_minimum_additions(tree, SearchConfig(prune_mode=mode))
             assert res.min_additions == minimum_additions_formula(
                 TreeFamily(tag, m, None)), (tag, m, mode)
+
+
+
+# The seven trees of order 8 with maximum degree n - 4: hub 0 with spokes
+# 1..4, and vertices a, b, c = 5, 6, 7 attached by these edges.  No family
+# row covers them.
+DELTA_N_MINUS_4_SHAPES = {
+    "path": [(1, 5), (5, 6), (6, 7)],
+    "cherry": [(1, 5), (5, 6), (5, 7)],
+    "fork": [(1, 5), (1, 6), (5, 7)],
+    "claw": [(1, 5), (1, 6), (1, 7)],
+    "path_and_leg": [(1, 5), (5, 6), (2, 7)],
+    "pair_and_leg": [(1, 5), (1, 6), (2, 7)],
+    "legs": [(1, 5), (2, 6), (3, 7)],
+}
+
+
+def _delta_n_minus_4_tree(shape):
+    return from_edge_list(8, [(0, v) for v in range(1, 5)] + DELTA_N_MINUS_4_SHAPES[shape])
+
+
+def test_delta_n_minus_4_shapes_are_every_such_tree_of_order_8():
+    keys = [helpers.tree_canonical_key(_delta_n_minus_4_tree(s))
+            for s in DELTA_N_MINUS_4_SHAPES]
+    assert len(set(keys)) == 7
+    assert set(keys) == {helpers.tree_canonical_key(t) for t in helpers.all_trees(8)
+                         if t.max_degree() == 4}
+
+
+@pytest.mark.parametrize("shape", DELTA_N_MINUS_4_SHAPES)
+def test_naive_search_on_delta_n_minus_4_trees(shape):
+    """The closed form r*n/2 - |E| of ``closure`` one step below the
+    paper's domain: the naive search, which does not rest on the theorem,
+    finds 4 * 8 / 2 - 7 = 9 on each tree of order 8 with maximum degree 4."""
+    res = search_minimum_additions(_delta_n_minus_4_tree(shape), SearchConfig())
+    assert res.min_additions == closure._additions(8, 4, 7) == 9
 
 
 class TestTheorem:
@@ -1013,13 +1049,12 @@ class TestSubtreePruning:
                     sum(comb(len(comp), j) for j in range(level)) + rank, (g, floor, prefix)
 
 
-class TestDominationCut:
+class TestDominationLemma:
     """The domination lemma: a vertex x with a neighbour y such that N[x]
     is a proper subset of N[y] has only itself closer to x than to y, so no
     balanced graph has one.  The search does not cut by it, as the
     transmission floor does the same work for less (README); the lemma is a
-    step of the proof of the regularity theorem.  Also the walk, whose one
-    cut is the floor, against its test-side model ``_walk``."""
+    step of the proof of the regularity theorem."""
 
     def test_a_dominated_vertex_is_closer_only_to_itself(self, small_connected_graphs):
         """The lemma's proof on every connected graph with n <= 5: for each
@@ -1042,40 +1077,6 @@ class TestDominationCut:
         assert len(balanced) > 100
         for g in balanced:
             assert not _dominated_vertices(g), g
-
-    def test_walk_visits_the_model_nodes(self, monkeypatch, small_connected_graphs):
-        """With the clock read at every node, the walk of every level of
-        every connected graph with n <= 5, and of every tree with n = 6
-        under two labelings, reads it once per node of ``_walk``'s model,
-        and balance-tests exactly its leaves that no permutation maps
-        lex-smaller; with the transmission floor and with it patched out.
-        A node must touch only the vertices below its own floor: the tree
-        0-5, 1-2, 2-3, 2-5, 4-5 tells this walk from one whose nodes also
-        keep those of their parent that their edge misses, which visits 16
-        nodes at k = 4, not 18, and balance-tests the same 2 leaves."""
-        graphs = [g for n in range(1, 6) for g in small_connected_graphs[n]]
-        graphs += [g for t in helpers.all_trees(6) for g in _two_labelings(t)]
-        reads = []
-        monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
-        monkeypatch.setattr(search.time, "monotonic", lambda: reads.append(1) or 0.0)
-        for floor in True, False:
-            if not floor:
-                _without_floor(monkeypatch)
-            for g in graphs:
-                comp = complement_edges(g)
-                setup = search._setup(g.adj, comp)
-                perms = search._generators(g)
-                tables = search._image_tables(perms, comp)
-                for k in range(1, len(comp) + 1):
-                    reads.clear()
-                    _, lex, tested, timed_out = search._level(
-                        g.adj, setup, k, tables, 1.0, True)
-                    nodes = [prefix for prefix, _ in _walk(g, comp, k, perms, floor=floor)]
-                    leaves = [p for p in nodes
-                              if len(p) == k and not _dropped(comp, p, perms)]
-                    assert (len(reads), tested, lex, timed_out) == \
-                        (len(nodes), len(leaves), comb(len(comp), k), False), (g, k, floor)
-
 
 def _level_runs(monkeypatch, graphs):
     """Per graph, its search with every witness wanted and the outputs of
@@ -1103,7 +1104,7 @@ class TestTransmissionFloor:
     """Lemma F: a balanced graph that contains a connected graph H on the
     same vertices has no degree below 2(n-1) - D_H(u), for any u.  The walk
     drops every lex subtree whose completions cannot lift each vertex to
-    that floor."""
+    that floor; ``_walk`` is the test-side model of that walk."""
 
     def test_lemma_on_every_small_graph(self, small_connected_graphs):
         """For every connected graph H with n <= 6 and each balanced graph
@@ -1156,3 +1157,36 @@ class TestTransmissionFloor:
             _without_floor(patch)
             floorless = _level_runs(patch, small_connected_graphs[n])
         assert _level_runs(monkeypatch, small_connected_graphs[n]) == floorless
+
+    def test_walk_visits_the_model_nodes(self, monkeypatch, small_connected_graphs):
+        """With the clock read at every node, the walk of every level of
+        every connected graph with n <= 5, and of every tree with n = 6
+        under two labelings, reads it once per node of ``_walk``'s model,
+        and balance-tests exactly its leaves that no permutation maps
+        lex-smaller; with the transmission floor and with it patched out.
+        A node must touch only the vertices below its own floor: the tree
+        0-5, 1-2, 2-3, 2-5, 4-5 tells this walk from one whose nodes also
+        keep those of their parent that their edge misses, which visits 16
+        nodes at k = 4, not 18, and balance-tests the same 2 leaves."""
+        graphs = [g for n in range(1, 6) for g in small_connected_graphs[n]]
+        graphs += [g for t in helpers.all_trees(6) for g in _two_labelings(t)]
+        reads = []
+        monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
+        monkeypatch.setattr(search.time, "monotonic", lambda: reads.append(1) or 0.0)
+        for floor in True, False:
+            if not floor:
+                _without_floor(monkeypatch)
+            for g in graphs:
+                comp = complement_edges(g)
+                setup = search._setup(g.adj, comp)
+                perms = search._generators(g)
+                tables = search._image_tables(perms, comp)
+                for k in range(1, len(comp) + 1):
+                    reads.clear()
+                    _, lex, tested, timed_out = search._level(
+                        g.adj, setup, k, tables, 1.0, True)
+                    nodes = [prefix for prefix, _ in _walk(g, comp, k, perms, floor=floor)]
+                    leaves = [p for p in nodes
+                              if len(p) == k and not _dropped(comp, p, perms)]
+                    assert (len(reads), tested, lex, timed_out) == \
+                        (len(nodes), len(leaves), comb(len(comp), k), False), (g, k, floor)

@@ -139,3 +139,20 @@ def test_pyproject_version_is_the_package_version():
     text = (PACKAGE.parents[1] / "pyproject.toml").read_text()
     project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
     assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [distbalance.__version__]
+
+
+def test_closure_names_no_tree_family():
+    """Per-family knowledge lives in ``trees.FAMILIES``: ``closure.py``
+    names no ``FamilyTag`` member and no tag value but the two without a
+    row, OTHER and DOMINANT."""
+    from distbalance.trees import FamilyTag
+
+    allowed = {FamilyTag.OTHER, FamilyTag.DOMINANT}
+    tree = ast.parse((PACKAGE / "closure.py").read_text())
+    members = [node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "FamilyTag"]
+    values = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+              and node.value in {tag.value for tag in FamilyTag}]
+    assert members and set(members) <= {tag.name for tag in allowed}
+    assert set(values) <= {tag.value for tag in allowed}
