@@ -18,7 +18,7 @@ from math import comb
 
 from . import __version__
 from .analysis import report_with_diameter, szeged_with_diameter
-from .closure import _certified_closure, construct_closure, minimum_additions_formula
+from .closure import _certified_closure, minimum_additions_formula
 from .edgelist import format_edge_list, read_edge_list, write_edge_list
 from .errors import (
     GraphError,
@@ -29,6 +29,7 @@ from .errors import (
 from .graph import (
     MAX_VERTICES,
     Graph,
+    _pair_text,
     complete_graph,
     cycle_graph,
     diameter,
@@ -87,17 +88,24 @@ def _input_summary(path: str, g: Graph, diam: int) -> dict:
     }
 
 
-def _emit_json(command: str, input_obj, result: dict, started: float) -> None:
+def _emit_json(command: str, input_obj, result: dict, started: float, **pairs) -> None:
+    """Print the report; each keyword names a key of ``result`` and the bit rows
+    whose upper pairs it holds, written as text straight from the rows."""
     report = {
         "command": command,
         "input": input_obj,
-        "result": result,
+        "result": {**result, **dict.fromkeys(pairs, [])},
         "timing": time.perf_counter() - started,
         "version": __version__,
     }
     # one line: an indent would switch json to its pure-Python encoder; the
     # report is a fresh tree, so the cycle check's dict entry per array is waste
-    print(json.dumps(report, sort_keys=True, check_circular=False))
+    text = json.dumps(report, sort_keys=True, check_circular=False)
+    for key, rows in pairs.items():
+        # a JSON string escapes every '"' and only result has the key: one '"key": []'
+        text = text.replace(f'"{key}": []',
+                            f'"{key}": [{_pair_text(rows, "[", ", ", "]", ", ")}]', 1)
+    print(text)
 
 
 def _cmd_check(args) -> int:
@@ -164,9 +172,9 @@ def _cmd_gen(args) -> int:
             "out": str(args.out) if args.out else None,
             "n": g.n,
             "edge_count": g.edge_count,
-            "edges": g.edges(),
         }
-        _emit_json("gen", {"kind": args.kind, "param": args.param}, result, started)
+        _emit_json("gen", {"kind": args.kind, "param": args.param}, result, started,
+                   edges=g.adj)
     elif args.out:
         print(f"wrote {args.out}: n={g.n}, edges={g.edge_count}")
     else:
@@ -177,24 +185,26 @@ def _cmd_gen(args) -> int:
 def _cmd_closure(args) -> int:
     started = time.perf_counter()
     g = read_edge_list(args.path)
+    pairs = {}
     if args.mode == "construct":
-        res = construct_closure(g)
-        cert = res.certificate
+        closure, family, cert, via_search = _certified_closure(g)
+        added = [row & ~old for row, old in zip(closure.adj, g.adj)]
+        min_added = sum(map(int.bit_count, added)) // 2
         if args.json:
             result = {
                 "mode": "construct",
-                "family": res.family.tag.value,
-                "m": res.family.m,
-                "min_added_edges": res.min_additions,
-                "added_edges": res.added_edges,
+                "family": family.tag.value,
+                "m": family.m,
+                "min_added_edges": min_added,
                 "certificate": cert._asdict(),
-                "via_search": res.via_search,
+                "via_search": via_search,
             }
+            pairs["added_edges"] = added
         else:
-            print(f"family: {res.family.tag.value} (m={res.family.m})"
-                  + (" [fallback search]" if res.via_search else ""))
-            print(f"min added edges: {res.min_additions}")
-            print("added: " + " ".join(map("(%d,%d)".__mod__, res.added_edges)))
+            print(f"family: {family.tag.value} (m={family.m})"
+                  + (" [fallback search]" if via_search else ""))
+            print(f"min added edges: {min_added}")
+            print("added: " + _pair_text(added, "(", ",", ")", " "))
             print(f"certificate: contains_input={cert.contains_input} "
                   f"distance_balanced={cert.distance_balanced} "
                   f"diameter={cert.diameter} "
@@ -223,7 +233,8 @@ def _cmd_closure(args) -> int:
             if args.all_witnesses:
                 print(f"witness count: {len(res.witnesses)}")
     if args.json:
-        _emit_json("closure", _input_summary(args.path, g, diameter(g)), result, started)
+        _emit_json("closure", _input_summary(args.path, g, diameter(g)), result, started,
+                   **pairs)
     return EXIT_OK
 
 

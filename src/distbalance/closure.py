@@ -28,8 +28,8 @@ input's labels and never relabeled.  The fallback runs the regular search
 on the input in its own labels and adds its first witness; that search
 walks only the pairs a regular completion leaves out, so its speed does
 not hang on the labeling.  The about C(n, 2) added pairs are read off
-near-full rows by ``graph._upper_pairs``, as ranges minus a few gaps
-(``graph._members``).
+near-full rows as ranges minus a few gaps (``graph._members``): by
+``graph._upper_pairs`` here, and as text by ``graph._pair_text`` in the CLI.
 
 Every result carries a computational certificate; minimality beyond the
 certified edge count is the search module's job.

@@ -16,7 +16,7 @@ import json
 import os
 
 from .errors import EdgeListFormatError
-from .graph import Graph, from_edge_list
+from .graph import Graph, _pair_text, from_edge_list
 
 _DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))  # str.translate deletes them
 
@@ -71,9 +71,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    pairs = _pair_text(g.adj, "", " ", "", "\n")
+    return f"{g.n}\n{pairs}\n" if pairs else f"{g.n}\n"
 
 
 def read_edge_list(path: str | os.PathLike) -> Graph:

@@ -5,8 +5,8 @@ vector: bit v of row u is set when uv is an edge, for any n.  ``_members``
 lists a row's vertices: bit by bit when sparse, and as its range minus the
 few clear bits, filtered in C, when dense, so a near-complete row costs
 its non-neighbours in Python steps.  Edge lists and a closure's added
-pairs (``_upper_pairs``) and the neighbour lists of ``_sweep`` all read
-their rows through it.
+pairs (``_upper_pairs``, and as text ``_pair_text``) and the neighbour
+lists of ``_sweep`` all read their rows through it.
 
 ``_levels`` is a single-source BFS that returns level masks;
 connectivity, the two-sweep tree diameter and the search's tree centre are
@@ -80,6 +80,21 @@ def _upper_pairs(rows) -> list[Edge]:
     # -(2 << u) keeps the bits above u
     return list(chain.from_iterable(zip(repeat(u), _members(row & -(2 << u), u + 1, n))
                                     for u, row in enumerate(rows)))
+
+
+def _pair_text(rows, open_: str, mid: str, close: str, sep: str) -> str:
+    """``_upper_pairs(rows)`` as text: open u mid v close per pair, joined by ``sep``,
+    one ``join`` per row over a table of decimal names and no tuple per pair."""
+    n = len(rows)
+    names = list(map(str, range(n)))
+    parts = []
+    for u, row in enumerate(rows):
+        row &= -(2 << u)
+        if row:
+            head = open_ + names[u] + mid
+            parts.append(head + (close + sep + head).join(
+                map(names.__getitem__, _members(row, u + 1, n))) + close)
+    return sep.join(parts)
 
 
 class Graph(NamedTuple):

@@ -1,0 +1,156 @@
+"""Pair listings written as text straight from bit rows (``graph._pair_text``).
+
+The CLI's edge lists, ``gen --json``'s edges and a closure's added pairs are
+rendered from bit rows with no tuple per pair; each check here compares the
+text with what the tuple route printed, so a dropped, repeated or reordered
+pair shows as a mismatch.
+"""
+
+import json
+import random
+import re
+from itertools import combinations
+
+import pytest
+
+from distbalance import (
+    __version__,
+    canonical_family_tree,
+    complete_graph,
+    construct_closure,
+    diameter,
+    format_edge_list,
+    from_edge_list,
+    relabel,
+    write_edge_list,
+)
+from distbalance.cli import main
+from distbalance.graph import _pair_text
+from distbalance.trees import FAMILIES
+
+
+def _labelled_graphs(n):
+    """Every labelled graph on n vertices with its edges in lex order, edgeless
+    and disconnected ones included."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [pair for i, pair in enumerate(pairs) if mask >> i & 1]
+        yield from_edge_list(n, edges), edges
+
+
+def test_three_shapes_match_the_tuple_route_on_every_graph_up_to_order_6():
+    # rows of up to five neighbours above u reach both branches of _members
+    graphs = 0
+    for n in range(1, 7):
+        for g, edges in _labelled_graphs(n):
+            assert "[" + _pair_text(g.adj, "[", ", ", "]", ", ") + "]" == json.dumps(edges)
+            assert format_edge_list(g) == "\n".join(
+                [str(n), *(f"{u} {v}" for u, v in edges)]) + "\n"
+            assert _pair_text(g.adj, "(", ",", ")", " ") == " ".join(
+                map("(%d,%d)".__mod__, edges))
+            graphs += 1
+    assert graphs == sum(1 << n * (n - 1) // 2 for n in range(1, 7))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_edgeless_edge_list_is_the_count_line(n):
+    assert format_edge_list(from_edge_list(n, [])) == f"{n}\n"
+
+
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
+
+
+def _closure_inputs():
+    # each family's first two m include the degenerate s22 m = 2 and s3 m = 3, 4
+    for tag, row in FAMILIES.items():
+        for m in sorted({row.verify_min_m, row.verify_min_m + 1, 10, 57, 200}):
+            yield f"{tag.value}_m{m}", _shuffled(canonical_family_tree(tag, m), m)
+    yield "dominant", _shuffled(from_edge_list(
+        7, [(0, v) for v in range(1, 7)] + [(1, 2), (2, 3), (4, 5)]), 7)
+    yield "K4", complete_graph(4)
+
+
+CLOSURE_INPUTS = dict(_closure_inputs())
+_TIMING = re.compile(r'"timing": [^,}]+')
+
+
+def _old_closure_output(g, path):
+    """(human, --json) stdout of closure construct, built from the tuples of
+    ``construct_closure`` and ``json.dumps`` over them, with timing 0."""
+    res = construct_closure(g)
+    cert = res.certificate
+    result = {
+        "mode": "construct",
+        "family": res.family.tag.value,
+        "m": res.family.m,
+        "min_added_edges": res.min_additions,
+        "added_edges": res.added_edges,
+        "certificate": cert._asdict(),
+        "via_search": res.via_search,
+    }
+    summary = {"path": path, "n": g.n, "edge_count": g.edge_count,
+               "max_degree": g.max_degree(), "diameter": diameter(g)}
+    report = {"command": "closure", "input": summary, "result": result,
+              "timing": 0, "version": __version__}
+    human = "\n".join([
+        f"family: {res.family.tag.value} (m={res.family.m})"
+        + (" [fallback search]" if res.via_search else ""),
+        f"min added edges: {res.min_additions}",
+        "added: " + " ".join(map("(%d,%d)".__mod__, res.added_edges)),
+        f"certificate: contains_input={cert.contains_input} "
+        f"distance_balanced={cert.distance_balanced} diameter={cert.diameter} "
+        f"regular_degree={cert.regular_degree} matches_formula={cert.matches_formula}",
+    ]) + "\n"
+    return human, json.dumps(report, sort_keys=True) + "\n"
+
+
+def test_corpus_takes_the_fallback_search():
+    assert [name for name, g in CLOSURE_INPUTS.items()
+            if construct_closure(g).via_search] == ["s22_m2", "s3_m3", "s3_m4"]
+
+
+def _timing_zero(text):
+    # on the raw text: a parse and re-dump would hide a spacing slip
+    return _TIMING.sub('"timing": 0', text)
+
+
+@pytest.mark.parametrize("name", CLOSURE_INPUTS)
+def test_closure_output_matches_the_tuple_route(name, capsys, tmp_path):
+    g = CLOSURE_INPUTS[name]
+    path = str(tmp_path / "g.el")
+    write_edge_list(g, path)
+    human, report = _old_closure_output(g, path)
+    assert main(["closure", path]) == 0
+    assert capsys.readouterr().out == human
+    assert main(["closure", path, "--json"]) == 0
+    assert _timing_zero(capsys.readouterr().out) == report
+    if name == "K4":
+        assert "\nadded: \n" in human
+
+
+def test_closure_splice_ignores_the_key_text_in_a_path(capsys, tmp_path):
+    # the path's '"' is escaped in the report, so its copy of the key's text
+    # cannot be taken for the result's
+    g = CLOSURE_INPUTS["star_m10"]
+    path = str(tmp_path / 'x"added_edges": [].el')
+    write_edge_list(g, path)
+    assert main(["closure", path, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert _timing_zero(out) == _old_closure_output(g, path)[1]
+
+
+def test_gen_complete_300_matches_the_tuple_route(capsys, tmp_path):
+    g = complete_graph(300)
+    result = {"kind": "complete", "param": "300", "out": None, "n": 300,
+              "edge_count": g.edge_count, "edges": g.edges()}
+    report = {"command": "gen", "input": {"kind": "complete", "param": "300"},
+              "result": result, "timing": 0, "version": __version__}
+    assert main(["gen", "complete", "300", "--json"]) == 0
+    assert _timing_zero(capsys.readouterr().out) == json.dumps(report, sort_keys=True) + "\n"
+    out = tmp_path / "k300.el"
+    assert main(["gen", "complete", "300", "--out", str(out)]) == 0
+    assert out.read_text() == "\n".join(
+        ["300", *(f"{u} {v}" for u, v in combinations(range(300), 2))]) + "\n"
