@@ -260,17 +260,16 @@ class _Setup(NamedTuple):
     """What every level of a naive search shares."""
 
     flips: list[tuple[int, int, int, int]]  # per complement edge (u, 1 << u, v, 1 << v)
-    touch: list[int]  # per vertex, the indices whose edge touches it
+    last: list[int]  # per vertex, the last index whose edge touches it, -1 for none
 
 
 def _setup(adj: tuple[int, ...], comp: list[Edge]) -> _Setup:
     """The per-search data of ``_level`` for the rows ``adj`` and the
     complement edges ``comp``."""
-    touch = [0] * len(adj)
+    last = [-1] * len(adj)
     for j, (u, v) in enumerate(comp):
-        touch[u] |= 1 << j
-        touch[v] |= 1 << j
-    return _Setup([(u, 1 << u, v, 1 << v) for u, v in comp], touch)
+        last[u] = last[v] = j
+    return _Setup([(u, 1 << u, v, 1 << v) for u, v in comp], last)
 
 
 def _below_floor(rows: list[int], left: int) -> int | None:
@@ -302,16 +301,17 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
     out; a level whose input it rules out is skipped.  Otherwise the
     vertices it returns for a node's prefix graph, and only those, must be
     touched: the next edge is picked only up to the last index that touches
-    each of them, and a leaf is tested only when its edge touches all of
-    them (module docstring).  The clock is read every _DEADLINE_STRIDE
-    nodes; a range that is cut is never visited.
+    each of them, and a leaf is visited only when its edge touches all of
+    them (module docstring).  Leaves take the path of the other nodes, with
+    the balance test in place of the floor.  The clock is read every
+    _DEADLINE_STRIDE nodes; a range that is cut is never visited.
 
     Returns the hits as index sets, the lex count, the leaves balance-tested
     and whether the deadline passed.  The lex count runs up to and including
     the first hit (the whole level without one, or with ``all_witnesses``);
     on a timeout it is the number of subsets before the node being visited.
     """
-    flips, touch = setup.flips, setup.touch
+    flips, last = setup.flips, setup.last
     n_comp = len(flips)
     rows = list(adj)
     if not k:
@@ -325,7 +325,7 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
         last_touch = n_comp
         while must:
             low = must & -must
-            last_touch = min(last_touch, touch[low.bit_length() - 1].bit_length() - 1)
+            last_touch = min(last_touch, last[low.bit_length() - 1])
             must ^= low
         return last_touch
 
@@ -335,46 +335,20 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
     chosen: list[int] = []
     cuts = [cut(must)]  # per depth, of the prefix graph
     visited = tested = i = 0
-    last = k - 1
+    leaf_depth = k - 1
     while True:
         depth = len(chosen)
-        if depth == last:  # the leaves, in a loop of their own: most nodes are leaves
-            # must is the leaves' parent's: at most 2 vertices, by the floor with one edge left
-            if must:  # the indices from i on whose edge touches all of must
-                cover = touch[(must & -must).bit_length() - 1] & touch[must.bit_length() - 1]
-                leaves = _bits(cover >> i << i)
-            else:
-                leaves = range(i, n_comp)
-            for i in leaves:
-                if (deadline is not None and not visited % _DEADLINE_STRIDE
-                        and time.monotonic() > deadline):
-                    return hits, _lex_rank(chosen + [i], n_comp, k), tested, True
-                visited += 1
-                leaf = held ^ reps[i]
-                d = leaf ^ image ^ cols[i]
-                low = d ^ (d & (d - ones))
-                if low & leaf != low:
-                    continue  # a permutation maps the subset lex-smaller
-                u, bu, v, bv = flips[i]
-                rows[u] ^= bv
-                rows[v] ^= bu
-                tested += 1
-                balanced = _transmission_regular(rows)
-                rows[u] ^= bv
-                rows[v] ^= bu
-                if balanced:
-                    hits.append((*chosen, i))
-                    if not all_witnesses:
-                        return hits, _lex_rank(hits[0], n_comp, k) + 1, tested, False
-            i = n_comp
         # i can still start the rest of a subset and leave an edge for each
         # vertex that must be touched
         if i <= n_comp - k + depth and i <= cuts[-1]:
+            u, bu, v, bv = flips[i]
+            if depth == leaf_depth and must & ~(bu | bv):
+                i += 1  # must is the parent's: a leaf's edge touches all of it
+                continue
             if (deadline is not None and not visited % _DEADLINE_STRIDE
                     and time.monotonic() > deadline):
                 return hits, _lex_rank(chosen + [i], n_comp, k), tested, True
             visited += 1
-            u, bu, v, bv = flips[i]
             rows[u] ^= bv
             rows[v] ^= bu
             held ^= reps[i]
@@ -383,13 +357,20 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
             d = held ^ image  # the survival test of _ImageTables
             low = d ^ (d & (d - ones))
             if low & held == low:
-                must = _below_floor(rows, k - 1 - depth)
-                if must is not None:
-                    cuts.append(cut(must))
-                    i += 1
-                    continue
-            # else a permutation maps the prefix lex-smaller, or the floor
-            # rules it out: drop its subtree
+                if depth == leaf_depth:
+                    tested += 1
+                    if _transmission_regular(rows):
+                        hits.append(tuple(chosen))
+                        if not all_witnesses:
+                            return hits, _lex_rank(chosen, n_comp, k) + 1, tested, False
+                else:
+                    must = _below_floor(rows, k - 1 - depth)
+                    if must is not None:
+                        cuts.append(cut(must))
+                        i += 1
+                        continue
+            # a leaf is done; else a permutation maps the prefix
+            # lex-smaller, or the floor rules it out: drop its subtree
         elif chosen:
             cuts.pop()
         else:

@@ -817,21 +817,31 @@ def _dropped(comp, prefix, perms):
                for p in perms)
 
 
-def _short_of_floor(g, added, left):
-    """The vertices of ``g`` plus the edges ``added`` whose degree is below
+def _floor_gaps(g, added=()):
+    """Per vertex of ``g`` plus the edges ``added`` whose degree is below
     the transmission floor 2(n-1) - D(u), u the first vertex of maximum
-    degree, from ``bfs_distances``; None when ``left`` more edges cannot
-    lift them all to it."""
+    degree, from ``bfs_distances``: how far below it the vertex is."""
     edges = [*g.edges(), *added]
     degree = [0] * g.n
     for u, v in edges:
         degree[u] += 1
         degree[v] += 1
     floor = 2 * (g.n - 1) - sum(helpers.bfs_distances(g.n, edges, degree.index(max(degree))))
-    gaps = {v: floor - d for v, d in enumerate(degree) if d < floor}
+    return {v: floor - d for v, d in enumerate(degree) if d < floor}
+
+
+def _lifted(gaps, left):
+    """The vertices of ``gaps``, or None when ``left`` more edges cannot
+    lift them all to the floor."""
     if any(gap > left for gap in gaps.values()) or sum(gaps.values()) > 2 * left:
         return None
     return set(gaps)
+
+
+def _short_of_floor(g, added, left):
+    """The vertices of ``g`` plus the edges ``added`` below the transmission
+    floor; None when ``left`` more edges cannot lift them all to it."""
+    return _lifted(_floor_gaps(g, added), left)
 
 
 def _walk(g, comp, k, perms, floor=True):
@@ -1011,11 +1021,11 @@ class TestSubtreePruning:
         """With the clock read at every node, a clock that turns late at any
         node of a level below the witness level (so pruned by the
         automorphisms even with every witness wanted) stops the search at
-        that node, a leaf in the leaf loop or a prefix before it, dropped or
-        not.  Level 5 of the spider has 73 nodes, 6 of them leaves.  Level 3
-        of the m = 4 star has none: its spokes are 3 below the floor of 4.
-        With the transmission floor patched out it has 12, 4 of them
-        leaves.  ``explored``
+        that node, a leaf or a shorter prefix, dropped or not.  Level 5 of
+        the spider has 73 nodes, 6 of them leaves.  Level 3 of the m = 4
+        star has none: its spokes are 3 below the floor of 4.  With the
+        transmission floor patched out it has 12, 4 of them leaves.
+        ``explored``
         counts the k-subsets before the first one that starts with the
         node's edges, the lex rank of a leaf."""
         star = canonical_family_tree(FamilyTag.STAR, 4)
@@ -1140,8 +1150,9 @@ class TestTransmissionFloor:
         at least one edge short."""
         for n, graphs in small_connected_graphs.items():
             for g in graphs:
+                gaps = _floor_gaps(g)  # one BFS per graph, judged for every left
                 for left in range(comb(n, 2) - g.edge_count + 1):
-                    want = _short_of_floor(g, [], left)
+                    want = _lifted(gaps, left)
                     got = search._below_floor(list(g.adj), left)
                     assert (got is None) is (want is None), (g, left)
                     if want is not None:
