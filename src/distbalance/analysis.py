@@ -17,9 +17,10 @@ gets its transmissions from two O(n) passes over a BFS tree, with D(c) =
 D(parent) + n - 2 |subtree(c)| for a child c.  A bipartite graph (no edge
 inside a BFS level) has no vertex equidistant from the ends of an edge, so
 the identity alone gives |closer to x| = (n + D(y) - D(x)) / 2; a tree
-takes this formula too.  The search's balance test grows
-one vertex's ball at a time in a fused loop that sums D as the ball grows,
-so it can stop at the first vertex whose D differs.
+takes this formula too.  The search's balance test takes one vertex's D
+at a time from ``graph._transmission``, the kernel the search's
+transmission floor also reads, so it can stop at the first vertex whose D
+differs.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from itertools import starmap
 from operator import add, mul
 from typing import NamedTuple
 
-from .errors import DisconnectedGraphError
-from .graph import Edge, Graph, _ball_sweep
+from .graph import Edge, Graph, _ball_sweep, _transmission
 
 
 class EdgeBalance(NamedTuple):
@@ -74,29 +74,11 @@ def _worst_edge(g: Graph, trans: list[int], edges: list[Edge] | None = None) -> 
 
 
 def _transmission_regular(adj) -> bool:
-    """Balance of the graph with adjacency rows ``adj``, as transmission-regularity;
-    stops at the first vertex whose D differs from vertex 0's.  D(v) sums n - |B_d(v)|
-    over the balls short of full; one that stops growing (vertex 0's) raises."""
-    n = len(adj)
-    full, target = (1 << n) - 1, -1
-    for v in range(n):  # plain loops: this is the search's inner loop
-        frontier = adj[v]
-        ball, total = frontier | 1 << v, n - 1
-        while ball != full:
-            total += n - ball.bit_count()
-            grown = ball
-            while frontier:
-                low = frontier & -frontier
-                grown |= adj[low.bit_length() - 1]
-                frontier ^= low
-            if grown == ball:
-                raise DisconnectedGraphError("graph is not connected")
-            frontier, ball = grown ^ ball, grown
-        if total != target:
-            if v:
-                return False
-            target = total
-    return True
+    """Balance of the graph with adjacency rows ``adj``, as transmission-regularity:
+    each vertex's ``_transmission`` equals vertex 0's, which raises when disconnected.
+    Stops at the first vertex whose D differs."""
+    target = _transmission(adj, 0)
+    return all(_transmission(adj, v) == target for v in range(1, len(adj)))
 
 
 def is_distance_balanced(g: Graph) -> bool:

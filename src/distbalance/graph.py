@@ -10,7 +10,9 @@ lists of ``_sweep`` all read their rows through it.
 
 ``_levels`` is a single-source BFS that returns level masks;
 connectivity, the two-sweep tree diameter and the search's tree centre are
-read off it.
+read off it.  ``_transmission`` gives one vertex's D(v), the sum of its
+distances, growing its ball and the sum in one loop; the balance test and
+the search's transmission floor both read D from it.
 ``_ball_sweep`` gives the transmissions, the diameter and the per-edge
 closer counts of a whole graph, by one of three routes picked from vertex
 0's BFS levels, which it takes anyway to refuse a disconnected graph:
@@ -26,9 +28,8 @@ closer counts of a whole graph, by one of three routes picked from vertex
   at once (K_n is read off its degrees).
 The identity behind the bipartite route, |closer to x| - |closer to y| =
 D(y) - D(x), is also how the analysis module decides balance, as
-transmission-regularity (Jerebic, Klavzar and Rall, Ann. Comb. 12 (2008));
-the search's test there fuses the growth of each ball with the
-transmission sum.
+transmission-regularity (Jerebic, Klavzar and Rall, Ann. Comb. 12 (2008)),
+one ``_transmission`` at a time.
 All distance computations reject disconnected graphs; there are no
 infinite distances anywhere in the API.
 """
@@ -202,6 +203,27 @@ def _levels(adj, source: int) -> list[int]:
             return levels
         seen |= frontier
         levels.append(frontier)
+
+
+def _transmission(adj, v: int) -> int:
+    """D(v), the sum of the distances from v: n - |B_d(v)| summed over v's balls
+    short of full, grown from the closed row with the sum in one loop; raises
+    DisconnectedGraphError when the ball stops growing short of full."""
+    n = len(adj)
+    full = (1 << n) - 1
+    frontier = adj[v]
+    ball, total = frontier | 1 << v, n - 1
+    while ball != full:  # plain loops: this is the search's inner loop
+        total += n - ball.bit_count()
+        grown = ball
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
+        if grown == ball:
+            raise DisconnectedGraphError("graph is not connected")
+        frontier, ball = grown ^ ball, grown
+    return total
 
 
 def _spanning_levels(adj, source: int) -> list[int]:

@@ -20,8 +20,12 @@ a lexicographically smaller set.  The lex-first witness is the minimum of
 its orbit, so the first witness and the minimum are those of the plain
 scan.  The test is hereditary, so a dropped prefix drops its whole lex
 subtree.  Each automorphism is tested alone, not the whole group.
-``all_witnesses`` walks every level pruned and rescans the witness level
-without the automorphisms.
+``all_witnesses`` walks every level pruned once and closes the witness
+level's hits under the permutations the walk pruned by.  Every witness is
+in the orbit of the least member of its orbit under the group they
+generate; no one of them maps that member lex-smaller, so by heredity it
+survives with its prefixes.  Each image is balance-tested as an
+independent check, and one that fails raises GraphError.
 
 The naive walk also cuts by a transmission floor, which does not rest on
 the paper's theorem.  Lemma F: let H be connected and H' a balanced graph
@@ -30,11 +34,12 @@ deg_H'(v) >= f(H) = 2(n-1) - D_H(u), for any vertex u, D the
 transmission.  Proof: H' is transmission-regular with some value t
 (Jerebic, Klavzar and Rall 2008); the non-neighbours of v are at distance
 at least 2, so t = D_H'(v) >= 2(n-1) - deg_H'(v), and adding edges never
-makes a distance longer, so t = D_H'(u) <= D_H(u).  One BFS from a vertex
-of maximum degree gives f.  A prefix graph with a vertex more than the
-edges still to pick below f, or below it by more than twice them in all,
-has no balanced completion: the walk drops its lex subtree, and skips,
-counted whole, a level whose input it rules out.  Otherwise each vertex
+makes a distance longer, so t = D_H'(u) <= D_H(u).  The transmission of a
+vertex of maximum degree, from ``graph._transmission``, gives f.  A prefix
+graph with a vertex more than the edges still to pick below f, or below it
+by more than twice them in all, has no balanced completion: the walk drops
+its lex subtree, and skips, counted whole, a level whose input it rules
+out.  Otherwise each vertex
 below f, one short at least, must be touched by a later edge: the next
 edge is picked only up to the last complement edge that touches each of
 them, and a last edge must touch all of them, at most 2.
@@ -77,7 +82,8 @@ from .errors import (
     PruneModeUnjustifiedError,
     SearchBudgetError,
 )
-from .graph import Graph, _bits, _levels, complement_edges, is_connected
+from .graph import (Graph, _bits, _levels, _transmission, add_edges, complement_edges,
+                    is_connected)
 
 MAX_SEARCH_VERTICES = 64
 # walk nodes per clock read, dropped ones and passed-over edges included
@@ -279,10 +285,7 @@ def _below_floor(rows: list[int], left: int) -> int | None:
     cannot lift them all to it: one of them is more than ``left`` short, or
     all together more than 2 * ``left``."""
     degrees = list(map(int.bit_count, rows))
-    top = max(degrees)
-    # D(u) = 2(n-1) - deg(u) + the sum over d >= 3 of (d - 2) |level d|
-    floor = top - sum(d * level.bit_count() for d, level in
-                      enumerate(_levels(rows, degrees.index(top))[3:], 1))
+    floor = 2 * (len(rows) - 1) - _transmission(rows, degrees.index(max(degrees)))
     low = min(degrees)
     if low >= floor:
         return 0
@@ -384,6 +387,34 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
         i += 1
 
 
+def _orbits(g: Graph, comp: list[Edge], tables: _ImageTables, hits: list[tuple[int, ...]],
+            deadline: float | None) -> tuple[list[tuple[int, ...]], bool]:
+    """The hits of a pruned level closed under the permutations of ``tables``,
+    in lex order, and whether the deadline passed.  Field j of the sum of a
+    hit's ``cols`` is its image under permutation j.  Each image that is new
+    is balance-tested as an independent check: one that fails raises
+    GraphError.  The clock is read every _DEADLINE_STRIDE hits expanded."""
+    width, field = len(comp) + 1, (1 << len(comp)) - 1
+    offsets = range(0, width * tables.ones.bit_count(), width)
+    found = {sum(1 << i for i in hit) for hit in hits}
+    todo = list(found)
+    for expanded, hit in enumerate(todo):  # the list grows while it is read
+        if (deadline is not None and not expanded % _DEADLINE_STRIDE
+                and time.monotonic() > deadline):
+            return [], True
+        image = sum(map(tables.cols.__getitem__, _bits(hit)))
+        for off in offsets:
+            mask = image >> off & field
+            if mask not in found:
+                image_graph = add_edges(g, map(comp.__getitem__, _bits(mask)))
+                if not _transmission_regular(image_graph.adj):
+                    raise GraphError(f"naive mode: an automorphic image of a witness with "
+                                     f"k={len(hits[0])} added edges not balanced")
+                found.add(mask)
+                todo.append(mask)
+    return sorted(map(tuple, map(_bits, found))), False
+
+
 def _regular_level(adj: tuple[int, ...], comp: list[Edge], r: int, deadline: float | None,
                    all_witnesses: bool) -> tuple[list[tuple[int, ...]], int, bool]:
     """Balance-test the r-regular completions of the rows ``adj``, r < n:
@@ -445,7 +476,8 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
 
     Raises SearchBudgetError when max_k or time_budget runs out; the error
     carries the largest fully exhausted k, certifying the answer exceeds it.
-    Raises GraphError when the regular mode tests an unbalanced candidate.
+    Raises GraphError when the regular mode tests an unbalanced candidate or
+    an image of a naive witness is unbalanced.
     """
     if g.n > MAX_SEARCH_VERTICES:
         raise GraphTooLargeError(
@@ -454,7 +486,7 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
         raise ValueError(f"unknown prune mode {config.prune_mode!r}")
     if config.max_k is not None and config.max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {config.max_k}")
-    if config.time_budget is not None and config.time_budget <= 0:
+    if config.time_budget is not None and not config.time_budget > 0:  # NaN too
         raise ValueError(f"time_budget must be > 0, got {config.time_budget}")
     if not is_connected(g):
         raise DisconnectedGraphError("search requires a connected graph")
@@ -482,10 +514,10 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
                                                      config.all_witnesses)
             explored += tested
         else:
-            hits, lex, _, timed_out = _level(g.adj, setup, k, tables, deadline, False)
-            if hits and config.all_witnesses:  # rescan it without the automorphisms
-                hits, lex, _, timed_out = _level(
-                    g.adj, setup, k, _image_tables([], comp), deadline, True)
+            hits, lex, _, timed_out = _level(g.adj, setup, k, tables, deadline,
+                                             config.all_witnesses)
+            if hits and config.all_witnesses:
+                hits, timed_out = _orbits(g, comp, tables, hits, deadline)
             explored += lex
         if timed_out:
             raise SearchBudgetError(

@@ -86,7 +86,8 @@ class TestErrors:
             search_minimum_additions(path_graph(3), SearchConfig(prune_mode="fast"))
 
     @pytest.mark.parametrize("field,value", [
-        ("max_k", -1), ("time_budget", 0.0), ("time_budget", -1.0)])
+        ("max_k", -1), ("time_budget", 0.0), ("time_budget", -1.0),
+        ("time_budget", float("nan"))])
     def test_out_of_range_config_refused(self, field, value):
         with pytest.raises(ValueError, match=field):
             search_minimum_additions(path_graph(5), SearchConfig(**{field: value}))
@@ -236,8 +237,7 @@ class TestRegularEnumeration:
 
 
 class TestEveryBalancingSubset:
-    """Which k-subsets balance the input, from the scan of
-    ``all_witnesses`` without the automorphisms."""
+    """Which k-subsets balance the input, from ``all_witnesses``."""
 
     @staticmethod
     def _every_witness(g, max_k=None):
@@ -276,10 +276,10 @@ class TestAllWitnesses:
         assert res.witnesses[0] == min(expected)
 
     @pytest.mark.parametrize("mode", ["naive", "regular"])
-    def test_only_the_witness_level_is_rescanned_unpruned(self, monkeypatch, mode):
-        """The levels below the minimum hold no witness to lose, so they are
-        walked with the generators' tables; the witness level is walked
-        with them too and then rescanned with empty tables for every hit.
+    def test_every_level_is_walked_once_pruned(self, monkeypatch, mode):
+        """Every level, the witness level included, is walked once with the
+        generators' tables and every hit wanted; the witness level's hits
+        are then closed under the tables' permutations, not rescanned.
         The regular mode walks the removed pairs and never calls _level."""
         levels = []
         real = search._level
@@ -294,7 +294,7 @@ class TestAllWitnesses:
             tree, SearchConfig(prune_mode=mode, all_witnesses=True))
         assert (res.min_additions, len(res.witnesses)) == (7, 3)
         if mode == "naive":
-            assert levels == [(k, True, False) for k in range(8)] + [(7, False, True)]
+            assert levels == [(k, True, True) for k in range(8)]
         else:
             assert levels == []
 
@@ -302,6 +302,58 @@ class TestAllWitnesses:
         res = search_minimum_additions(cycle_graph(5),
                                        SearchConfig(all_witnesses=True))
         assert res.witnesses == ((),)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_orbits_equal_the_unpruned_walk(self, monkeypatch, small_connected_graphs, n):
+        """On every labelled connected graph with n <= 6, the pruned walk
+        with its hits closed under the tables' permutations gives the
+        result of the walk with empty tables, which prunes nothing and has
+        no orbit to close: the same witnesses in the same order, and the
+        same ``explored``."""
+        config = SearchConfig(all_witnesses=True)
+        pruned = [search_minimum_additions(g, config) for g in small_connected_graphs[n]]
+        monkeypatch.setattr(search, "_generators", lambda g: [])
+        assert [search_minimum_additions(g, config)
+                for g in small_connected_graphs[n]] == pruned
+
+    def test_orbits_of_truncated_tables(self, monkeypatch):
+        """When _MAX_TABLE_BITS lets only some permutations into the tables,
+        the walk prunes by those alone and their orbits still cover every
+        witness: the s2 tree with m = 4 keeps 1 of its 2 generators here."""
+        tree = canonical_family_tree(FamilyTag.S2, 4)
+        comp = complement_edges(tree)
+        config = SearchConfig(all_witnesses=True)
+        whole = search_minimum_additions(tree, config)
+        monkeypatch.setattr(search, "_MAX_TABLE_BITS", 2 * (len(comp) + 1) ** 2)
+        assert search._image_tables(search._generators(tree), comp).ones.bit_count() == 1
+        assert len(search._generators(tree)) == 2
+        assert search_minimum_additions(tree, config) == whole
+
+    def test_an_unbalanced_image_raises(self, monkeypatch):
+        """Each image that the orbits add is balance-tested: one that fails
+        is an error of the automorphisms or the walk, not a lost witness."""
+        tree = canonical_family_tree(FamilyTag.S2, 4)
+        res = search_minimum_additions(tree, SearchConfig(all_witnesses=True))
+        last = add_edges(tree, res.witnesses[-1]).adj
+        real = search._transmission_regular
+        monkeypatch.setattr(search, "_transmission_regular",
+                            lambda rows: tuple(rows) != last and real(rows))
+        with pytest.raises(GraphError, match="k=7 added edges not balanced"):
+            search_minimum_additions(tree, SearchConfig(all_witnesses=True))
+
+    def test_budget_holds_while_orbits_are_closed(self, monkeypatch):
+        """A clock that turns late after the witness level's walk stops the
+        search in the closure of its hits, with that level counted whole."""
+        tree = canonical_family_tree(FamilyTag.S2, 4)
+        levels = _spy_levels(monkeypatch)
+        monkeypatch.setattr(search.time, "monotonic",
+                            lambda: 2.0 if levels and levels[-1] == (7, 120) else 0.0)
+        with pytest.raises(SearchBudgetError, match="inside level k=7") as exc_info:
+            search_minimum_additions(tree, SearchConfig(all_witnesses=True, time_budget=1.0))
+        comp = complement_edges(tree)
+        assert len(comp) == 10
+        assert exc_info.value.exhausted_k == 6
+        assert exc_info.value.explored == sum(comb(len(comp), j) for j in range(8))
 
 
 class TestDeterminismAndThreads:
@@ -429,8 +481,8 @@ class TestRegularFirstCandidate:
     @pytest.mark.parametrize("all_witnesses", [False, True])
     def test_builds_no_orbit_tables(self, monkeypatch, all_witnesses):
         """A regular search builds no generators or tables.  The naive mode
-        builds the generators' tables once per search, and the scan of every
-        witness adds empty tables for the witness level."""
+        builds the generators' tables once per search, with every witness
+        wanted too: their orbits come from the same tables."""
         calls = []
 
         def spy(name):
@@ -439,14 +491,13 @@ class TestRegularFirstCandidate:
 
         for name in ("_generators", "_image_tables"):
             monkeypatch.setattr(search, name, spy(name))
-        per_search = ["_generators", "_image_tables"] + ["_image_tables"] * all_witnesses
         for tag, m in [(FamilyTag.STAR, 5), (FamilyTag.S22, 4), (FamilyTag.S2, 4)]:
             search_minimum_additions(canonical_family_tree(tag, m), SearchConfig(
                 prune_mode="regular", all_witnesses=all_witnesses))
         assert calls == []
         search_minimum_additions(canonical_family_tree(FamilyTag.STAR, 3),
                                  SearchConfig(all_witnesses=all_witnesses))
-        assert calls == per_search
+        assert calls == ["_generators", "_image_tables"]
 
 
 class TestRegularOnMaxDegree:
@@ -492,7 +543,7 @@ class TestBalancedNonRegular:
 
 def test_minimality_spot_check_on_acceptance_instances():
     """Independent spot check one level below the answer: the walk without
-    orbit pruning, as ``all_witnesses`` rescans a witness level, finds no
+    orbit pruning, with empty tables, finds no
     (b-1)-subset of complement edges that balances a closed-form family
     instance.  A search would walk that level pruned, since it holds no
     witness."""
@@ -575,19 +626,21 @@ def test_naive_search_on_delta_n_minus_4_trees(shape):
 
 class TestTheorem:
     """The paper's theorem: a distance-balanced graph with maximum degree at
-    least n - 3 is regular.  Such a graph has a vertex adjacent to all but
-    c <= 2 of the others; relabelled with that vertex as 0 and its
-    neighbours as 1..n-1-c, it is one of the graphs enumerated below."""
+    least n - 3 is regular, and for n <= 7 so is one with maximum degree
+    n - 4.  Such a graph has a vertex adjacent to all but c <= 3 of the
+    others; relabelled with that vertex as 0 and its neighbours as
+    1..n-1-c, it is one of the graphs enumerated below."""
 
     # connected balanced graphs per (n, c); every other (n, c) has none
     BALANCED = {(1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1, (4, 1): 1, (5, 0): 1,
-                (5, 2): 2, (6, 0): 1, (6, 1): 3, (6, 2): 7, (7, 0): 1, (7, 2): 31}
+                (5, 2): 2, (6, 0): 1, (6, 1): 3, (6, 2): 7, (6, 3): 6, (7, 0): 1,
+                (7, 2): 31}
 
     def test_balanced_graphs_of_max_degree_at_least_n_minus_3_are_regular(self):
         counts = {}
         for n in range(1, 8):
             pairs = list(combinations(range(1, n), 2))
-            for c in range(min(3, n)):
+            for c in range(min(4, n)):
                 hub = (1 << n - c) - 2  # vertex 0 joined to 1..n-1-c
                 base = [hub] + [1 if v < n - c else 0 for v in range(1, n)]
                 counts[n, c] = 0
