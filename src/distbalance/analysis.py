@@ -12,15 +12,11 @@ Every report takes one call of ``graph._ball_sweep``, and its diameter
 comes from the same call.  In general that is an all-sources ball sweep:
 with B_d(v) the vertices within distance d of v, |closer to x| is the sum
 over d of |B_d(x) - B_d(y)|, and |closer to y| follows from the identity.
-Two kinds of graph skip that per-edge work.  A tree (degree sum 2(n - 1))
-gets its transmissions from two O(n) passes over a BFS tree, with D(c) =
-D(parent) + n - 2 |subtree(c)| for a child c.  A bipartite graph (no edge
-inside a BFS level) has no vertex equidistant from the ends of an edge, so
-the identity alone gives |closer to x| = (n + D(y) - D(x)) / 2; a tree
-takes this formula too.  The search's balance test takes one vertex's D
-at a time from ``graph._transmission``, the kernel the search's
-transmission floor also reads, so it can stop at the first vertex whose D
-differs.
+Three kinds of graph take shorter routes (see the ``graph`` module):
+those with 2 delta >= n - 1 or a dominant vertex, trees and bipartite
+graphs.  The search's balance test takes one vertex's D at a time from
+``graph._transmission``, the kernel the search's transmission floor also
+reads, so it can stop at the first vertex whose D differs.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ input's labels and never relabeled.  The fallback runs the regular search
 on the input in its own labels and adds its first witness; that search
 walks only the pairs a regular completion leaves out, so its speed does
 not hang on the labeling.  The about C(n, 2) added pairs are read off
-near-full rows as ranges minus a few gaps (``graph._members``): by
+near-full rows as the runs between a few gaps (``graph._runs``): by
 ``graph._upper_pairs`` here, and as text by ``graph._pair_text`` in the CLI.
 
 Every result carries a computational certificate; minimality beyond the
@@ -102,7 +102,10 @@ def verify_closure(t: Graph, candidate: Graph,
     """Certificate for an arbitrary candidate closure of ``t``.
 
     ``matches_formula`` compares the candidate's extra edge count against
-    ``expected_additions`` when given, else stays None.
+    ``expected_additions`` when given, else stays None.  On a dense candidate
+    (2 delta >= n - 1 or a dominant vertex, checked on its own rows) D and the
+    diameter come from its own degrees, not from the construction, the family
+    table or the paper's theorem.
     """
     contains = is_spanning_subgraph(t, candidate)  # refuses unequal vertex counts
     transmissions, diam, _ = _ball_sweep(candidate.adj)

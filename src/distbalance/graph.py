@@ -2,11 +2,12 @@
 
 Vertices are 0..n-1.  Each adjacency row is a Python int used as a bit
 vector: bit v of row u is set when uv is an edge, for any n.  ``_members``
-lists a row's vertices: bit by bit when sparse, and as its range minus the
-few clear bits, filtered in C, when dense, so a near-complete row costs
-its non-neighbours in Python steps.  Edge lists and a closure's added
-pairs (``_upper_pairs``, and as text ``_pair_text``) and the neighbour
-lists of ``_sweep`` all read their rows through it.
+lists a row's vertices: bit by bit when sparse, and when dense as a range
+per run between the few clear bits (``_runs``), chained in C, so a
+near-complete row costs its non-neighbours in Python steps.  Edge lists,
+a closure's added pairs (``_upper_pairs``) and the neighbour lists of
+``_sweep`` read their rows through it; ``_pair_text`` joins a slice of its
+table of names per run.
 
 ``_levels`` is a single-source BFS that returns level masks;
 connectivity, the two-sweep tree diameter and the search's tree centre are
@@ -14,8 +15,11 @@ read off it.  ``_transmission`` gives one vertex's D(v), the sum of its
 distances, growing its ball and the sum in one loop; the balance test and
 the search's transmission floor both read D from it.
 ``_ball_sweep`` gives the transmissions, the diameter and the per-edge
-closer counts of a whole graph, by one of three routes picked from vertex
-0's BFS levels, which it takes anyway to refuse a disconnected graph:
+closer counts of a whole graph by one of four routes; all but the first are
+picked from vertex 0's BFS levels, taken anyway to refuse a disconnected graph:
+- with 2 delta >= n - 1 or a dominant vertex, two non-adjacent vertices
+  share a neighbour, so the diameter is at most 2 and the degrees give D(v)
+  = 2(n - 1) - deg(v) and |closer to x| = deg(x) - |N(x) & N(y)| (1 on K_n);
 - a tree (degree sum 2(n - 1)) takes two O(n) passes over the BFS tree:
   subtree sizes and heights bottom-up, then D(c) = D(parent) + n - 2
   |subtree(c)| top-down, since moving the root to c brings c's subtree one
@@ -25,7 +29,7 @@ closer counts of a whole graph, by one of three routes picked from vertex
   edge (Ilic, Klavzar and Milanovic, Eur. J. Combin. 31 (2010)), so the two
   closer counts sum to n and |closer to x| = (n + D(y) - D(x)) / 2;
 - every other graph takes ``_sweep``, which grows the balls of every vertex
-  at once (K_n is read off its degrees).
+  at once.
 The identity behind the bipartite route, |closer to x| - |closer to y| =
 D(y) - D(x), is also how the analysis module decides balance, as
 transmission-regularity (Jerebic, Klavzar and Rall, Ann. Comb. 12 (2008)),
@@ -36,7 +40,7 @@ infinite distances anywhere in the API.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, count, filterfalse, repeat, zip_longest
+from itertools import chain, combinations, count, repeat, zip_longest
 from operator import add, and_, or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -64,13 +68,20 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _runs(mask: int, lo: int, hi: int) -> Iterator[slice]:
+    """A slice per run of lo..hi-1 between the clear bits of ``mask`` (empty
+    between adjacent ones), in increasing order: a near-full mask costs its gaps."""
+    gaps = list(_bits(mask ^ (1 << hi) - (1 << lo)))
+    return map(slice, [lo, *map((1).__add__, gaps)], [*gaps, hi])
+
+
 def _members(mask: int, lo: int, hi: int) -> Iterator[int]:
     """The set bit positions of ``mask``, which lie in lo..hi-1, in increasing
-    order: bit by bit when fewer than half are set, else ``range(lo, hi)``
-    with the few clear bits filtered out in C."""
+    order: bit by bit when fewer than half are set, else a ``range`` per run
+    between the few clear bits, chained in C."""
     if 2 * mask.bit_count() < hi - lo:
         return _bits(mask)
-    return filterfalse(set(_bits(mask ^ (1 << hi) - (1 << lo))).__contains__, range(lo, hi))
+    return chain.from_iterable(map(range(hi).__getitem__, _runs(mask, lo, hi)))
 
 
 def _upper_pairs(rows) -> list[Edge]:
@@ -85,7 +96,8 @@ def _upper_pairs(rows) -> list[Edge]:
 
 def _pair_text(rows, open_: str, mid: str, close: str, sep: str) -> str:
     """``_upper_pairs(rows)`` as text: open u mid v close per pair, joined by ``sep``,
-    one ``join`` per row over a table of decimal names and no tuple per pair."""
+    one ``join`` per row over a table of decimal names and no tuple per pair; a
+    near-full row joins one slice of the table per run between its clear bits."""
     n = len(rows)
     names = list(map(str, range(n)))
     parts = []
@@ -93,8 +105,11 @@ def _pair_text(rows, open_: str, mid: str, close: str, sep: str) -> str:
         row &= -(2 << u)
         if row:
             head = open_ + names[u] + mid
-            parts.append(head + (close + sep + head).join(
-                map(names.__getitem__, _members(row, u + 1, n))) + close)
+            if 2 * row.bit_count() < n - u - 1:
+                cells = map(names.__getitem__, _bits(row))
+            else:
+                cells = chain.from_iterable(map(names.__getitem__, _runs(row, u + 1, n)))
+            parts.append(head + (close + sep + head).join(cells) + close)
     return sep.join(parts)
 
 
@@ -244,17 +259,21 @@ def _ball_sweep(adj, edges=None) -> tuple[list[int], int, list[int] | None]:
     """(transmissions, the diameter, |closer to x| of each (x, y) in
     ``edges``) of a connected graph.
 
-    The BFS levels of vertex 0, taken to refuse a disconnected graph, pick
-    the route (see the module docstring): K_n from its degrees, a tree from
+    The route (see the module docstring): degrees alone when 2 delta >= n - 1
+    or a vertex is dominant; else, by the BFS levels of vertex 0, a tree from
     ``_tree_sweep``, the counts of a bipartite graph from ``_sweep``'s
     transmissions and |closer to x| = (n + D(y) - D(x)) / 2, and any other
     graph from ``_sweep`` with its per-edge meets.
     """
-    levels = _spanning_levels(adj, 0)
     n = len(adj)
     degrees = list(map(int.bit_count, adj))
-    if degrees.count(n - 1) == n:  # complete: B_1 is full
-        return [n - 1] * n, min(n - 1, 1), None if edges is None else [1] * len(edges)
+    if 2 * min(degrees) >= n - 1 or max(degrees) == n - 1:  # diameter <= 2
+        if degrees.count(n - 1) == n:  # complete: B_1 is full
+            return [n - 1] * n, min(n - 1, 1), None if edges is None else [1] * len(edges)
+        near = None if edges is None else [degrees[x] - (adj[x] & adj[y]).bit_count()
+                                           for x, y in edges]
+        return [2 * (n - 1) - d for d in degrees], 2, near
+    levels = _spanning_levels(adj, 0)
     if sum(degrees) == 2 * (n - 1):
         trans, diam = _tree_sweep(adj, levels)
     elif edges is not None and not any(adj[v] & level for level in levels

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+import helpers
 from distbalance import (
     __version__,
     canonical_family_tree,
@@ -50,6 +51,34 @@ def test_three_shapes_match_the_tuple_route_on_every_graph_up_to_order_6():
                 map("(%d,%d)".__mod__, edges))
             graphs += 1
     assert graphs == sum(1 << n * (n - 1) // 2 for n in range(1, 7))
+
+
+# the vertices above u missing from row u: its first, its last, both, two
+# adjacent ones at either end or in the middle, or none (a full row)
+_GAPS = {
+    "first": lambda u, n: {u + 1},
+    "last": lambda u, n: {n - 1},
+    "first_and_last": lambda u, n: {u + 1, n - 1},
+    "adjacent_at_first": lambda u, n: {u + 1, u + 2},
+    "adjacent_in_middle": lambda u, n: {(u + n) // 2, (u + n) // 2 + 1},
+    "adjacent_at_last": lambda u, n: {n - 2, n - 1},
+    "full": lambda u, n: set(),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 65, 129, 130])
+def test_near_full_rows_match_the_tuple_route(n):
+    """Rows at least half full are joined from one slice of the name table per
+    run between their clear bits; each gap shape on every row, then all
+    shapes mixed, row by row."""
+    shapes = list(_GAPS.values())
+    graphs = [[shape] * n for shape in shapes] + [[shapes[u % len(shapes)] for u in range(n)]]
+    for row_gaps in graphs:
+        g = helpers.complete_minus(n, [(u, v) for u in range(n)
+                                       for v in row_gaps[u](u, n) if u < v < n])
+        assert "[" + _pair_text(g.adj, "[", ", ", "]", ", ") + "]" == json.dumps(g.edges())
+        assert _pair_text(g.adj, "(", ",", ")", " ") == " ".join(
+            map("(%d,%d)".__mod__, g.edges()))
 
 
 @pytest.mark.parametrize("n", [1, 3])

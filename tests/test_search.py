@@ -664,8 +664,8 @@ class TestTheorem:
 
 
 @pytest.mark.parametrize("run,passes", [
-    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 40))[1]), 2),
-    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 4))[1]), 3),
+    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 40))[1]), 1),
+    (lambda: construct_closure(_two_labelings(canonical_family_tree(FamilyTag.S3, 4))[1]), 2),
     (lambda: search_minimum_additions(
         _two_labelings(canonical_family_tree(FamilyTag.STAR, 9))[1],
         SearchConfig(prune_mode="regular")), 1),
@@ -680,8 +680,9 @@ def test_bfs_passes(monkeypatch, run, passes):
     """Connectivity is tested once per layer: a connected graph with n - 1
     edges is a tree without a second BFS, and the regular mode takes an
     input as legal from its degrees alone.  A closure takes one pass in the
-    classifier, which is its connectivity test, and one in the certificate's
-    ball sweep; a degenerate one adds the search's.  The regular mode builds
+    classifier, which is its connectivity test, and none in the certificate:
+    a closure has 2 delta >= n - 1, so the ball sweep reads it off its degrees;
+    a degenerate one adds the search's.  The regular mode builds
     no branch swaps, so it takes no sweeps to find a tree's centre."""
     calls = []
 

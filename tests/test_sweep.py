@@ -1,7 +1,8 @@
 """The all-sources ball sweep behind transmissions, eccentricities, the
 diameter and per-edge counts: block widths, graphs past the exhaustive
-range, the tree and bipartite routes that skip the general sweep's per-edge
-work, and the one- and two-vertex graphs where the sweep only starts."""
+range, the tree, bipartite and diameter <= 2 routes that skip the general
+sweep's per-edge work, and the one- and two-vertex graphs where the sweep
+only starts."""
 
 import json
 import random
@@ -21,11 +22,11 @@ from distbalance import (
     szeged_index,
     write_edge_list,
 )
-from distbalance import analysis, graph
+from distbalance import analysis, construct_closure, graph
 from distbalance.analysis import report_with_diameter
 from distbalance.cli import main
 from distbalance.graph import _ball_sweep
-from distbalance.trees import FamilyTag, broom, canonical_family_tree
+from distbalance.trees import FAMILIES, FamilyTag, broom, canonical_family_tree
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -125,6 +126,103 @@ def _oracle_results(g):
             (diam, {"balanced": balanced, "worst_edge": worst,
                     "records": [list(r) for r in records]}),
             (diam, {"szeged_index": sum(cx * cy for _, _, cx, cy in records)})]
+
+
+def _takes_the_route(g: Graph) -> bool:
+    return 2 * g.min_degree() >= g.n - 1 or g.max_degree() == g.n - 1
+
+
+def _assert_route(monkeypatch, g: Graph) -> None:
+    """The oracle's answers, from a ball sweep that takes no BFS: the degrees
+    alone prove the graph connected with diameter <= 2."""
+    assert_matches_oracle(g)
+    with monkeypatch.context() as patched:
+        patched.setattr(graph, "_levels", _refuse)
+        _ball_sweep(g.adj, g.edges())
+
+
+def test_dense_route_on_every_small_graph(monkeypatch, small_connected_graphs):
+    """Every labelled connected graph with n <= 6 that has 2 delta >= n - 1 or
+    a dominant vertex (two non-adjacent vertices then share a neighbour)
+    takes the route, and every other one takes vertex 0's BFS."""
+    graphs = [g for graphs in small_connected_graphs.values() for g in graphs]
+    route = [g for g in graphs if _takes_the_route(g)]
+    assert len(route) == 6539
+    for g in route:
+        _assert_route(monkeypatch, g)
+    monkeypatch.setattr(graph, "_levels", _refuse)
+    for g in graphs:
+        if not _takes_the_route(g):
+            with pytest.raises(AssertionError, match="general sweep"):
+                _ball_sweep(g.adj)
+
+
+def test_c5_takes_the_route_and_c6_the_sweep(monkeypatch):
+    """C5 (2 delta = n - 1) has diameter 2; C6 (2 delta = n - 2) has diameter 3
+    and needs the BFS of vertex 0."""
+    _assert_route(monkeypatch, cycle_graph(5))
+    assert _ball_sweep(cycle_graph(5).adj)[1] == 2
+    assert_matches_oracle(cycle_graph(6))
+    monkeypatch.setattr(graph, "_levels", _refuse)
+    with pytest.raises(AssertionError, match="general sweep"):
+        _ball_sweep(cycle_graph(6).adj)
+
+
+def _with_least_degree(n: int, low: int, rng: random.Random) -> Graph:
+    """A random graph on n vertices whose least degree is ``low``: K_n minus
+    random pairs that leave every degree at least ``low``, taken until a random
+    share of the pairs is seen and some vertex is down to ``low``."""
+    cap, share = n - 1 - low, rng.random()
+    lost, missing = [0] * n, []
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    for i, (u, v) in enumerate(pairs):
+        if i > share * len(pairs) and cap in lost:
+            break
+        if lost[u] < cap and lost[v] < cap:
+            missing.append((u, v))
+            lost[u] += 1
+            lost[v] += 1
+    return helpers.complete_minus(n, missing)
+
+
+@pytest.mark.parametrize("n", range(20, 71, 5))
+def test_random_graphs_around_the_route_threshold(monkeypatch, n):
+    """2 delta = n - 1 (odd n) or n takes the route; 2 delta = n - 2 (even n)
+    takes the sweep unless some vertex is dominant."""
+    rng = random.Random(n)
+    for twice_low in (n - 2, n - 1, n):
+        if twice_low % 2:
+            continue
+        for _ in range(3):
+            g = _with_least_degree(n, twice_low // 2, rng)
+            assert 2 * g.min_degree() == twice_low
+            if _takes_the_route(g):
+                _assert_route(monkeypatch, g)
+            else:
+                assert_matches_oracle(g)
+
+
+def test_dominant_vertex_inputs_take_the_route(monkeypatch):
+    """The closure workload's non-trees: a star on hub 0 plus random chords
+    between the spokes, under a random labelling."""
+    rng = random.Random(24)
+    for n, extra in ((8, 3), (24, 10), (40, 100)):
+        spokes = [(0, v) for v in range(1, n)]
+        chords = rng.sample(list(combinations(range(1, n), 2)), extra)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = from_edge_list(n, [(perm[u], perm[v]) for u, v in spokes + chords])
+        assert g.max_degree() == n - 1 and 2 * g.min_degree() < n - 1
+        _assert_route(monkeypatch, g)
+
+
+def test_every_family_closure_up_to_m_40_takes_the_route(monkeypatch):
+    for tag, row in FAMILIES.items():
+        for m in range(row.verify_min_m, 41):
+            closure = construct_closure(canonical_family_tree(tag, m)).closure
+            assert 2 * closure.min_degree() >= closure.n - 1
+            _assert_route(monkeypatch, closure)
 
 
 @pytest.mark.parametrize("g", [
