@@ -187,6 +187,11 @@ def _cmd_closure(args) -> int:
     g = read_edge_list(args.path)
     pairs = {}
     if args.mode == "construct":
+        flags = {"--prune": args.prune, "--max-k": args.max_k,
+                 "--all-witnesses": args.all_witnesses or None, "--budget": args.budget}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)}: need --mode search")
         closure, family, cert, via_search = _certified_closure(g)
         added = [row & ~old for row, old in zip(closure.adj, g.adj)]
         min_added = sum(map(int.bit_count, added)) // 2
@@ -212,7 +217,7 @@ def _cmd_closure(args) -> int:
                   f"matches_formula={cert.matches_formula}")
     else:
         config = SearchConfig(
-            prune_mode=args.prune,
+            prune_mode=args.prune or "naive",
             max_k=args.max_k,
             all_witnesses=args.all_witnesses,
             time_budget=args.budget,
@@ -357,8 +362,9 @@ def _build_parser() -> _Parser:
     p_cl = sub.add_parser("closure", help="minimal distance-balanced closure")
     p_cl.add_argument("path")
     p_cl.add_argument("--mode", choices=["construct", "search"], default="construct")
-    p_cl.add_argument("--prune", choices=["naive", "regular"], default="naive",
-                      help="search mode: test everything, or only regular candidates")
+    p_cl.add_argument("--prune", choices=["naive", "regular"],
+                      help="search mode: test everything (the default), or only "
+                           "regular candidates")
     p_cl.add_argument("--max-k", type=_checked(int, lambda k: k >= 0, ">= 0"), dest="max_k")
     p_cl.add_argument("--all-witnesses", action="store_true", dest="all_witnesses")
     p_cl.add_argument("--budget", type=_checked(float, lambda s: s > 0, "> 0"),

@@ -14,22 +14,21 @@ least r*n/2 edges.  Upper bound: K_n minus an s-factor, s = n-1-r <= 2,
 that avoids G is an r-regular supergraph of diameter <= 2, so every
 transmission is r + 2(n-1-r) = 2(n-1) - r and it is distance-balanced.
 
-For a tree (|E| = n-1) the family table ``trees.FAMILIES`` lists that
-factor per family.  Where its cycles degenerate (s22 with m=2, s3 with m
-in {3,4}) the construction falls back to the exhaustive search and checks
-the closed form against it.  A connected non-tree with a dominant (degree
-n-1) vertex is the one non-tree input handled here: r = n-1, and its
-unique closure is K_n.
-
-The removed pairs are written on the canonical labels of ``trees``.  They
-are mapped to the input's labels through the inverse of the classifier's
-relabeling and cleared from full bit rows, so the closure is built in the
-input's labels and never relabeled.  The fallback runs the regular search
-on the input in its own labels and adds its first witness; that search
-walks only the pairs a regular completion leaves out, so its speed does
-not hang on the labeling.  The about C(n, 2) added pairs are read off
-near-full rows as the runs between a few gaps (``graph._runs``): by
-``graph._upper_pairs`` here, and as text by ``graph._pair_text`` in the CLI.
+Every closure is built one way: r from d, then K_n minus a factor S,
+cleared from full bit rows in the input's labels.  For a tree (|E| = n-1)
+the family table ``trees.FAMILIES`` lists S per family on the canonical
+labels of ``trees``, mapped to the input's through the inverse of the
+classifier's relabeling.  Where its cycles degenerate (s22 with m=2, s3
+with m in {3,4}) S is what the first r-regular completion of the regular
+walk (``search._regular_level``) leaves out, found on the input in its
+own labels; the walk visits only the pairs a completion leaves out, so
+its speed does not hang on the labeling, and it balance-tests the
+completion: none, or an unbalanced one before it, raises GraphError.  A
+connected non-tree with a dominant (degree n-1) vertex is the one
+non-tree input handled here: r = n-1, S is empty and the closure is K_n.
+The about C(n, 2) added pairs are read off near-full rows as the runs
+between a few gaps (``graph._runs``): by ``graph._upper_pairs`` here,
+and as text by ``graph._pair_text`` in the CLI.
 
 Every result carries a computational certificate; minimality beyond the
 certified edge count is the search module's job.
@@ -48,11 +47,12 @@ from .graph import (
     Graph,
     _ball_sweep,
     _upper_pairs,
-    add_edges,
+    complement_edges,
     is_connected,
     is_spanning_subgraph,
     regular_degree,
 )
+from .search import _regular_level
 from .trees import FAMILIES, FamilyTag, TreeFamily, classify_tree
 
 
@@ -124,48 +124,40 @@ def verify_closure(t: Graph, candidate: Graph,
 def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool]:
     """The closure of ``construct_closure`` with its family, certificate and
     ``via_search``, without the list of added edges."""
-    via_search = False
     if t.edge_count == t.n - 1:  # classify_tree refuses a disconnected one
         family = classify_tree(t)
         if family.tag is FamilyTag.OTHER:
             raise UnsupportedFamilyError(
                 f"classification is {FamilyTag.OTHER.value!r}: max degree "
                 f"{family.m} is below n-3 = {t.n - 3}")
-        expected = minimum_additions_formula(family)
         removed = FAMILIES[family.tag].removed(family.m)
-    else:
-        if t.max_degree() != t.n - 1:
-            # the one route where the input's connectivity is still unknown
-            if not is_connected(t):
-                raise DisconnectedGraphError(
-                    "closure construction requires a connected graph")
-            raise UnsupportedFamilyError(
-                "only trees with max degree >= n-3 and graphs with a "
-                "dominant vertex are supported")
+    elif t.max_degree() == t.n - 1:
         family = TreeFamily(FamilyTag.DOMINANT, t.n - 1, tuple(range(t.n)))
-        expected = _additions(t.n, t.n - 1, t.edge_count)
         removed = []
-    if removed is None:
-        # degenerate cycle sizes: certify the formula with the exact search
-        from .search import SearchConfig, search_minimum_additions
-
-        found = search_minimum_additions(t, SearchConfig(prune_mode="regular"))
-        if found.min_additions != expected:
-            raise GraphError(
-                f"search found {found.min_additions}, formula says {expected}")
-        closure = add_edges(t, found.witnesses[0])
-        via_search = True
+    elif not is_connected(t):  # the one route where connectivity is still unknown
+        raise DisconnectedGraphError("closure construction requires a connected graph")
     else:
-        # the input vertex of each canonical label
-        vertex = sorted(range(t.n), key=family.relabeling.__getitem__)
-        everyone = (1 << t.n) - 1
-        rows = [everyone ^ (1 << v) for v in range(t.n)]
-        for a, b in removed:
-            u, v = vertex[a], vertex[b]
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-        closure = Graph(t.n, tuple(rows), sum(row.bit_count() for row in rows) // 2)
-    return closure, family, verify_closure(t, closure, expected), via_search
+        raise UnsupportedFamilyError(
+            "only trees with max degree >= n-3 and graphs with a "
+            "dominant vertex are supported")
+    n, r = t.n, family.m + family.m * t.n % 2  # the degree of _additions
+    if removed is None:
+        # degenerate cycles: S is what the walk's first completion leaves out
+        comp = complement_edges(t)
+        hits, tested, _ = _regular_level(t.adj, comp, r, None, False)
+        if tested != len(hits) or not hits:
+            raise GraphError(f"{len(hits)} of {tested} {r}-regular completions balanced")
+        pairs = [pair for i, pair in enumerate(comp) if i not in hits[0]]
+    else:
+        vertex = sorted(range(n), key=family.relabeling.__getitem__)  # of each canonical label
+        pairs = [(vertex[a], vertex[b]) for a, b in removed]
+    rows = [((1 << n) - 1) ^ (1 << v) for v in range(n)]  # K_n
+    for u, v in pairs:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    closure = Graph(n, tuple(rows), sum(map(int.bit_count, rows)) // 2)
+    certificate = verify_closure(t, closure, r * n // 2 - t.edge_count)
+    return closure, family, certificate, removed is None
 
 
 def construct_closure(t: Graph) -> ClosureResult:

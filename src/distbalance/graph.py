@@ -338,7 +338,7 @@ def _sweep(adj, degrees, edges=None) -> tuple[list[int], int, list[int] | None]:
         pos[u] = i
     rows = [map(pos.__getitem__, _members(adj[u], 0, n)) for u in order]
     # slots[j][i] is a j-th neighbour of order[i], cut from column j of the
-    # padded rows when a step first needs it: a dense graph needs few
+    # padded rows when a step first needs it: a diameter-2 graph's only step needs few
     columns, slots = zip_longest(*rows), []
     xs, ys = [pos[x] for x, _ in edges or ()], [pos[y] for _, y in edges or ()]
     sizes, meets, diam = [0] * n, [0] * len(xs), 0
@@ -362,7 +362,7 @@ def _sweep(adj, degrees, edges=None) -> tuple[list[int], int, list[int] | None]:
                     slots.append(list(col[:col.index(None)] if col[-1] is None else col))
                 k = len(slots[j])
                 balls[:k] = map(or_, balls[:k], map(prev.__getitem__, slots[j]))
-                if 2 * k > n and balls.count(full) == n:
+                if d == 2 and 2 * k > n and balls.count(full) == n:  # first step only
                     break  # the other slots would add nothing
         diam = max(diam, d)
     trans = [0] * n

@@ -7,6 +7,7 @@ the package's own algorithms wherever feasible.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from itertools import combinations, permutations
@@ -50,9 +51,13 @@ def bfs_distances(n: int, edges, source: int) -> list[int | None]:
     return dist
 
 
+@functools.cache
 def edge_balance_oracle(g: Graph) -> list[tuple[int, int, int, int]]:
     """(x, y, |closer to x|, |closer to y|) for every edge in lexicographic
-    order, from the per-edge definition and ``bfs_distances`` alone."""
+    order, from the per-edge definition and ``bfs_distances`` alone.
+
+    Cached per graph, since several tests walk the same exhaustive corpus;
+    callers must not mutate the list."""
     edges = g.edges()
     rows = [bfs_distances(g.n, edges, v) for v in range(g.n)]
     return [(x, y,

@@ -347,6 +347,25 @@ class TestClosure:
         err = capsys.readouterr().err
         assert "usage:" in err and f"argument {flag}" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--prune", "naive"], ["--prune", "regular"], ["--max-k", "0"], ["--all-witnesses"],
+        ["--budget", "0.001"]])
+    def test_construct_refuses_search_flags(self, capsys, star3_file, flags):
+        """Construct mode exits 1 on a search-only flag instead of ignoring it."""
+        assert main(["closure", star3_file, *flags]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {flags[0]}: need --mode search\n")
+
+    def test_construct_names_every_search_flag_given(self, capsys, star3_file):
+        assert main(["closure", star3_file, "--all-witnesses", "--budget", "0.001",
+                     "--threads", "2", "--json"]) == 1
+        assert capsys.readouterr().err == "error: --all-witnesses, --budget: need --mode search\n"
+
+    def test_construct_accepts_threads(self, capsys, star3_file):
+        code, report = run_json(capsys, ["closure", star3_file, "--threads", "2", "--json"])
+        assert code == 0
+        assert report["result"]["min_added_edges"] == 3
+
     def test_threads_flag(self, capsys, tmp_path):
         path = tmp_path / "p5.el"
         write_edge_list(path_graph(5), path)

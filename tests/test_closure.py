@@ -105,17 +105,28 @@ class TestConstruct:
         assert res.certificate.ok
 
     def test_fallback_disagreeing_with_formula_raises(self, monkeypatch):
+        """The regular walk's balance test is the degenerate route's check:
+        no balanced completion of the formula's degree, or an unbalanced
+        one tested before the first balanced one, raises GraphError."""
+        import distbalance.closure as closure
         import distbalance.search as search
 
-        real = search.search_minimum_additions
+        tree = canonical_family_tree(FamilyTag.S3, 3)  # 4 completions, r = 3
+        with monkeypatch.context() as patch:
+            patch.setattr(closure, "_regular_level", lambda adj, comp, r, deadline, every:
+                          ([], 0, False))
+            with pytest.raises(GraphError, match="0 of 0 3-regular completions balanced"):
+                construct_closure(tree)
 
-        def off_by_one(g, config=search.SearchConfig()):
-            found = real(g, config)
-            return found._replace(min_additions=found.min_additions + 1)
+        real, calls = search._transmission_regular, []
 
-        monkeypatch.setattr(search, "search_minimum_additions", off_by_one)
-        with pytest.raises(GraphError, match="search found 5, formula says 4"):
-            construct_closure(canonical_family_tree(FamilyTag.S3, 3))
+        def first_fails(rows):
+            calls.append(rows)
+            return len(calls) > 1 and real(rows)
+
+        monkeypatch.setattr(search, "_transmission_regular", first_fails)
+        with pytest.raises(GraphError, match="1 of 2 3-regular completions balanced"):
+            construct_closure(tree)
 
     def test_p5_fallback_gives_five_cycle(self):
         res = construct_closure(path_graph(5))

@@ -6,7 +6,7 @@ only starts."""
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import pytest
 
@@ -166,6 +166,26 @@ def test_c5_takes_the_route_and_c6_the_sweep(monkeypatch):
     monkeypatch.setattr(graph, "_levels", _refuse)
     with pytest.raises(AssertionError, match="general sweep"):
         _ball_sweep(cycle_graph(6).adj)
+
+
+def test_diameter_2_sweep_ends_its_first_step_early(monkeypatch):
+    """A diameter-2 graph below the route's threshold takes the general sweep,
+    whose first step ends once every ball is full: it draws fewer neighbour
+    columns than the graph's largest degree."""
+    rng = random.Random(45)
+    g = from_edge_list(80, [pair for pair in combinations(range(80), 2) if rng.random() < 0.45])
+    assert not _takes_the_route(g)
+    assert_matches_oracle(g)
+    drawn = []
+
+    def counted(*rows):
+        for column in zip_longest(*rows):
+            drawn.append(column)
+            yield column
+
+    monkeypatch.setattr(graph, "zip_longest", counted)
+    assert _ball_sweep(g.adj)[1] == 2
+    assert 0 < len(drawn) < g.max_degree()
 
 
 def _with_least_degree(n: int, low: int, rng: random.Random) -> Graph:
