@@ -192,7 +192,7 @@ def _cmd_closure(args) -> int:
         given = [flag for flag, value in flags.items() if value is not None]
         if given:
             raise ValueError(f"{', '.join(given)}: need --mode search")
-        closure, family, cert, via_search = _certified_closure(g)
+        closure, family, cert, via_search, diam = _certified_closure(g)
         added = [row & ~old for row, old in zip(closure.adj, g.adj)]
         min_added = sum(map(int.bit_count, added)) // 2
         if args.json:
@@ -224,6 +224,7 @@ def _cmd_closure(args) -> int:
         )
         res = search_minimum_additions(g, config)
         if args.json:
+            diam = diameter(g)
             result = {
                 "mode": "search",
                 "prune": res.mode_used,
@@ -238,8 +239,7 @@ def _cmd_closure(args) -> int:
             if args.all_witnesses:
                 print(f"witness count: {len(res.witnesses)}")
     if args.json:
-        _emit_json("closure", _input_summary(args.path, g, diameter(g)), result, started,
-                   **pairs)
+        _emit_json("closure", _input_summary(args.path, g, diam), result, started, **pairs)
     return EXIT_OK
 
 
@@ -278,7 +278,7 @@ def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
         tag = FamilyTag(name)
         for m in range(lo, hi + 1):
             tree = canonical_family_tree(tag, m)
-            _, family, cert, via_search = _certified_closure(tree)
+            _, family, cert, via_search, _ = _certified_closure(tree)
             row = {
                 "family": name,
                 "m": m,

@@ -26,6 +26,8 @@ its speed does not hang on the labeling, and it balance-tests the
 completion: none, or an unbalanced one before it, raises GraphError.  A
 connected non-tree with a dominant (degree n-1) vertex is the one
 non-tree input handled here: r = n-1, S is empty and the closure is K_n.
+The input's diameter comes from the classifier's BFS levels on a tree
+(``graph._tree_sweep``), else from degrees: at most one BFS per op.
 The about C(n, 2) added pairs are read off near-full rows as the runs
 between a few gaps (``graph._runs``): by ``graph._upper_pairs`` here,
 and as text by ``graph._pair_text`` in the CLI.
@@ -46,6 +48,7 @@ from .errors import (
 from .graph import (
     Graph,
     _ball_sweep,
+    _tree_sweep,
     _upper_pairs,
     complement_edges,
     is_connected,
@@ -53,7 +56,7 @@ from .graph import (
     regular_degree,
 )
 from .search import _regular_level
-from .trees import FAMILIES, FamilyTag, TreeFamily, classify_tree
+from .trees import FAMILIES, FamilyTag, TreeFamily, _classified
 
 
 class Certificate(NamedTuple):
@@ -121,19 +124,21 @@ def verify_closure(t: Graph, candidate: Graph,
     )
 
 
-def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool]:
-    """The closure of ``construct_closure`` with its family, certificate and
-    ``via_search``, without the list of added edges."""
-    if t.edge_count == t.n - 1:  # classify_tree refuses a disconnected one
-        family = classify_tree(t)
+def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool, int]:
+    """The closure of ``construct_closure`` with its family, certificate,
+    ``via_search`` and the input's diameter, without the list of added edges."""
+    if t.edge_count == t.n - 1:  # the classifier refuses a disconnected one
+        family, levels = _classified(t)
         if family.tag is FamilyTag.OTHER:
             raise UnsupportedFamilyError(
                 f"classification is {FamilyTag.OTHER.value!r}: max degree "
                 f"{family.m} is below n-3 = {t.n - 3}")
         removed = FAMILIES[family.tag].removed(family.m)
+        diam = _tree_sweep(t.adj, levels)[1]  # the classifier's BFS, no second one
     elif t.max_degree() == t.n - 1:
         family = TreeFamily(FamilyTag.DOMINANT, t.n - 1, tuple(range(t.n)))
         removed = []
+        diam = _ball_sweep(t.adj)[1]  # from the degrees: 1 on K_n, else 2
     elif not is_connected(t):  # the one route where connectivity is still unknown
         raise DisconnectedGraphError("closure construction requires a connected graph")
     else:
@@ -156,8 +161,8 @@ def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool]:
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
     closure = Graph(n, tuple(rows), sum(map(int.bit_count, rows)) // 2)
-    certificate = verify_closure(t, closure, r * n // 2 - t.edge_count)
-    return closure, family, certificate, removed is None
+    certificate = verify_closure(t, closure, _additions(n, family.m, t.edge_count))
+    return closure, family, certificate, removed is None, diam
 
 
 def construct_closure(t: Graph) -> ClosureResult:
@@ -168,7 +173,7 @@ def construct_closure(t: Graph) -> ClosureResult:
     disconnected one NotATreeError (n - 1 edges) or DisconnectedGraphError.
     The certificate is always computed on the way out.
     """
-    closure, family, certificate, via_search = _certified_closure(t)
+    closure, family, certificate, via_search, _ = _certified_closure(t)
     added = tuple(_upper_pairs([row & ~old for row, old in zip(closure.adj, t.adj)]))
     return ClosureResult(
         closure=closure,

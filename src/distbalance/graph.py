@@ -10,7 +10,8 @@ a closure's added pairs (``_upper_pairs``) and the neighbour lists of
 table of names per run.
 
 ``_levels`` is a single-source BFS that returns level masks;
-connectivity, the two-sweep tree diameter and the search's tree centre are
+connectivity, the classifier's tree test (whose levels a closure hands to
+``_tree_sweep`` for its input's diameter) and the search's tree centre are
 read off it.  ``_transmission`` gives one vertex's D(v), the sum of its
 distances, growing its ball and the sum in one loop; the balance test and
 the search's transmission floor both read D from it.
@@ -241,14 +242,6 @@ def _transmission(adj, v: int) -> int:
     return total
 
 
-def _spanning_levels(adj, source: int) -> list[int]:
-    """``_levels`` of a connected graph; raises DisconnectedGraphError otherwise."""
-    levels = _levels(adj, source)
-    if sum(mask.bit_count() for mask in levels) != len(adj):
-        raise DisconnectedGraphError("graph is not connected")
-    return levels
-
-
 # the width of a block of ball columns in ``_ball_sweep``: its two lists of
 # balls take about n * _BLOCK / 4 bytes, where whole rows would take n * n / 4
 # (1 GiB at MAX_VERTICES)
@@ -257,7 +250,7 @@ _BLOCK = 4096
 
 def _ball_sweep(adj, edges=None) -> tuple[list[int], int, list[int] | None]:
     """(transmissions, the diameter, |closer to x| of each (x, y) in
-    ``edges``) of a connected graph.
+    ``edges``) of a connected graph; raises DisconnectedGraphError otherwise.
 
     The route (see the module docstring): degrees alone when 2 delta >= n - 1
     or a vertex is dominant; else, by the BFS levels of vertex 0, a tree from
@@ -273,7 +266,9 @@ def _ball_sweep(adj, edges=None) -> tuple[list[int], int, list[int] | None]:
         near = None if edges is None else [degrees[x] - (adj[x] & adj[y]).bit_count()
                                            for x, y in edges]
         return [2 * (n - 1) - d for d in degrees], 2, near
-    levels = _spanning_levels(adj, 0)
+    levels = _levels(adj, 0)
+    if sum(map(int.bit_count, levels)) != n:
+        raise DisconnectedGraphError("graph is not connected")
     if sum(degrees) == 2 * (n - 1):
         trans, diam = _tree_sweep(adj, levels)
     elif edges is not None and not any(adj[v] & level for level in levels
@@ -377,14 +372,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def diameter(g: Graph) -> int:
-    """The largest eccentricity; raises DisconnectedGraphError when disconnected.
-
-    A connected graph with n - 1 edges is a tree, where a vertex farthest
-    from any vertex ends a longest path, so two sweeps suffice.
-    """
-    if g.edge_count == g.n - 1:
-        far = _spanning_levels(g.adj, 0)[-1]
-        return len(_levels(g.adj, far.bit_length() - 1)) - 1
+    """The largest eccentricity; raises DisconnectedGraphError when disconnected."""
     return _ball_sweep(g.adj)[1]
 
 

@@ -38,7 +38,7 @@ from .errors import (
     ParameterTooSmallError,
     UnsupportedFamilyError,
 )
-from .graph import Edge, Graph, _bits, _check_order, from_edge_list, is_connected
+from .graph import Edge, Graph, _bits, _check_order, _levels, from_edge_list, is_connected
 
 
 class FamilyTag(str, Enum):
@@ -221,12 +221,18 @@ def classify_tree(t: Graph) -> TreeFamily:
     wins, and its smallest-index vertex is the hub.  The hub's other
     neighbours take the lowest free spoke slots in ascending input order.
     """
-    if not is_tree(t):
+    return _classified(t)[0]
+
+
+def _classified(t: Graph) -> tuple[TreeFamily, list[int]]:
+    """``classify_tree`` and the vertex-0 BFS levels that proved ``t`` a tree."""
+    levels = _levels(t.adj, 0) if t.edge_count == t.n - 1 else []
+    if sum(map(int.bit_count, levels)) != t.n:
         raise NotATreeError("input is not a tree (connected with n-1 edges)")
     degs = t.degrees()
     m = max(degs)
     if m < t.n - 3:
-        return TreeFamily(FamilyTag.OTHER, m, None)
+        return TreeFamily(FamilyTag.OTHER, m, None), levels
     everyone = (1 << t.n) - 1
     found = []
     for hub in range(t.n):
@@ -238,4 +244,4 @@ def classify_tree(t: Graph) -> TreeFamily:
     spokes = (v for v in _bits(t.adj[hub]) if v not in carriers)
     order = [hub, *carriers, *spokes, *tails]  # the vertex of label 0, 1, ...
     perm = sorted(range(t.n), key=order.__getitem__)  # the inverse: label of vertex v
-    return TreeFamily(tag, m, tuple(perm))
+    return TreeFamily(tag, m, tuple(perm)), levels

@@ -52,18 +52,23 @@ def bfs_distances(n: int, edges, source: int) -> list[int | None]:
 
 
 @functools.cache
+def distance_table(g: Graph) -> list[list[int | None]]:
+    """``bfs_distances`` from every source.  Cached per graph, since several
+    tests walk the same exhaustive corpus; callers must not mutate it."""
+    edges = g.edges()
+    return [bfs_distances(g.n, edges, v) for v in range(g.n)]
+
+
+@functools.cache
 def edge_balance_oracle(g: Graph) -> list[tuple[int, int, int, int]]:
     """(x, y, |closer to x|, |closer to y|) for every edge in lexicographic
-    order, from the per-edge definition and ``bfs_distances`` alone.
-
-    Cached per graph, since several tests walk the same exhaustive corpus;
-    callers must not mutate the list."""
-    edges = g.edges()
-    rows = [bfs_distances(g.n, edges, v) for v in range(g.n)]
+    order, from the per-edge definition and ``distance_table`` alone.
+    Cached like it; callers must not mutate the list."""
+    rows = distance_table(g)
     return [(x, y,
              sum(dx < dy for dx, dy in zip(rows[x], rows[y])),
              sum(dy < dx for dx, dy in zip(rows[x], rows[y])))
-            for x, y in edges]
+            for x, y in g.edges()]
 
 
 def partition(g: Graph, x: int, y: int) -> tuple[set[int], set[int], set[int]]:
@@ -78,15 +83,13 @@ def partition(g: Graph, x: int, y: int) -> tuple[set[int], set[int], set[int]]:
 
 def plain_check_oracle(g: Graph) -> tuple[bool, tuple[int, int] | None, int]:
     """(balanced, worst edge, diameter) as a plain ``check`` reports them,
-    from ``edge_balance_oracle`` and ``bfs_distances`` alone: the worst edge
+    from ``edge_balance_oracle`` and ``distance_table`` alone: the worst edge
     is the first record with the largest gap, None when every gap is 0."""
     records = edge_balance_oracle(g)
     gaps = [abs(cx - cy) for _, _, cx, cy in records]
     top = max(gaps, default=0)
     worst = records[gaps.index(top)][:2] if top else None
-    edges = g.edges()
-    diam = max(max(bfs_distances(g.n, edges, v)) for v in range(g.n))
-    return top == 0, worst, diam
+    return top == 0, worst, max(map(max, distance_table(g)))
 
 
 def naive_search_oracle(g: Graph) -> tuple[int, tuple, int]:

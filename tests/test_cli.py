@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,16 +15,18 @@ import pytest
 from hypothesis import given
 
 import helpers
-from distbalance import cli, graph, search
+from distbalance import cli, graph, search, trees
 from distbalance import (
     broom,
     canonical_family_tree,
     complete_graph,
     cycle_graph,
     diameter,
+    from_edge_list,
     parse_edge_list,
     path_graph,
     read_edge_list,
+    relabel,
     starlike,
     write_edge_list,
     FamilyTag,
@@ -131,6 +134,37 @@ def test_one_bfs_pass_per_report(monkeypatch, capsys, tmp_path, command, g):
     main([command[0], str(path), *command[1:], "--json"])
     assert json.loads(capsys.readouterr().out)["input"]["diameter"] == expected_diameter
     assert len(calls) == (0 if g == complete_graph(6) else 1)
+
+
+def _shuffled(g):
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    return relabel(g, perm)
+
+
+@pytest.mark.parametrize("g,passes", [
+    (_shuffled(canonical_family_tree(FamilyTag.S3, 40)), 1),
+    (_shuffled(canonical_family_tree(FamilyTag.S3, 4)), 1),
+    (from_edge_list(7, [(0, v) for v in range(1, 7)] + [(1, 2)]), 0),
+], ids=["s3_40", "degenerate_s3_4", "dominant"])
+def test_one_bfs_pass_per_closure(monkeypatch, capsys, tmp_path, g, passes):
+    """``closure --json`` takes one BFS on a family tree, the classifier's,
+    whose levels also give the input's diameter, and none on a dominant-vertex
+    input, whose diameter comes from its degrees like every certificate."""
+    calls = []
+
+    def counted(adj, source, levels=graph._levels):
+        calls.append(source)
+        return levels(adj, source)
+
+    for module in (graph, trees, search):
+        monkeypatch.setattr(module, "_levels", counted)
+    path = tmp_path / "g.el"
+    write_edge_list(g, path)
+    assert main(["closure", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"]["diameter"] == \
+        helpers.plain_check_oracle(g)[2]
+    assert len(calls) == passes
 
 
 class TestSzeged:

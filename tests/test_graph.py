@@ -26,7 +26,7 @@ from distbalance import (
     regular_degree,
     relabel,
 )
-from distbalance.graph import MAX_VERTICES, _ball_sweep, _bits, _members, _spanning_levels
+from distbalance.graph import MAX_VERTICES, _ball_sweep, _bits, _levels, _members
 from distbalance.trees import FamilyTag, canonical_family_tree
 
 
@@ -41,7 +41,7 @@ def k6_minus_two_triangles():
 def _distances_from(g, source):
     """The distance row of ``source``, read off the engine's BFS level masks."""
     row = [0] * g.n
-    for d, mask in enumerate(_spanning_levels(g.adj, source)):
+    for d, mask in enumerate(_levels(g.adj, source)):
         for v in _bits(mask):
             row[v] = d
     return row
@@ -116,7 +116,7 @@ class TestDistances:
     def test_disconnected_rejected(self):
         g = from_edge_list(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
-            _spanning_levels(g.adj, 0)
+            _ball_sweep(g.adj)
         with pytest.raises(DisconnectedGraphError):
             diameter(g)
 
@@ -140,8 +140,8 @@ class TestDiameter:
         return max(max(helpers.bfs_distances(g.n, g.edges(), v)) for v in range(g.n))
 
     def test_tree_sweeps_match_all_sources(self):
-        """The two-sweep tree route of ``diameter`` and the height pass of
-        ``_ball_sweep`` agree with the largest eccentricity over every
+        """``diameter``, the height pass of ``_tree_sweep`` through
+        ``_ball_sweep``, agrees with the largest eccentricity over every
         source, from ``bfs_distances``, on every tree with n <= 8 under two
         labelings."""
         rng = random.Random(8)
@@ -301,7 +301,7 @@ def test_distances_from_single_source():
     assert _distances_from(path_graph(4), 0) == [0, 1, 2, 3]
     assert _distances_from(cycle_graph(5), 2) == [2, 1, 0, 1, 2]
     with pytest.raises(DisconnectedGraphError):
-        _distances_from(from_edge_list(3, [(0, 1)]), 0)
+        _ball_sweep(from_edge_list(3, [(0, 1)]).adj)
 
 
 @st.composite

@@ -34,7 +34,7 @@ from distbalance import (
     relabel,
     search_minimum_additions,
 )
-from distbalance import closure, graph, search
+from distbalance import closure, graph, search, trees
 from distbalance.analysis import _transmission_regular
 from distbalance.trees import FAMILIES
 
@@ -635,9 +635,14 @@ class TestTheorem:
     BALANCED = {(1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1, (4, 1): 1, (5, 0): 1,
                 (5, 2): 2, (6, 0): 1, (6, 1): 3, (6, 2): 7, (6, 3): 6, (7, 0): 1,
                 (7, 2): 31}
+    # the hub's eccentricity on every one of them, per (n, c): at most 2 but
+    # on the six labellings of C_6 at (6, 3), where it is 3
+    HUB_ECCENTRICITY = {(1, 0): 0, (2, 0): 1, (3, 0): 1, (4, 0): 1, (4, 1): 2, (5, 0): 1,
+                        (5, 2): 2, (6, 0): 1, (6, 1): 2, (6, 2): 2, (6, 3): 3, (7, 0): 1,
+                        (7, 2): 2}
 
     def test_balanced_graphs_of_max_degree_at_least_n_minus_3_are_regular(self):
-        counts = {}
+        counts, eccentricity = {}, {}
         for n in range(1, 8):
             pairs = list(combinations(range(1, n), 2))
             for c in range(min(4, n)):
@@ -658,9 +663,11 @@ class TestTheorem:
                     counts[n, c] += 1
                     assert len({row.bit_count() for row in rows}) == 1, rows
                     edges += [(0, v) for v in range(1, n - c)]
-                    assert len({sum(helpers.bfs_distances(n, edges, v))
-                                for v in range(n)}) == 1, rows
+                    dist = [helpers.bfs_distances(n, edges, v) for v in range(n)]
+                    assert len({sum(row) for row in dist}) == 1, rows
+                    eccentricity.setdefault((n, c), set()).add(max(dist[0]))
         assert {key: count for key, count in counts.items() if count} == self.BALANCED
+        assert eccentricity == {key: {ecc} for key, ecc in self.HUB_ECCENTRICITY.items()}
 
 
 @pytest.mark.parametrize("run,passes", [
@@ -680,10 +687,11 @@ def test_bfs_passes(monkeypatch, run, passes):
     """Connectivity is tested once per layer: a connected graph with n - 1
     edges is a tree without a second BFS, and the regular mode takes an
     input as legal from its degrees alone.  A closure takes one pass in the
-    classifier, which is its connectivity test, and none in the certificate:
-    a closure has 2 delta >= n - 1, so the ball sweep reads it off its degrees,
-    and a degenerate one runs the regular walk, which takes none.  The regular mode builds
-    no branch swaps, so it takes no sweeps to find a tree's centre."""
+    classifier, which is its connectivity test and whose levels give the
+    input's diameter, and none in the certificate: a closure has 2 delta >=
+    n - 1, so the ball sweep reads it off its degrees, and a degenerate one
+    runs the regular walk, which takes none.  The regular mode builds no
+    branch swaps, so it takes no sweeps to find a tree's centre."""
     calls = []
 
     def counted(adj, source, levels=graph._levels):
@@ -692,6 +700,7 @@ def test_bfs_passes(monkeypatch, run, passes):
 
     monkeypatch.setattr(graph, "_levels", counted)
     monkeypatch.setattr(search, "_levels", counted)
+    monkeypatch.setattr(trees, "_levels", counted)
     run()
     assert len(calls) == passes
 
