@@ -29,8 +29,8 @@ non-tree input handled here: r = n-1, S is empty and the closure is K_n.
 The input's diameter comes from the classifier's BFS levels on a tree
 (``graph._tree_sweep``), else from degrees: at most one BFS per op.
 The about C(n, 2) added pairs are read off near-full rows as the runs
-between a few gaps (``graph._runs``): by ``graph._upper_pairs`` here,
-and as text by ``graph._pair_text`` in the CLI.
+between a few gaps: by ``graph._upper_pairs`` here, and as text, one
+``join`` per run with the gaps walked inline, by ``graph._pair_text``.
 
 Every result carries a computational certificate; minimality beyond the
 certified edge count is the search module's job.

@@ -3,11 +3,11 @@
 Vertices are 0..n-1.  Each adjacency row is a Python int used as a bit
 vector: bit v of row u is set when uv is an edge, for any n.  ``_members``
 lists a row's vertices: bit by bit when sparse, and when dense as a range
-per run between the few clear bits (``_runs``), chained in C, so a
-near-complete row costs its non-neighbours in Python steps.  Edge lists,
-a closure's added pairs (``_upper_pairs``) and the neighbour lists of
-``_sweep`` read their rows through it; ``_pair_text`` joins a slice of its
-table of names per run.
+per run between the few clear bits, chained in C, so a near-complete row
+costs its non-neighbours in Python steps.  Edge lists, a closure's added
+pairs (``_upper_pairs``) and the neighbour lists of ``_sweep`` read their
+rows through it.  ``_pair_text`` walks a near-full row's clear bits inline
+and makes one ``join`` over a slice of its table of names per run.
 
 ``_levels`` is a single-source BFS that returns level masks;
 connectivity, the classifier's tree test (whose levels a closure hands to
@@ -69,20 +69,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _runs(mask: int, lo: int, hi: int) -> Iterator[slice]:
-    """A slice per run of lo..hi-1 between the clear bits of ``mask`` (empty
-    between adjacent ones), in increasing order: a near-full mask costs its gaps."""
-    gaps = list(_bits(mask ^ (1 << hi) - (1 << lo)))
-    return map(slice, [lo, *map((1).__add__, gaps)], [*gaps, hi])
-
-
 def _members(mask: int, lo: int, hi: int) -> Iterator[int]:
     """The set bit positions of ``mask``, which lie in lo..hi-1, in increasing
     order: bit by bit when fewer than half are set, else a ``range`` per run
-    between the few clear bits, chained in C."""
+    between the few clear bits (empty between adjacent ones), chained in C."""
     if 2 * mask.bit_count() < hi - lo:
         return _bits(mask)
-    return chain.from_iterable(map(range(hi).__getitem__, _runs(mask, lo, hi)))
+    gaps = list(_bits(mask ^ (1 << hi) - (1 << lo)))
+    return chain.from_iterable(map(range, [lo, *map((1).__add__, gaps)], [*gaps, hi]))
 
 
 def _upper_pairs(rows) -> list[Edge]:
@@ -97,8 +91,8 @@ def _upper_pairs(rows) -> list[Edge]:
 
 def _pair_text(rows, open_: str, mid: str, close: str, sep: str) -> str:
     """``_upper_pairs(rows)`` as text: open u mid v close per pair, joined by ``sep``,
-    one ``join`` per row over a table of decimal names and no tuple per pair; a
-    near-full row joins one slice of the table per run between its clear bits."""
+    one ``join`` per row over a table of decimal names, no tuple per pair; a near-full row
+    walks its clear bits inline and joins a table slice per run, then the runs."""
     n = len(rows)
     names = list(map(str, range(n)))
     parts = []
@@ -106,11 +100,22 @@ def _pair_text(rows, open_: str, mid: str, close: str, sep: str) -> str:
         row &= -(2 << u)
         if row:
             head = open_ + names[u] + mid
+            glue = close + sep + head
             if 2 * row.bit_count() < n - u - 1:
-                cells = map(names.__getitem__, _bits(row))
+                pieces = map(names.__getitem__, _bits(row))
             else:
-                cells = chain.from_iterable(map(names.__getitem__, _runs(row, u + 1, n)))
-            parts.append(head + (close + sep + head).join(cells) + close)
+                pieces, a = [], u + 1
+                gaps = row ^ (1 << n) - (2 << u)  # the clear bits among u+1..n-1
+                while gaps:
+                    low = gaps & -gaps
+                    b = low.bit_length() - 1
+                    if a < b:
+                        pieces.append(glue.join(names[a:b]))
+                    a = b + 1
+                    gaps ^= low
+                if a < n:
+                    pieces.append(glue.join(names[a:]))
+            parts.append(head + glue.join(pieces) + close)
     return sep.join(parts)
 
 

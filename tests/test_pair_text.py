@@ -183,3 +183,53 @@ def test_gen_complete_300_matches_the_tuple_route(capsys, tmp_path):
     assert main(["gen", "complete", "300", "--out", str(out)]) == 0
     assert out.read_text() == "\n".join(
         ["300", *(f"{u} {v}" for u, v in combinations(range(300), 2))]) + "\n"
+
+
+# edge densities of the random rows, from the empty graph to the complete one
+_DENSITIES = (0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0)
+
+
+def _shaped_row(rng, u, n, density):
+    """The members above u of one row: at the dense threshold (half of the
+    n - u - 1 vertices above u, rounded down), one member, all but two
+    adjacent gaps at the low or the high end, or each vertex with ``density``."""
+    above = range(u + 1, n)
+    shape = rng.randrange(8)
+    if shape == 0:
+        return sorted(rng.sample(above, len(above) // 2))
+    if shape == 1:
+        return rng.sample(above, min(1, len(above)))
+    if shape == 2:
+        return list(above[2:])
+    if shape == 3:
+        return list(above[:-2])
+    return [v for v in above if rng.random() < density]
+
+
+def test_random_rows_match_the_tuple_route_in_all_three_formats():
+    """Seeded random graphs on orders 1..70, 129 and 130 at each density, one
+    with rows drawn at that density alone and one mixing in the shaped rows of
+    ``_shaped_row``; the corpus must hit each shape at least 100 times."""
+    rng = random.Random(5)
+    hits = dict.fromkeys(["threshold", "single", "adjacent_low", "adjacent_high"], 0)
+    for n in [*range(1, 71), 129, 130]:
+        for density in _DENSITIES:
+            for shaped in (False, True):
+                members = [_shaped_row(rng, u, n, density) if shaped
+                           else [v for v in range(u + 1, n) if rng.random() < density]
+                           for u in range(n)]
+                edges = [(u, v) for u in range(n) for v in members[u]]
+                g = from_edge_list(n, edges)
+                assert "[" + _pair_text(g.adj, "[", ", ", "]", ", ") + "]" == json.dumps(edges)
+                assert format_edge_list(g) == "\n".join(
+                    [str(n), *(f"{u} {v}" for u, v in edges)]) + "\n"
+                assert _pair_text(g.adj, "(", ",", ")", " ") == " ".join(
+                    map("(%d,%d)".__mod__, edges))
+                for u, row in enumerate(members):
+                    width, gaps = n - u - 1, set(range(u + 1, n)) - set(row)
+                    hits["threshold"] += width > 0 and 2 * len(row) == width
+                    hits["single"] += len(row) == 1
+                    dense = width > 2 and 2 * len(row) >= width and len(gaps) == 2
+                    hits["adjacent_low"] += dense and gaps == {u + 1, u + 2}
+                    hits["adjacent_high"] += dense and gaps == {n - 2, n - 1}
+    assert min(hits.values()) >= 100, hits
