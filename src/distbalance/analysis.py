@@ -83,14 +83,12 @@ def is_distance_balanced(g: Graph) -> bool:
 
 
 def report_with_diameter(g: Graph, records: bool = True
-                         ) -> tuple[ImbalanceReport, int, list[tuple[int, int, int, int]]]:
-    """The imbalance report, the diameter and the per-edge rows (x, y,
-    |closer to x|, |closer to y|) of a connected graph, from one ball sweep.
-
-    The report's own ``records`` stay empty; ``imbalance_report`` builds
-    them from the rows.  Without ``records`` no per-edge counts are taken
-    and the rows are empty: balance and the worst edge come from the
-    transmissions alone, since the gap of an edge xy is |D(x) - D(y)|.
+                         ) -> tuple[Edge | None, int, list[tuple[int, int, int, int]]]:
+    """The worst edge (None when balanced), the diameter and the per-edge rows
+    (x, y, |closer to x|, |closer to y|) of a connected graph, from one ball
+    sweep.  Without ``records`` the rows are empty and no per-edge counts are
+    taken: the worst edge comes from the transmissions alone, since the gap
+    of an edge xy is |D(x) - D(y)|.
     """
     if records:
         edges, near, far, trans, diam = _closer_counts(g)
@@ -98,8 +96,7 @@ def report_with_diameter(g: Graph, records: bool = True
     else:
         trans, diam, _ = _ball_sweep(g.adj)
         edges, rows = None, []
-    worst = _worst_edge(g, trans, edges)
-    return ImbalanceReport((), worst is None, worst), diam, rows
+    return _worst_edge(g, trans, edges), diam, rows
 
 
 def szeged_with_diameter(g: Graph) -> tuple[int, int]:
@@ -110,9 +107,8 @@ def szeged_with_diameter(g: Graph) -> tuple[int, int]:
 
 
 def imbalance_report(g: Graph) -> ImbalanceReport:
-    report, _, rows = report_with_diameter(g)
-    return ImbalanceReport(tuple(starmap(EdgeBalance, rows)), report.balanced,
-                           report.worst_edge)
+    worst, _, rows = report_with_diameter(g)
+    return ImbalanceReport(tuple(starmap(EdgeBalance, rows)), worst is None, worst)
 
 
 def szeged_index(g: Graph) -> int:

@@ -108,27 +108,25 @@ def _emit_json(command: str, input_obj, result: dict, started: float, **pairs) -
     print(text)
 
 
-def _cmd_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_check(args, started: float) -> int:
     g = read_edge_list(args.path)
-    report, diam, rows = report_with_diameter(g, records=args.report)
+    worst, diam, rows = report_with_diameter(g, records=args.report)
     if args.json:
-        result = {"balanced": report.balanced, "worst_edge": report.worst_edge}
+        result = {"balanced": worst is None, "worst_edge": worst}
         if args.report:
             result["records"] = rows
         _emit_json("check", _input_summary(args.path, g, diam), result, started)
     else:
-        print(f"distance-balanced: {str(report.balanced).lower()}")
+        print(f"distance-balanced: {str(worst is None).lower()}")
         if args.report:
             print("\n".join(["edge  closer_to_x  closer_to_y",
                              *map("(%d, %d)  %d  %d".__mod__, rows)]))
-        if not report.balanced:
-            print(f"worst edge: {report.worst_edge}")
-    return EXIT_OK if report.balanced else EXIT_UNBALANCED
+        if worst is not None:
+            print(f"worst edge: {worst}")
+    return EXIT_OK if worst is None else EXIT_UNBALANCED
 
 
-def _cmd_szeged(args) -> int:
-    started = time.perf_counter()
+def _cmd_szeged(args, started: float) -> int:
     g = read_edge_list(args.path)
     value, diam = szeged_with_diameter(g)
     if args.json:
@@ -160,8 +158,7 @@ def _build_generated(kind: str, param: str) -> Graph:
     return complete_graph(value)
 
 
-def _cmd_gen(args) -> int:
-    started = time.perf_counter()
+def _cmd_gen(args, started: float) -> int:
     g = _build_generated(args.kind, args.param)
     if args.out:
         write_edge_list(g, args.out)
@@ -182,8 +179,7 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_closure(args) -> int:
-    started = time.perf_counter()
+def _cmd_closure(args, started: float) -> int:
     g = read_edge_list(args.path)
     pairs = {}
     if args.mode == "construct":
@@ -194,7 +190,7 @@ def _cmd_closure(args) -> int:
             raise ValueError(f"{', '.join(given)}: need --mode search")
         closure, family, cert, via_search, diam = _certified_closure(g)
         added = [row & ~old for row, old in zip(closure.adj, g.adj)]
-        min_added = sum(map(int.bit_count, added)) // 2
+        min_added = closure.edge_count - g.edge_count
         if args.json:
             result = {
                 "mode": "construct",
@@ -210,11 +206,7 @@ def _cmd_closure(args) -> int:
                   + (" [fallback search]" if via_search else ""))
             print(f"min added edges: {min_added}")
             print("added: " + _pair_text(added, "(", ",", ")", " "))
-            print(f"certificate: contains_input={cert.contains_input} "
-                  f"distance_balanced={cert.distance_balanced} "
-                  f"diameter={cert.diameter} "
-                  f"regular_degree={cert.regular_degree} "
-                  f"matches_formula={cert.matches_formula}")
+            print("certificate: " + " ".join(map("%s=%s".__mod__, cert._asdict().items())))
     else:
         config = SearchConfig(
             prune_mode=args.prune or "naive",
@@ -304,8 +296,7 @@ def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
     return rows
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args, started: float) -> int:
     lo, hi = _parse_range(args.m)
     if lo > hi:
         raise ValueError(f"empty range {args.m!r}")
@@ -338,16 +329,14 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", parents=[], help="decide the distance-balanced property")
+    p_check = sub.add_parser("check", help="decide the distance-balanced property")
     p_check.add_argument("path")
     p_check.add_argument("--report", action="store_true",
                          help="print the per-edge balance table")
-    p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(handler=_cmd_check)
 
     p_sz = sub.add_parser("szeged", help="compute the Szeged index")
     p_sz.add_argument("path")
-    p_sz.add_argument("--json", action="store_true")
     p_sz.set_defaults(handler=_cmd_szeged)
 
     p_gen = sub.add_parser("gen", help="generate a named graph as an edge list")
@@ -356,7 +345,6 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("param",
                        help="integer parameter, or branch lengths like 3,1^4 for starlike")
     p_gen.add_argument("--out", help="output file (default: print to stdout)")
-    p_gen.add_argument("--json", action="store_true")
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_cl = sub.add_parser("closure", help="minimal distance-balanced closure")
@@ -371,7 +359,6 @@ def _build_parser() -> _Parser:
                       help="wall-clock seconds before giving up")
     p_cl.add_argument("--threads", type=_checked(int, lambda t: t >= 1, ">= 1"), default=1,
                       help="deprecated; ignored (accepted when >= 1)")
-    p_cl.add_argument("--json", action="store_true")
     p_cl.set_defaults(handler=_cmd_closure)
 
     p_ver = sub.add_parser("verify",
@@ -381,8 +368,9 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--m", required=True, help="range A..B (inclusive)")
     p_ver.add_argument("--oracle", action="store_true",
                        help="cross-check small orders against the exhaustive search")
-    p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(handler=_cmd_verify)
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -390,7 +378,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, time.perf_counter())
     except SearchBudgetError as exc:
         print(f"budget exceeded: min added edges >= {exc.lower_bound} "
               f"(explored {exc.explored} candidates)", file=sys.stderr)

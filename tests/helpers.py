@@ -166,6 +166,29 @@ def all_trees(n: int) -> list[Graph]:
     return level
 
 
+def free_trees(n: int) -> list[Graph]:
+    """All trees on n >= 1 vertices up to isomorphism, each in the preorder
+    labels of the first rooted tree that gives it.  The rooted trees come
+    from Beyer and Hedetniemi's successor rule on level sequences (SIAM J.
+    Comput. 9, 1980), from the path to the star; ``tree_canonical_key``, the
+    AHU code at the centres, drops repeats."""
+    levels, seen = list(range(n)), {}  # the path, rooted at one end
+    while True:
+        last, edges = {}, []  # the latest vertex at each level
+        for v, depth in enumerate(levels):
+            if depth:
+                edges.append((last[depth - 1], v))
+            last[depth] = v
+        g = from_edge_list(n, edges)
+        seen.setdefault(tree_canonical_key(g), g)
+        p = max((i for i, depth in enumerate(levels) if depth > 1), default=0)
+        if not p:  # the star
+            return list(seen.values())
+        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
+        for i in range(p, n):
+            levels[i] = levels[i - (p - q)]
+
+
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Exhaustive isomorphism check; fine for n <= 8."""
     if g.n != h.n or g.edge_count != h.edge_count:
