@@ -190,7 +190,7 @@ def _cmd_closure(args, started: float) -> int:
             raise ValueError(f"{', '.join(given)}: need --mode search")
         closure, family, cert, via_search, diam = _certified_closure(g)
         added = [row & ~old for row, old in zip(closure.adj, g.adj)]
-        min_added = closure.edge_count - g.edge_count
+        min_added = sum(map(int.bit_count, added)) // 2
         if args.json:
             result = {
                 "mode": "construct",

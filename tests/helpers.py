@@ -1,5 +1,6 @@
 """Shared test utilities: exhaustive small-graph and tree enumeration,
-seeded random corpora, and brute-force isomorphism checking.
+a census of small trees' closures, seeded random corpora, and brute-force
+isomorphism checking.
 
 Everything here is an oracle of last resort, deliberately independent of
 the package's own algorithms wherever feasible.
@@ -14,7 +15,9 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from distbalance import Graph, from_edge_list, is_connected
+from distbalance import Graph, from_edge_list, is_connected, search_minimum_additions
+from distbalance.closure import _additions
+from distbalance.graph import _ball_sweep
 
 # known counts of unlabeled trees, used to self-check the enumerator
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
@@ -166,27 +169,23 @@ def all_trees(n: int) -> list[Graph]:
     return level
 
 
-def free_trees(n: int) -> list[Graph]:
-    """All trees on n >= 1 vertices up to isomorphism, each in the preorder
-    labels of the first rooted tree that gives it.  The rooted trees come
-    from Beyer and Hedetniemi's successor rule on level sequences (SIAM J.
-    Comput. 9, 1980), from the path to the star; ``tree_canonical_key``, the
-    AHU code at the centres, drops repeats."""
-    levels, seen = list(range(n)), {}  # the path, rooted at one end
-    while True:
-        last, edges = {}, []  # the latest vertex at each level
-        for v, depth in enumerate(levels):
-            if depth:
-                edges.append((last[depth - 1], v))
-            last[depth] = v
-        g = from_edge_list(n, edges)
-        seen.setdefault(tree_canonical_key(g), g)
-        p = max((i for i, depth in enumerate(levels) if depth > 1), default=0)
-        if not p:  # the star
-            return list(seen.values())
-        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
-        for i in range(p, n):
-            levels[i] = levels[i - (p - q)]
+def tree_census(n: int) -> tuple[int, list, int]:
+    """Every tree on n vertices (``all_trees``) under the naive search, which
+    uses no theorem: the number of trees, the sorted (max degree, minimum,
+    closed form) of those whose minimum is not the closed form at their
+    maximum degree, and the number with 2f >= n-1 (Lemma M's domain, see
+    the README's family survey), f = 2(n-1) - min D.  Asserts f <= Delta on
+    every tree."""
+    trees, exceptions, covered = all_trees(n), [], 0
+    for t in trees:
+        delta = t.max_degree()
+        found = search_minimum_additions(t).min_additions
+        if found != _additions(n, delta, n - 1):
+            exceptions.append((delta, found, _additions(n, delta, n - 1)))
+        f = 2 * (n - 1) - min(_ball_sweep(t.adj)[0])
+        assert f <= delta
+        covered += 2 * f >= n - 1
+    return len(trees), sorted(exceptions), covered
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
