@@ -17,8 +17,8 @@ transmission is r + 2(n-1-r) = 2(n-1) - r and it is distance-balanced.
 Every closure is built one way: r from d, then K_n minus a factor S,
 cleared from full bit rows in the input's labels.  For a tree (|E| = n-1)
 the family table ``trees.FAMILIES`` lists S per family on the canonical
-labels of ``trees``, mapped to the input's through the inverse of the
-classifier's relabeling.  Where its cycles degenerate (s22 with m=2, s3
+labels of ``trees``, mapped to the input's through the classifier's
+vertex order.  Where its cycles degenerate (s22 with m=2, s3
 with m in {3,4}) S is what the first r-regular completion of the regular
 walk (``search._regular_level``) leaves out, found on the input in its
 own labels; the walk visits only the pairs a completion leaves out, so
@@ -128,7 +128,7 @@ def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool, 
     """The closure of ``construct_closure`` with its family, certificate,
     ``via_search`` and the input's diameter, without the list of added edges."""
     if t.edge_count == t.n - 1:  # the classifier refuses a disconnected one
-        family, levels = _classified(t)
+        family, vertex, levels = _classified(t)
         if family.tag is FamilyTag.OTHER:
             raise UnsupportedFamilyError(
                 f"classification is {FamilyTag.OTHER.value!r}: max degree "
@@ -137,7 +137,7 @@ def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool, 
         diam = _tree_sweep(t.adj, levels)[1]  # the classifier's BFS, no second one
     elif t.max_degree() == t.n - 1:
         family = TreeFamily(FamilyTag.DOMINANT, t.n - 1, tuple(range(t.n)))
-        removed = []
+        removed, vertex = [], range(t.n)
         diam = _ball_sweep(t.adj)[1]  # from the degrees: 1 on K_n, else 2
     elif not is_connected(t):  # the one route where connectivity is still unknown
         raise DisconnectedGraphError("closure construction requires a connected graph")
@@ -154,7 +154,6 @@ def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool, 
             raise GraphError(f"{len(hits)} of {tested} {r}-regular completions balanced")
         pairs = [pair for i, pair in enumerate(comp) if i not in hits[0]]
     else:
-        vertex = sorted(range(n), key=family.relabeling.__getitem__)  # of each canonical label
         pairs = [(vertex[a], vertex[b]) for a, b in removed]
     rows = [((1 << n) - 1) ^ (1 << v) for v in range(n)]  # K_n
     for u, v in pairs:

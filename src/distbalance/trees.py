@@ -224,15 +224,16 @@ def classify_tree(t: Graph) -> TreeFamily:
     return _classified(t)[0]
 
 
-def _classified(t: Graph) -> tuple[TreeFamily, list[int]]:
-    """``classify_tree`` and the vertex-0 BFS levels that proved ``t`` a tree."""
+def _classified(t: Graph) -> tuple[TreeFamily, list[int] | None, list[int]]:
+    """``classify_tree``, the vertex of each canonical label (None for OTHER)
+    and the vertex-0 BFS levels that proved ``t`` a tree."""
     levels = _levels(t.adj, 0) if t.edge_count == t.n - 1 else []
     if sum(map(int.bit_count, levels)) != t.n:
         raise NotATreeError("input is not a tree (connected with n-1 edges)")
     degs = t.degrees()
     m = max(degs)
     if m < t.n - 3:
-        return TreeFamily(FamilyTag.OTHER, m, None), levels
+        return TreeFamily(FamilyTag.OTHER, m, None), None, levels
     everyone = (1 << t.n) - 1
     found = []
     for hub in range(t.n):
@@ -244,4 +245,4 @@ def _classified(t: Graph) -> tuple[TreeFamily, list[int]]:
     spokes = (v for v in _bits(t.adj[hub]) if v not in carriers)
     order = [hub, *carriers, *spokes, *tails]  # the vertex of label 0, 1, ...
     perm = sorted(range(t.n), key=order.__getitem__)  # the inverse: label of vertex v
-    return TreeFamily(tag, m, tuple(perm)), levels
+    return TreeFamily(tag, m, tuple(perm)), order, levels

@@ -1,6 +1,6 @@
 """Shared test utilities: exhaustive small-graph and tree enumeration,
-a census of small trees' closures, seeded random corpora, and brute-force
-isomorphism checking.
+a census of small trees' closures with its pinned results, seeded random
+corpora, brute-force isomorphism checking, and the CLI run in-process.
 
 Everything here is an oracle of last resort, deliberately independent of
 the package's own algorithms wherever feasible.
@@ -8,7 +8,10 @@ the package's own algorithms wherever feasible.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
+import json
 import random
 from collections import deque
 from itertools import combinations, permutations
@@ -16,6 +19,7 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from distbalance import Graph, from_edge_list, is_connected, search_minimum_additions
+from distbalance.cli import main
 from distbalance.closure import _additions
 from distbalance.graph import _ball_sweep
 
@@ -169,6 +173,14 @@ def all_trees(n: int) -> list[Graph]:
     return level
 
 
+# tree_census(n) for n = 1..9; tier-1 runs n <= 8 and slow_checks.py n = 9
+TREE_CENSUS = {
+    1: (1, [], 1), 2: (1, [], 1), 3: (1, [], 1), 4: (2, [], 2), 5: (3, [], 3),
+    6: (6, [], 4), 7: (11, [], 7), 8: (23, [], 8),
+    9: (47, [(3, 7, 10)] * 11 + [(4, 7, 10)] * 6, 14),
+}
+
+
 def tree_census(n: int) -> tuple[int, list, int]:
     """Every tree on n vertices (``all_trees``) under the naive search, which
     uses no theorem: the number of trees, the sorted (max degree, minimum,
@@ -311,3 +323,47 @@ def trees(draw, min_n: int = 1, max_n: int = 12):
     n = draw(st.integers(min_n, max_n))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     return from_edge_list(n, edges)
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``cli.main(argv)``, run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def run_json(argv: list[str]) -> tuple[int, dict]:
+    """Exit code and report of ``cli.main(argv)``, ``argv`` with ``--json``."""
+    code, out = run_cli(argv)
+    return code, json.loads(out)
+
+
+# (gen kind, gen parameter, verify family, m) of the five family trees of
+# orders 11 and 13
+FAMILY_TREES = {
+    11: [("star", "10", "star", "10"), ("starlike", "2,1^8", "s2", "9"),
+         ("starlike", "2,2,1^6", "s22", "8"), ("starlike", "3,1^7", "s3", "8"),
+         ("broom", "8", "broom", "8")],
+    13: [("star", "12", "star", "12"), ("starlike", "2,1^10", "s2", "11"),
+         ("starlike", "2,2,1^8", "s22", "10"), ("starlike", "3,1^9", "s3", "10"),
+         ("broom", "10", "broom", "10")],
+}
+
+
+def check_family_tree_search(path, kind: str, param: str, family: str, m: str) -> None:
+    """On the tree that ``gen kind param`` writes to ``path``, the naive
+    search, which rests on no theorem, finds the ``verify`` row's minimum of
+    ``family`` at ``m``, and the regular prune gives the same first witness
+    (as it does on every input it accepts)."""
+    assert run_cli(["gen", kind, param, "--out", str(path)])[0] == 0
+    found = {}
+    for prune in ("naive", "regular"):
+        code, report = run_json(["closure", str(path), "--mode", "search",
+                                 "--prune", prune, "--budget", "120", "--json"])
+        assert code == 0
+        found[prune] = report["result"]
+    code, table = run_json(["verify", "--family", family, "--m", m, "--json"])
+    assert code == 0
+    assert found["naive"]["min_added_edges"] == table["result"]["rows"][0]["min_added_edges"]
+    assert found["regular"]["witnesses"][0] == found["naive"]["witnesses"][0]

@@ -1,7 +1,5 @@
 """CLI integration: exit codes, JSON schema, round trips."""
 
-import contextlib
-import io
 import json
 import os
 import random
@@ -15,6 +13,7 @@ import pytest
 from hypothesis import given
 
 import helpers
+from helpers import run_json
 from distbalance import cli, graph, search, trees
 from distbalance import (
     broom,
@@ -47,12 +46,6 @@ def star3_file(tmp_path):
     path = tmp_path / "star3.el"
     write_edge_list(canonical_family_tree(FamilyTag.STAR, 3), path)
     return str(path)
-
-
-def run_json(capsys, argv):
-    code = main(argv)
-    out = capsys.readouterr().out
-    return code, json.loads(out)
 
 
 class TestCheck:
@@ -89,8 +82,8 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_json_report(self, capsys, star3_file):
-        code, report = run_json(capsys, ["check", star3_file, "--report", "--json"])
+    def test_json_report(self, star3_file):
+        code, report = run_json(["check", star3_file, "--report", "--json"])
         assert code == 2
         assert set(report) == {"command", "input", "result", "timing", "version"}
         assert report["result"]["balanced"] is False
@@ -102,10 +95,7 @@ def test_plain_check_matches_oracle(g):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.el"
         write_edge_list(g, path)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["check", str(path), "--json"])
-    report = json.loads(out.getvalue())
+        code, report = run_json(["check", str(path), "--json"])
     balanced, worst, diam = helpers.plain_check_oracle(g)
     assert code == (0 if balanced else 2)
     assert report["result"] == {"balanced": balanced,
@@ -176,8 +166,8 @@ class TestSzeged:
         assert main(["szeged", str(path)]) == 0
         assert capsys.readouterr().out.strip() == str(expected)
 
-    def test_json(self, capsys, c4_file):
-        code, report = run_json(capsys, ["szeged", c4_file, "--json"])
+    def test_json(self, c4_file):
+        code, report = run_json(["szeged", c4_file, "--json"])
         assert code == 0
         assert report["result"]["szeged_index"] == 16
 
@@ -269,8 +259,8 @@ class TestGen:
 
 
 class TestClosure:
-    def test_construct_star(self, capsys, star3_file):
-        code, report = run_json(capsys, ["closure", star3_file, "--json"])
+    def test_construct_star(self, star3_file):
+        code, report = run_json(["closure", star3_file, "--json"])
         assert code == 0
         result = report["result"]
         assert result["min_added_edges"] == 3
@@ -297,18 +287,18 @@ class TestClosure:
         write_edge_list(path_graph(7), path)
         assert main(["closure", str(path)]) == 3
 
-    def test_search_p5(self, capsys, tmp_path):
+    def test_search_p5(self, tmp_path):
         path = tmp_path / "p5.el"
         write_edge_list(path_graph(5), path)
-        code, report = run_json(capsys, ["closure", str(path), "--mode", "search", "--json"])
+        code, report = run_json(["closure", str(path), "--mode", "search", "--json"])
         assert code == 0
         assert report["result"]["min_added_edges"] == 1
         assert report["result"]["witnesses"] == [[[0, 4]]]
 
-    def test_search_prune_regular(self, capsys, tmp_path):
+    def test_search_prune_regular(self, tmp_path):
         path = tmp_path / "s22.el"
         write_edge_list(canonical_family_tree(FamilyTag.S22, 3), path)
-        code, report = run_json(capsys, [
+        code, report = run_json([
             "closure", str(path), "--mode", "search", "--prune", "regular", "--json"])
         assert code == 0
         assert report["result"]["min_added_edges"] == 4
@@ -319,7 +309,7 @@ class TestClosure:
         write_edge_list(helpers.three_diamonds(), path)
         assert main(["closure", str(path), "--mode", "search", "--prune", "regular"]) == 1
         assert capsys.readouterr().err.startswith("error: regular pruning needs")
-        code, report = run_json(capsys, ["closure", str(path), "--mode", "search", "--json"])
+        code, report = run_json(["closure", str(path), "--mode", "search", "--json"])
         assert code == 0
         assert report["result"]["min_added_edges"] == 0
 
@@ -330,7 +320,7 @@ class TestClosure:
         write_edge_list(helpers.petersen_graph(), path)
         assert main(["closure", str(path), "--mode", "search", "--prune", "regular"]) == 1
         assert capsys.readouterr().err == "error: regular pruning needs max degree >= n-3\n"
-        code, report = run_json(capsys, ["closure", str(path), "--mode", "search", "--json"])
+        code, report = run_json(["closure", str(path), "--mode", "search", "--json"])
         assert code == 0
         assert report["result"]["min_added_edges"] == 0
 
@@ -364,10 +354,10 @@ class TestClosure:
         err = capsys.readouterr().err
         assert ">= 1" in err
 
-    def test_search_all_witnesses(self, capsys, tmp_path):
+    def test_search_all_witnesses(self, tmp_path):
         path = tmp_path / "s2m4.el"
         write_edge_list(canonical_family_tree(FamilyTag.S2, 4), path)
-        code, report = run_json(capsys, [
+        code, report = run_json([
             "closure", str(path), "--mode", "search", "--all-witnesses", "--json"])
         assert code == 0
         assert len(report["result"]["witnesses"]) == 3
@@ -395,15 +385,15 @@ class TestClosure:
                      "--threads", "2", "--json"]) == 1
         assert capsys.readouterr().err == "error: --all-witnesses, --budget: need --mode search\n"
 
-    def test_construct_accepts_threads(self, capsys, star3_file):
-        code, report = run_json(capsys, ["closure", star3_file, "--threads", "2", "--json"])
+    def test_construct_accepts_threads(self, star3_file):
+        code, report = run_json(["closure", star3_file, "--threads", "2", "--json"])
         assert code == 0
         assert report["result"]["min_added_edges"] == 3
 
-    def test_threads_flag(self, capsys, tmp_path):
+    def test_threads_flag(self, tmp_path):
         path = tmp_path / "p5.el"
         write_edge_list(path_graph(5), path)
-        code, report = run_json(capsys, [
+        code, report = run_json([
             "closure", str(path), "--mode", "search", "--threads", "4", "--json"])
         assert code == 0
         assert report["result"]["witnesses"][0] == [[0, 4]]
@@ -414,10 +404,10 @@ class TestClosure:
         write_edge_list(canonical_family_tree(FamilyTag.STAR, 63), path)
         return str(path)
 
-    def test_search_regular_on_the_largest_star(self, capsys, star63_file):
+    def test_search_regular_on_the_largest_star(self, star63_file):
         """n = 64 is the search's vertex cap; the regular enumeration picks
         all C(63, 2) = 1953 missing edges, one per step, without recursing."""
-        code, report = run_json(capsys, [
+        code, report = run_json([
             "closure", star63_file, "--mode", "search", "--prune", "regular", "--json"])
         assert code == 0
         assert report["result"]["min_added_edges"] == 1953
@@ -429,7 +419,7 @@ class TestClosure:
         below the full one, where the spokes first reach the floor of 63,
         and finds the star's one witness; with the floor patched out it
         walks the small levels until the budget runs out."""
-        code, report = run_json(capsys, [
+        code, report = run_json([
             "closure", star63_file, "--mode", "search", "--budget", "60", "--json"])
         assert code == 0
         assert report["result"]["min_added_edges"] == 1953
@@ -440,9 +430,9 @@ class TestClosure:
 
 
 class TestVerify:
-    def test_s22_range(self, capsys):
-        code, report = run_json(capsys, ["verify", "--family", "s22",
-                                         "--m", "3..6", "--json"])
+    def test_s22_range(self):
+        code, report = run_json(["verify", "--family", "s22",
+                                 "--m", "3..6", "--json"])
         assert code == 0
         rows = report["result"]["rows"]
         assert [row["min_added_edges"] for row in rows] == [4, 8, 13, 19]
@@ -452,15 +442,15 @@ class TestVerify:
         assert main(["verify", "--family", "s3", "--m", "3..3"]) == 0
         assert "fallback search" in capsys.readouterr().out
 
-    def test_s2_with_oracle(self, capsys):
-        code, report = run_json(capsys, ["verify", "--family", "s2",
-                                         "--m", "4..4", "--oracle", "--json"])
+    def test_s2_with_oracle(self):
+        code, report = run_json(["verify", "--family", "s2",
+                                 "--m", "4..4", "--oracle", "--json"])
         assert code == 0
         row = report["result"]["rows"][0]
         assert row["min_added_edges"] == 7
         assert row["oracle"] == 7
 
-    def test_oracle_is_the_naive_search_up_to_order_11(self, capsys, monkeypatch):
+    def test_oracle_is_the_naive_search_up_to_order_11(self, monkeypatch):
         """``verify --oracle`` checks every row with n <= 11 by the naive
         search, which does not rest on the paper's theorem, and leaves
         larger rows without an oracle."""
@@ -472,8 +462,8 @@ class TestVerify:
             return real(g, config)
 
         monkeypatch.setattr(cli, "search_minimum_additions", spy)
-        code, report = run_json(capsys, ["verify", "--family", "broom", "--m", "4..9",
-                                         "--oracle", "--json"])
+        code, report = run_json(["verify", "--family", "broom", "--m", "4..9",
+                                 "--oracle", "--json"])
         assert code == 0
         rows = report["result"]["rows"]
         assert [(row["n"], row["oracle"]) for row in rows] == [
@@ -481,8 +471,8 @@ class TestVerify:
         assert all(row["oracle"] in (None, row["min_added_edges"]) for row in rows)
         assert searched == [(n, "naive") for n in range(7, 12)]
 
-    def test_single_m(self, capsys):
-        code, report = run_json(capsys, ["verify", "--family", "star", "--m", "5", "--json"])
+    def test_single_m(self):
+        code, report = run_json(["verify", "--family", "star", "--m", "5", "--json"])
         assert code == 0
         assert report["input"]["m_range"] == [5, 5]
         assert [row["m"] for row in report["result"]["rows"]] == [5]

@@ -302,7 +302,6 @@ def test_free_tree_census_against_the_naive_search():
     """Every tree with n <= 8: the naive search, which uses no theorem,
     gives the closed form at the tree's maximum degree, whatever it is;
     f never exceeds it, and is large enough for Lemma M on the pinned
-    counts (``helpers.tree_census``; CI runs n = 9)."""
-    assert [helpers.tree_census(n) for n in range(1, 9)] == [
-        (1, [], 1), (1, [], 1), (1, [], 1), (2, [], 2),
-        (3, [], 3), (6, [], 4), (11, [], 7), (23, [], 8)]
+    counts (``helpers.TREE_CENSUS``; ``slow_checks.py`` runs n = 9)."""
+    for n in range(1, 9):
+        assert helpers.tree_census(n) == helpers.TREE_CENSUS[n]
