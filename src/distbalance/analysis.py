@@ -9,9 +9,10 @@ x| - |closer to y| = D(y) - D(x), where D(v) is the sum of the distances
 from v, so a connected graph is balanced iff all D(v) are equal (Jerebic,
 Klavzar and Rall, "Distance-balanced graphs", Ann. Comb. 12 (2008)).
 Every report takes one call of ``graph._ball_sweep``, and its diameter
-comes from the same call.  In general that is an all-sources ball sweep:
-with B_d(v) the vertices within distance d of v, |closer to x| is the sum
-over d of |B_d(x) - B_d(y)|, and |closer to y| follows from the identity.
+comes from the same call.  In general that is an all-sources ball sweep that
+XORs v's balls B_d(v) (within distance d) over d = 0, 1, ... into A(v), the
+vertices at one parity of distance; on an edge xy each |d(x, w) - d(y, w)| <=
+1, so |closer to x| = (|A(x) ^ A(y)| + D(y) - D(x)) / 2 by the identity.
 Three kinds of graph take shorter routes (see the ``graph`` module):
 those with 2 delta >= n - 1 or a dominant vertex, trees and bipartite
 graphs.  The search's balance test takes one vertex's D at a time from

@@ -26,15 +26,16 @@ picked from vertex 0's BFS levels, taken anyway to refuse a disconnected graph:
   |subtree(c)| top-down, since moving the root to c brings c's subtree one
   step closer and the rest one step farther;
 - a bipartite graph (no edge inside one level) takes the general sweep
-  without its per-edge meets: no vertex is equidistant from the ends of an
-  edge (Ilic, Klavzar and Milanovic, Eur. J. Combin. 31 (2010)), so the two
-  closer counts sum to n and |closer to x| = (n + D(y) - D(x)) / 2;
+  without its parity sets: no vertex is equidistant from the ends of an
+  edge (Ilic, Klavzar and Milanovic, Eur. J. Combin. 31 (2010));
 - every other graph takes ``_sweep``, which grows the balls of every vertex
-  at once.
-The identity behind the bipartite route, |closer to x| - |closer to y| =
-D(y) - D(x), is also how the analysis module decides balance, as
-transmission-regularity (Jerebic, Klavzar and Rall, Ann. Comb. 12 (2008)),
-one ``_transmission`` at a time.
+  at once and XORs each vertex's balls into one parity set.
+On an edge xy, |d(x, w) - d(y, w)| <= 1, so w is equidistant from x and y
+exactly when the two distances have the same parity.  The closer counts sum
+to the s vertices of differing parity (n off the sweep), and |closer to x| =
+(s + D(y) - D(x)) / 2 by |closer to x| - |closer to y| = D(y) - D(x), the
+analysis module's balance test as transmission-regularity (Jerebic, Klavzar
+and Rall, Ann. Comb. 12 (2008)), one ``_transmission`` at a time.
 All distance computations reject disconnected graphs; there are no
 infinite distances anywhere in the API.
 """
@@ -42,7 +43,7 @@ infinite distances anywhere in the API.
 from __future__ import annotations
 
 from itertools import chain, combinations, count, repeat, zip_longest
-from operator import add, and_, or_
+from operator import add, itemgetter, or_, xor
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -247,9 +248,9 @@ def _transmission(adj, v: int) -> int:
     return total
 
 
-# the width of a block of ball columns in ``_ball_sweep``: its two lists of
-# balls take about n * _BLOCK / 4 bytes, where whole rows would take n * n / 4
-# (1 GiB at MAX_VERTICES)
+# the width of a block of ball columns in ``_ball_sweep``: its two lists of balls
+# and one of parity sets take about 3 n * _BLOCK / 8 bytes, where whole rows would
+# take n * n / 4 (1 GiB at MAX_VERTICES)
 _BLOCK = 4096
 
 
@@ -259,9 +260,9 @@ def _ball_sweep(adj, edges=None) -> tuple[list[int], int, list[int] | None]:
 
     The route (see the module docstring): degrees alone when 2 delta >= n - 1
     or a vertex is dominant; else, by the BFS levels of vertex 0, a tree from
-    ``_tree_sweep``, the counts of a bipartite graph from ``_sweep``'s
-    transmissions and |closer to x| = (n + D(y) - D(x)) / 2, and any other
-    graph from ``_sweep`` with its per-edge meets.
+    ``_tree_sweep`` and any other graph from ``_sweep``; |closer to x| = (s +
+    D(y) - D(x)) / 2, with s the vertices whose distances from x and y, at
+    most 1 apart, differ in parity: n if bipartite, else from the parity sets.
     """
     n = len(adj)
     degrees = list(map(int.bit_count, adj))
@@ -274,14 +275,16 @@ def _ball_sweep(adj, edges=None) -> tuple[list[int], int, list[int] | None]:
     levels = _levels(adj, 0)
     if sum(map(int.bit_count, levels)) != n:
         raise DisconnectedGraphError("graph is not connected")
+    split = repeat(n)  # a tree or bipartite graph has no equidistant vertex on an edge
     if sum(degrees) == 2 * (n - 1):
         trans, diam = _tree_sweep(adj, levels)
-    elif edges is not None and not any(adj[v] & level for level in levels
-                                       for v in _members(level, 0, n)):
+    elif edges is None or not any(adj[v] & level for level in levels
+                                  for v in _members(level, 0, n)):
         trans, diam, _ = _sweep(adj, degrees)
     else:
-        return _sweep(adj, degrees, edges)
-    near = None if edges is None else [(n + trans[y] - trans[x]) >> 1 for x, y in edges]
+        trans, diam, split = _sweep(adj, degrees, edges)
+    near = None if edges is None else [(s + trans[y] - trans[x]) >> 1
+                                       for (x, y), s in zip(edges, split)]
     return trans, diam, near
 
 
@@ -316,18 +319,19 @@ def _tree_sweep(adj, levels) -> tuple[list[int], int]:
     return trans, diam
 
 
-def _sweep(adj, degrees, edges=None) -> tuple[list[int], int, list[int] | None]:
-    """``_ball_sweep``'s general route, from the balls of every vertex at once.
+def _sweep(adj, degrees, edges=()) -> tuple[list[int], int, list[int]]:
+    """``_ball_sweep``'s general route, from the balls of every vertex at once:
+    (transmissions, the diameter, |A(x) ^ A(y)| of each (x, y) in ``edges``).
 
     B_d(u), the vertices within distance d of u, starts at the closed row
     B_1(u) and grows by B_{d+1}(u) = the union of B_d(w) over w in N[u],
     until every ball is full.  D(u) is the sum over d of n - |B_d(u)|, and
-    the diameter is the first d at which every ball is full.  For an edge
-    xy, w is closer to x exactly when it is in B_d(x) but not in B_d(y) at
-    d = d(x, w), so |closer to x| sums |B_d(x)| - |B_d(x) & B_d(y)|.  The
-    d = 0 terms are n - 1 and 1.  Distances are symmetric, so the ball
-    columns run in blocks of ``_BLOCK``; the blocks' sums add up, and the
-    diameter is the largest of their last d.
+    the diameter is the first d at which every ball is full.  The parity set
+    A(u), the XOR of the nested B_0(u) = {u}, ..., B_T(u) with T the last d,
+    holds the w with T - d(u, w) even; on an edge xy, |d(x, w) - d(y, w)| <=
+    1, so |A(x) ^ A(y)| counts the w not equidistant from x and y.  Distances
+    are symmetric, so the ball columns run in blocks of ``_BLOCK``; the
+    blocks' sums add up, and the diameter is the largest of their last d.
     """
     n = len(adj)
     # positions by falling degree, so the vertices with a j-th neighbour are
@@ -337,39 +341,44 @@ def _sweep(adj, degrees, edges=None) -> tuple[list[int], int, list[int] | None]:
     for i, u in enumerate(order):
         pos[u] = i
     rows = [map(pos.__getitem__, _members(adj[u], 0, n)) for u in order]
-    # slots[j][i] is a j-th neighbour of order[i], cut from column j of the
-    # padded rows when a step first needs it: a diameter-2 graph's only step needs few
+    # first gathers the balls in column 0 of the rows, which every vertex fills; slots[j], of
+    # column j + 1, is cut when a step first needs it (a diameter-2 graph needs few)
     columns, slots = zip_longest(*rows), []
-    xs, ys = [pos[x] for x, _ in edges or ()], [pos[y] for _, y in edges or ()]
-    sizes, meets, diam = [0] * n, [0] * len(xs), 0
+    first = itemgetter(*next(columns))
+    xs, ys = [pos[x] for x, _ in edges], [pos[y] for _, y in edges]
+    sizes, split, diam = [0] * n, [0] * len(xs), 0
     counted = 0  # the block widths summed over the steps taken
     for lo in range(0, n, _BLOCK):
         width = min(_BLOCK, n - lo)
         full = (1 << width) - 1
+        parity = [adj[u] >> lo & full for u in order]  # B_0 ^ B_1, the open rows
         balls = [(adj[u] | 1 << u) >> lo & full for u in order]
         d = 1
         while balls.count(full) < n:
             counted += width
             sizes = list(map(add, sizes, map(int.bit_count, balls)))
-            meets = list(map(add, meets, map(int.bit_count, map(
-                and_, map(balls.__getitem__, xs), map(balls.__getitem__, ys)))))
-            prev, balls, d = balls, balls[:], d + 1
+            prev, d, k = balls, d + 1, n
+            balls = list(map(or_, prev, first(prev)))
             for j in count():
+                if d == 2 and 2 * k > n and balls.count(full) == n:  # first step only
+                    break  # the other slots would add nothing
                 if j == len(slots):
                     col = next(columns, None)
                     if col is None:
                         break
-                    slots.append(list(col[:col.index(None)] if col[-1] is None else col))
-                k = len(slots[j])
-                balls[:k] = map(or_, balls[:k], map(prev.__getitem__, slots[j]))
-                if d == 2 and 2 * k > n and balls.count(full) == n:  # first step only
-                    break  # the other slots would add nothing
+                    k = col.index(None) if col[-1] is None else n
+                    slots.append((k, itemgetter(*col[:k], 0)))  # 0: a tuple if k = 1
+                k, gather = slots[j]
+                balls[:k] = map(or_, balls[:k], gather(prev))
+            if edges:
+                parity = list(map(xor, parity, balls))
+        split = list(map(add, split, map(int.bit_count, map(
+            xor, map(parity.__getitem__, xs), map(parity.__getitem__, ys)))))
         diam = max(diam, d)
     trans = [0] * n
     for i, u in enumerate(order):
         trans[u] = n - 1 + counted - sizes[i]
-    near = None if edges is None else [1 + sizes[x] - m for x, m in zip(xs, meets)]
-    return trans, diam, near
+    return trans, diam, split
 
 
 def is_connected(g: Graph) -> bool:

@@ -84,7 +84,7 @@ def test_block_width_does_not_change_results(monkeypatch, random_corpus, width):
         random_tree(90, rng), random_connected(80, 40, rng),
         cycle_graph(70), hypercube(7), torus(6, 12), broom(70),
         complete_graph(66), canonical_family_tree(FamilyTag.S3, 64),
-        # trees and bipartite graphs skip the blocks or the meets, so these
+        # trees and bipartite graphs skip the blocks or the parity sets, so these
         # keep long-diameter inputs on the general sweep at every width
         cycle_graph(71), torus(5, 12), tree_with_triangle(90, rng),
     ]
@@ -96,14 +96,38 @@ def _refuse(*args):
     raise AssertionError("general sweep step taken")
 
 
-def test_odd_block_inputs_take_the_meets(monkeypatch):
+def test_odd_block_inputs_take_the_parity_sets(monkeypatch):
     """Odd cycles, odd tori and trees plus a triangle, the block test's
     general-sweep inputs, are not bipartite: their per-edge counts come from
-    the sweep's meets."""
-    monkeypatch.setattr(graph, "and_", _refuse)
+    the sweep's parity XOR."""
+    monkeypatch.setattr(graph, "xor", _refuse)
     for g in (cycle_graph(71), torus(5, 12), tree_with_triangle(90, random.Random(1))):
         with pytest.raises(AssertionError, match="general sweep"):
             _ball_sweep(g.adj, g.edges())
+
+
+def ring_of_cliques(cliques: int, size: int) -> Graph:
+    """``cliques`` copies of K_size in a ring, each joined to the next by one edge."""
+    return from_edge_list(cliques * size, [
+        (c * size + a, c * size + b) for c in range(cliques)
+        for a, b in combinations(range(size), 2)] + [
+        (c * size + size - 1, (c + 1) % cliques * size) for c in range(cliques)])
+
+
+def lollipop(k: int) -> Graph:
+    """K_k with a k-vertex path hanging from its vertex k - 1."""
+    return from_edge_list(2 * k, [*combinations(range(k), 2),
+                                  *((v, v + 1) for v in range(k - 1, 2 * k - 1))])
+
+
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_dense_long_diameter_inputs_match_the_oracle(monkeypatch, width):
+    """Dense graphs that are not bipartite, with diameters far past 2, take the
+    general sweep's parity sets over many steps at every block width."""
+    monkeypatch.setattr(graph, "_BLOCK", width)
+    for g in (ring_of_cliques(11, 6), ring_of_cliques(12, 5), lollipop(33), lollipop(36)):
+        assert not _takes_the_route(g)
+        assert_matches_oracle(g)
 
 
 def _cli_results(capsys, tmp_path, g):
@@ -262,8 +286,9 @@ def test_trees_take_two_passes_and_no_ball_step(monkeypatch, capsys, tmp_path, g
 ], ids=["C8", "Q3", "Q6", "T4x6", "K3,5"])
 def test_bipartite_records_take_no_meets(monkeypatch, capsys, tmp_path, g):
     """A bipartite graph's per-edge counts come from its transmissions: no
-    vertex is equidistant from the ends of an edge, so the sweep takes no meet."""
-    monkeypatch.setattr(graph, "and_", _refuse)
+    vertex is equidistant from the ends of an edge, so the sweep XORs no
+    parity sets."""
+    monkeypatch.setattr(graph, "xor", _refuse)
     assert _cli_results(capsys, tmp_path, g) == _oracle_results(g)
 
 
