@@ -232,6 +232,8 @@ def _cmd_closure(args, started: float) -> int:
                 print(f"witness count: {len(res.witnesses)}")
     if args.json:
         _emit_json("closure", _input_summary(args.path, g, diam), result, started, **pairs)
+    if args.mode == "construct" and not cert.ok:  # after the report, which shows why
+        raise GraphError(f"certificate failed: {', '.join(cert.failed)}")
     return EXIT_OK
 
 

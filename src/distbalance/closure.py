@@ -22,8 +22,8 @@ vertex order.  Where its cycles degenerate (s22 with m=2, s3
 with m in {3,4}) S is what the first r-regular completion of the regular
 walk (``search._regular_level``) leaves out, found on the input in its
 own labels; the walk visits only the pairs a completion leaves out, so
-its speed does not hang on the labeling, and it balance-tests the
-completion: none, or an unbalanced one before it, raises GraphError.  A
+its speed does not hang on the labeling.  An unbalanced completion
+raises GraphError in the walk, and finding none raises it here.  A
 connected non-tree with a dominant (degree n-1) vertex is the one
 non-tree input handled here: r = n-1, S is empty and the closure is K_n.
 The input's diameter comes from the classifier's BFS levels on a tree
@@ -69,11 +69,16 @@ class Certificate(NamedTuple):
     matches_formula: bool | None
 
     @property
+    def failed(self) -> list[str]:
+        """The fields whose check fails, in field order."""
+        passed = (self.contains_input, self.distance_balanced, self.diameter <= 2,
+                  self.regular_degree is not None, self.matches_formula is not False)
+        return [name for name, held in zip(self._fields, passed) if not held]
+
+    @property
     def ok(self) -> bool:
         """Containment, balance, regularity, diameter <= 2, and the edge count."""
-        return (self.contains_input and self.distance_balanced
-                and self.regular_degree is not None and self.diameter <= 2
-                and self.matches_formula is not False)
+        return not self.failed
 
 
 class ClosureResult(NamedTuple):
@@ -149,9 +154,9 @@ def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool, 
     if removed is None:
         # degenerate cycles: S is what the walk's first completion leaves out
         comp = complement_edges(t)
-        hits, tested, _ = _regular_level(t.adj, comp, r, None, False)
-        if tested != len(hits) or not hits:
-            raise GraphError(f"{len(hits)} of {tested} {r}-regular completions balanced")
+        hits, _ = _regular_level(t.adj, comp, r, None, False)
+        if not hits:
+            raise GraphError(f"no {r}-regular completion avoids the input")
         pairs = [pair for i, pair in enumerate(comp) if i not in hits[0]]
     else:
         pairs = [(vertex[a], vertex[b]) for a, b in removed]

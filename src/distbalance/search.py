@@ -262,20 +262,14 @@ def _lex_rank(prefix: Sequence[int], n_comp: int, k: int) -> int:
     return rank
 
 
-class _Setup(NamedTuple):
-    """What every level of a naive search shares."""
-
-    flips: list[tuple[int, int, int, int]]  # per complement edge (u, 1 << u, v, 1 << v)
-    last: list[int]  # per vertex, the last index whose edge touches it, -1 for none
-
-
-def _setup(adj: tuple[int, ...], comp: list[Edge]) -> _Setup:
+def _setup(adj: tuple[int, ...], comp: list[Edge]) -> tuple[list[tuple[int, ...]], list[int]]:
     """The per-search data of ``_level`` for the rows ``adj`` and the
-    complement edges ``comp``."""
+    complement edges ``comp``: per complement edge (u, 1 << u, v, 1 << v),
+    and per vertex the last index whose edge touches it, -1 for none."""
     last = [-1] * len(adj)
     for j, (u, v) in enumerate(comp):
         last[u] = last[v] = j
-    return _Setup([(u, 1 << u, v, 1 << v) for u, v in comp], last)
+    return [(u, 1 << u, v, 1 << v) for u, v in comp], last
 
 
 def _below_floor(rows: list[int], left: int) -> int | None:
@@ -294,7 +288,7 @@ def _below_floor(rows: list[int], left: int) -> int | None:
     return sum(1 << v for v, d in enumerate(degrees) if d < floor)
 
 
-def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
+def _level(adj: tuple[int, ...], setup: tuple[list, list[int]], k: int, tables: _ImageTables,
            deadline: float | None, all_witnesses: bool,
            ) -> tuple[list[tuple[int, ...]], int, int, bool]:
     """Balance-test the k-subsets of the complement edges in lex order,
@@ -314,7 +308,7 @@ def _level(adj: tuple[int, ...], setup: _Setup, k: int, tables: _ImageTables,
     the first hit (the whole level without one, or with ``all_witnesses``);
     on a timeout it is the number of subsets before the node being visited.
     """
-    flips, last = setup.flips, setup.last
+    flips, last = setup
     n_comp = len(flips)
     rows = list(adj)
     if not k:
@@ -416,7 +410,7 @@ def _orbits(g: Graph, comp: list[Edge], tables: _ImageTables, hits: list[tuple[i
 
 
 def _regular_level(adj: tuple[int, ...], comp: list[Edge], r: int, deadline: float | None,
-                   all_witnesses: bool) -> tuple[list[tuple[int, ...]], int, bool]:
+                   all_witnesses: bool) -> tuple[list[tuple[int, ...]], bool]:
     """Balance-test the r-regular completions of the rows ``adj``, r < n:
     K_n minus an s-factor S of the complement ``comp``, s = n-1-r.
 
@@ -425,17 +419,18 @@ def _regular_level(adj: tuple[int, ...], comp: list[Edge], r: int, deadline: flo
     comes out in descending lex order and the added pairs, ``comp`` minus
     S, in ascending lex order, as _level meets them.  A vertex with no
     partner to spare takes them all; a branch ends once one has fewer than
-    it needs.  The clock is read every _DEADLINE_STRIDE nodes, the first
-    one included.  Returns the hits as index sets into ``comp``, the
-    completions tested and whether the deadline passed.
+    it needs.  Each completion is balance-tested, as an independent check:
+    the first that fails raises GraphError, naming r and k.  The clock is
+    read every _DEADLINE_STRIDE nodes, the first one included.  Returns the
+    hits as index sets into ``comp`` and whether the deadline passed.
     """
     n = len(adj)
     full = (1 << n) - 1
     hits: list[tuple[int, ...]] = []
-    tested = visited = 0
+    visited = 0
 
     def walk(free: list[int], taken: list[int], need: list[int], pairs: list) -> bool:
-        nonlocal tested, visited  # a True return stops the walk
+        nonlocal visited  # a True return stops the walk
         if (deadline is not None and not visited % _DEADLINE_STRIDE
                 and time.monotonic() > deadline):
             return True
@@ -454,10 +449,11 @@ def _regular_level(adj: tuple[int, ...], comp: list[Edge], r: int, deadline: flo
                 break
             pairs = [(spare[0], w, 1) for w in _bits(free[spare[0]] & needy)]
         if not needy:  # S is complete
-            tested += 1
-            if _transmission_regular([full ^ 1 << v ^ t for v, t in enumerate(taken)]):
-                hits.append(tuple(i for i, (a, b) in enumerate(comp) if not taken[a] >> b & 1))
-            return bool(hits) and not all_witnesses
+            if not _transmission_regular([full ^ 1 << v ^ t for v, t in enumerate(taken)]):
+                raise GraphError(f"regular mode: {r}-regular completion with k="
+                                 f"{len(comp) - n * (n - 1 - r) // 2} added edges not balanced")
+            hits.append(tuple(i for i, (a, b) in enumerate(comp) if not taken[a] >> b & 1))
+            return not all_witnesses
         u = (needy & -needy).bit_length() - 1
         partners = list(_bits(free[u] & needy))
         for j in range(len(partners) - need[u], -1, -1):
@@ -468,7 +464,7 @@ def _regular_level(adj: tuple[int, ...], comp: list[Edge], r: int, deadline: flo
 
     free = [full ^ row ^ 1 << v for v, row in enumerate(adj)]  # pairs that may join S
     stopped = walk(free, [0] * n, [n - 1 - r] * n, [])  # and those of S
-    return hits, tested, stopped and (all_witnesses or not hits)
+    return hits, stopped and (all_witnesses or not hits)
 
 
 def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) -> SearchResult:
@@ -510,9 +506,8 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
             if odd or r < max_deg:  # no regular supergraph has this many edges
                 exhausted = k
                 continue
-            hits, tested, timed_out = _regular_level(g.adj, comp, r, deadline,
-                                                     config.all_witnesses)
-            explored += tested
+            hits, timed_out = _regular_level(g.adj, comp, r, deadline, config.all_witnesses)
+            explored += len(hits)
         else:
             hits, lex, _, timed_out = _level(g.adj, setup, k, tables, deadline,
                                              config.all_witnesses)
@@ -522,9 +517,6 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
         if timed_out:
             raise SearchBudgetError(
                 f"time budget exhausted inside level k={k}", exhausted, explored)
-        if regular and tested != len(hits):
-            raise GraphError(f"regular mode: {tested - len(hits)} degree-feasible "
-                             f"candidate(s) with k={k} added edges not balanced")
         if hits:
             witnesses = tuple(tuple(comp[i] for i in hit) for hit in hits)
             return SearchResult(k, witnesses, explored, config.prune_mode)

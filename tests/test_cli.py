@@ -287,6 +287,26 @@ class TestClosure:
         write_edge_list(path_graph(7), path)
         assert main(["closure", str(path)]) == 3
 
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["plain", "json"])
+    def test_construct_exits_one_on_a_failed_certificate(self, capsys, monkeypatch,
+                                                         tmp_path, form):
+        """A closure whose certificate fails is still printed, then exits 1
+        with the failed fields on stderr: a family row that removes no pair
+        closes s22 with m = 3 to K_6, 6 edges more than the closed form."""
+        row = trees.FAMILIES[FamilyTag.S22]
+        monkeypatch.setitem(trees.FAMILIES, FamilyTag.S22, row._replace(removed=lambda m: []))
+        path = tmp_path / "s22.el"
+        write_edge_list(canonical_family_tree(FamilyTag.S22, 3), path)
+        assert main(["closure", str(path), *form]) == 1
+        out, err = capsys.readouterr()
+        if form:
+            certificate = json.loads(out)["result"]["certificate"]
+            assert (certificate["distance_balanced"], certificate["matches_formula"]) == \
+                (True, False)
+        else:
+            assert out.endswith(" regular_degree=5 matches_formula=False\n")
+        assert err == "error: certificate failed: matches_formula\n"
+
     def test_search_p5(self, tmp_path):
         path = tmp_path / "p5.el"
         write_edge_list(path_graph(5), path)
@@ -332,7 +352,7 @@ class TestClosure:
 
         monkeypatch.setattr(search, "_transmission_regular", lambda rows: False)
         assert main(["closure", star3_file, "--mode", "search", "--prune", "regular"]) == 1
-        assert capsys.readouterr().err.startswith("error: regular mode: 1 degree-feasible")
+        assert capsys.readouterr().err.startswith("error: regular mode: 3-regular completion")
 
     def test_search_prune_regular_on_a_non_tree_of_diameter_3(self, capsys, tmp_path):
         """The bull, a triangle 0-1-2 with pendants 4 at 0 and 3 at 1, has

@@ -114,8 +114,8 @@ class TestConstruct:
         tree = canonical_family_tree(FamilyTag.S3, 3)  # 4 completions, r = 3
         with monkeypatch.context() as patch:
             patch.setattr(closure, "_regular_level", lambda adj, comp, r, deadline, every:
-                          ([], 0, False))
-            with pytest.raises(GraphError, match="0 of 0 3-regular completions balanced"):
+                          ([], False))
+            with pytest.raises(GraphError, match="no 3-regular completion avoids the input"):
                 construct_closure(tree)
 
         real, calls = search._transmission_regular, []
@@ -125,7 +125,8 @@ class TestConstruct:
             return len(calls) > 1 and real(rows)
 
         monkeypatch.setattr(search, "_transmission_regular", first_fails)
-        with pytest.raises(GraphError, match="1 of 2 3-regular completions balanced"):
+        with pytest.raises(GraphError,
+                           match="3-regular completion with k=4 added edges not balanced"):
             construct_closure(tree)
 
     def test_p5_fallback_gives_five_cycle(self):

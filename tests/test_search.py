@@ -142,9 +142,8 @@ def _degree_feasible(g, r, every=True):
         return []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_transmission_regular", lambda rows: True)
-        hits, tested, timed_out = search._regular_level(
-            g.adj, complement_edges(g), r, None, every)
-    assert (tested, timed_out) == (len(hits), False)
+        hits, timed_out = search._regular_level(g.adj, complement_edges(g), r, None, every)
+    assert timed_out is False
     return hits
 
 
@@ -304,14 +303,15 @@ class TestAllWitnesses:
         assert res.witnesses == ((),)
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_orbits_equal_the_unpruned_walk(self, monkeypatch, small_connected_graphs, n):
+    def test_orbits_equal_the_unpruned_walk(self, monkeypatch, small_connected_graphs,
+                                            production_runs, n):
         """On every labelled connected graph with n <= 6, the pruned walk
         with its hits closed under the tables' permutations gives the
         result of the walk with empty tables, which prunes nothing and has
         no orbit to close: the same witnesses in the same order, and the
         same ``explored``."""
         config = SearchConfig(all_witnesses=True)
-        pruned = [search_minimum_additions(g, config) for g in small_connected_graphs[n]]
+        pruned = [res for res, _ in production_runs(n)]
         monkeypatch.setattr(search, "_generators", lambda g: [])
         assert [search_minimum_additions(g, config)
                 for g in small_connected_graphs[n]] == pruned
@@ -1173,6 +1173,20 @@ def _level_runs(monkeypatch, graphs):
     return runs
 
 
+@pytest.fixture(scope="session")
+def production_runs(small_connected_graphs):
+    """``_level_runs`` of the unpatched search over every labelled connected
+    graph with n vertices, n <= 6, run once per n and session."""
+    runs = {}
+
+    def runs_of(n):
+        if n not in runs:
+            with pytest.MonkeyPatch.context() as patch:
+                runs[n] = _level_runs(patch, small_connected_graphs[n])
+        return runs[n]
+    return runs_of
+
+
 class TestTransmissionFloor:
     """Lemma F: a balanced graph that contains a connected graph H on the
     same vertices has no degree below 2(n-1) - D_H(u), for any u.  The walk
@@ -1223,14 +1237,14 @@ class TestTransmissionFloor:
                         assert len(want) <= 2 * left, (g, left)
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_floor_changes_no_search_result(self, monkeypatch, small_connected_graphs, n):
+    def test_floor_changes_no_search_result(self, small_connected_graphs, production_runs, n):
         """On every labelled connected graph with n <= 6, the search with
         the floor returns the same result as with it patched out, with every
         witness wanted and with the first (``_level_runs``)."""
         with pytest.MonkeyPatch.context() as patch:
             _without_floor(patch)
             floorless = _level_runs(patch, small_connected_graphs[n])
-        assert _level_runs(monkeypatch, small_connected_graphs[n]) == floorless
+        assert production_runs(n) == floorless
 
     def test_walk_visits_the_model_nodes(self, monkeypatch, small_connected_graphs):
         """With the clock read at every node, the walk of every level of
