@@ -18,7 +18,7 @@ from math import comb
 
 from . import __version__
 from .analysis import report_with_diameter, szeged_with_diameter
-from .closure import _certified_closure, minimum_additions_formula
+from .closure import _certified_closure
 from .edgelist import format_edge_list, read_edge_list, write_edge_list
 from .errors import (
     GraphError,
@@ -179,6 +179,17 @@ def _cmd_gen(args, started: float) -> int:
     return EXIT_OK
 
 
+def _construct(g: Graph) -> tuple[dict, list[int], list[str], int]:
+    """Construct mode's report fields for ``g``'s closure, with the added pairs
+    as bit rows, the certificate's failed fields and the input's diameter."""
+    closure, family, cert, via_search, diam = _certified_closure(g)
+    added = [row & ~old for row, old in zip(closure.adj, g.adj)]
+    fields = {"family": family.tag.value, "m": family.m,
+              "min_added_edges": sum(map(int.bit_count, added)) // 2,
+              "certificate": cert._asdict(), "via_search": via_search}
+    return fields, added, cert.failed, diam
+
+
 def _cmd_closure(args, started: float) -> int:
     g = read_edge_list(args.path)
     pairs = {}
@@ -188,25 +199,17 @@ def _cmd_closure(args, started: float) -> int:
         given = [flag for flag, value in flags.items() if value is not None]
         if given:
             raise ValueError(f"{', '.join(given)}: need --mode search")
-        closure, family, cert, via_search, diam = _certified_closure(g)
-        added = [row & ~old for row, old in zip(closure.adj, g.adj)]
-        min_added = sum(map(int.bit_count, added)) // 2
+        fields, added, failed, diam = _construct(g)
         if args.json:
-            result = {
-                "mode": "construct",
-                "family": family.tag.value,
-                "m": family.m,
-                "min_added_edges": min_added,
-                "certificate": cert._asdict(),
-                "via_search": via_search,
-            }
+            result = {"mode": "construct", **fields}
             pairs["added_edges"] = added
         else:
-            print(f"family: {family.tag.value} (m={family.m})"
-                  + (" [fallback search]" if via_search else ""))
-            print(f"min added edges: {min_added}")
+            print(f"family: {fields['family']} (m={fields['m']})"
+                  + (" [fallback search]" if fields["via_search"] else ""))
+            print(f"min added edges: {fields['min_added_edges']}")
             print("added: " + _pair_text(added, "(", ",", ")", " "))
-            print("certificate: " + " ".join(map("%s=%s".__mod__, cert._asdict().items())))
+            print("certificate: "
+                  + " ".join(map("%s=%s".__mod__, fields["certificate"].items())))
     else:
         config = SearchConfig(
             prune_mode=args.prune or "naive",
@@ -232,8 +235,8 @@ def _cmd_closure(args, started: float) -> int:
                 print(f"witness count: {len(res.witnesses)}")
     if args.json:
         _emit_json("closure", _input_summary(args.path, g, diam), result, started, **pairs)
-    if args.mode == "construct" and not cert.ok:  # after the report, which shows why
-        raise GraphError(f"certificate failed: {', '.join(cert.failed)}")
+    if args.mode == "construct" and failed:  # after the report, which shows why
+        raise GraphError(f"certificate failed: {', '.join(failed)}")
     return EXIT_OK
 
 
@@ -267,33 +270,20 @@ def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
         raise ValueError(
             f"the closures of m = {lo}..{hi} have {pairs} vertex pairs in all; "
             f"at most {_VERIFY_MAX_PAIRS} are supported")
+    # a row is construct mode's report on the canonical tree, so its family
+    # and m are the classifier's, with the tree's order and the verdicts
     rows = []
     for name in family_names:
         tag = FamilyTag(name)
         for m in range(lo, hi + 1):
             tree = canonical_family_tree(tag, m)
-            _, family, cert, via_search, _ = _certified_closure(tree)
-            row = {
-                "family": name,
-                "m": m,
-                "n": tree.n,
-                "min_added_edges": minimum_additions_formula(family),
-                "edge_check": bool(cert.matches_formula),
-                "balanced": cert.distance_balanced,
-                "contains_input": cert.contains_input,
-                "regular_degree": cert.regular_degree,
-                "diameter": cert.diameter,
-                "fallback_search": via_search,
-                "oracle": None,
-            }
-            passed = cert.ok
+            fields, _, failed, _ = _construct(tree)
+            row = {**fields, "n": tree.n, "oracle": None, "pass": not failed}
             if oracle and tree.n <= 11:
                 # the naive mode, which does not rest on the paper's theorem,
                 # up to n = 11: the five n = 11 trees take about 0.3 s in all
-                found = search_minimum_additions(tree, SearchConfig())
-                row["oracle"] = found.min_additions
-                passed = passed and found.min_additions == row["min_added_edges"]
-            row["pass"] = passed
+                row["oracle"] = search_minimum_additions(tree, SearchConfig()).min_additions
+                row["pass"] = not failed and row["oracle"] == row["min_added_edges"]
             rows.append(row)
     return rows
 
@@ -312,14 +302,15 @@ def _cmd_verify(args, started: float) -> int:
     print(f"{'family':<7}{'m':>3}{'n':>4}{'b':>5}  {'edges':<6}{'DB':<6}"
           f"{'reg':>4}{'diam':>5}  {'oracle':<7}{'status'}")
     for row in rows:
+        cert = row["certificate"]
         oracle_text = "-" if row["oracle"] is None else str(row["oracle"])
         status = "pass" if row["pass"] else "FAIL"
-        if row["fallback_search"]:
+        if row["via_search"]:
             status += " (fallback search)"
         print(f"{row['family']:<7}{row['m']:>3}{row['n']:>4}"
-              f"{row['min_added_edges']:>5}  {str(row['edge_check']).lower():<6}"
-              f"{str(row['balanced']).lower():<6}{str(row['regular_degree']):>4}"
-              f"{row['diameter']:>5}  {oracle_text:<7}{status}")
+              f"{row['min_added_edges']:>5}  {str(cert['matches_formula']).lower():<6}"
+              f"{str(cert['distance_balanced']).lower():<6}{str(cert['regular_degree']):>4}"
+              f"{cert['diameter']:>5}  {oracle_text:<7}{status}")
     print(f"all rows pass: {str(all_pass).lower()}")
     return EXIT_OK if all_pass else EXIT_ERROR
 

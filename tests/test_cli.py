@@ -458,6 +458,29 @@ class TestVerify:
         assert [row["min_added_edges"] for row in rows] == [4, 8, 13, 19]
         assert all(row["pass"] for row in rows)
 
+    @pytest.mark.parametrize("family,first_m", [
+        ("star", 1), ("s2", 2), ("s22", 2), ("s3", 3), ("broom", 3)])
+    def test_rows_are_the_closure_report(self, tmp_path, family, first_m):
+        """Each row is ``closure --json``'s result on the canonical tree,
+        without its mode and pairs, plus n and the verdicts: one vocabulary,
+        the degenerate rows' ``via_search`` included."""
+        code, report = run_json(["verify", "--family", family,
+                                 "--m", f"{first_m}..6", "--json"])
+        assert code == 0
+        rows = report["result"]["rows"]
+        assert [row["m"] for row in rows] == list(range(first_m, 7))
+        path = tmp_path / "tree.el"
+        for row in rows:
+            tree = canonical_family_tree(FamilyTag(family), row["m"])
+            write_edge_list(tree, path)
+            code, closure = run_json(["closure", str(path), "--json"])
+            assert code == 0
+            result = closure["result"]
+            del result["mode"], result["added_edges"]
+            assert row == {**result, "n": tree.n, "oracle": None, "pass": True}
+        assert {row["m"] for row in rows if row["via_search"]} == \
+            {"s22": {2}, "s3": {3, 4}}.get(family, set())
+
     def test_s3_fallback_marker(self, capsys):
         assert main(["verify", "--family", "s3", "--m", "3..3"]) == 0
         assert "fallback search" in capsys.readouterr().out

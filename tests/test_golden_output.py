@@ -72,7 +72,7 @@ GOLDEN = {
     "search_s3_m6_regular": ("4ba2d255457ac30d8f950d47a2fef256a2f7a618e08595add1a340363a873e33",
         "3358feb7b14d1fed952db234057da770e9a845485a2d4e21933de0c13f9e03b6"),
     "verify_oracle": ("2cc521ad26f4aa4a0e0e1815d12d8601a4b1a890f3cfbf3d2294057c65fbf48a",
-        "e31fd653e0630ded5be9f5b93d7c2d010f2c10869119669781affe5196adbb5c"),
+        "ea01ec2af88a99c4dc57c63959f8e964fd8498acbf2a2cd88037416ea4a09f65"),
     "check_report_broom": ("148428431b8470ab6e888e8831096066be8ba13617c90fc3356601b3c4a245c1",
         "d4c88f000d3731b5e29a177a4ca6dad1a0e76d178d5dc38bf54b08d971902a03"),
     "check_report_k6": ("8d6384e566b0982af302a4ef1ad5b6254788b3871f44fa6e1b6d6d9f847aafae",
