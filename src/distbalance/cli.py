@@ -279,9 +279,9 @@ def _verify_rows(family_names, lo: int, hi: int, oracle: bool) -> list[dict]:
             tree = canonical_family_tree(tag, m)
             fields, _, failed, _ = _construct(tree)
             row = {**fields, "n": tree.n, "oracle": None, "pass": not failed}
-            if oracle and tree.n <= 11:
+            if oracle and tree.n <= 20:
                 # the naive mode, which does not rest on the paper's theorem,
-                # up to n = 11: the five n = 11 trees take about 0.3 s in all
+                # up to n = 20: the five n = 20 trees take about 0.1 s in all
                 row["oracle"] = search_minimum_additions(tree, SearchConfig()).min_additions
                 row["pass"] = not failed and row["oracle"] == row["min_added_edges"]
             rows.append(row)

@@ -39,10 +39,11 @@ vertex of maximum degree, from ``graph._transmission``, gives f.  A prefix
 graph with a vertex more than the edges still to pick below f, or below it
 by more than twice them in all, has no balanced completion: the walk drops
 its lex subtree, and skips, counted whole, a level whose input it rules
-out.  Otherwise each vertex
-below f, one short at least, must be touched by a later edge: the next
-edge is picked only up to the last complement edge that touches each of
-them, and a last edge must touch all of them, at most 2.
+out.  Otherwise a vertex of degree d < f needs f - d of the edges still
+to pick, and they come in rising index order: the next edge is picked only
+up to the (f - d)-th last complement edge that touches each such vertex,
+which exists since f <= n-1, and a last edge must touch all of them, at
+most 2.
 
 Every witness survives the floor, so the witnesses, their order and
 ``explored`` are unchanged.  The m = 6 star balance-tests 325 of its 2^15
@@ -262,33 +263,44 @@ def _lex_rank(prefix: Sequence[int], n_comp: int, k: int) -> int:
     return rank
 
 
-def _setup(adj: tuple[int, ...], comp: list[Edge]) -> tuple[list[tuple[int, ...]], list[int]]:
+def _setup(adj: tuple[int, ...], comp: list[Edge]
+           ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """The per-search data of ``_level`` for the rows ``adj`` and the
     complement edges ``comp``: per complement edge (u, 1 << u, v, 1 << v),
-    and per vertex the last index whose edge touches it, -1 for none."""
-    last = [-1] * len(adj)
+    and per vertex the ascending indices of the complement edges that touch
+    it."""
+    touch: list[list[int]] = [[] for _ in adj]
     for j, (u, v) in enumerate(comp):
-        last[u] = last[v] = j
-    return [(u, 1 << u, v, 1 << v) for u, v in comp], last
+        touch[u].append(j)
+        touch[v].append(j)
+    return [(u, 1 << u, v, 1 << v) for u, v in comp], touch
 
 
-def _below_floor(rows: list[int], left: int) -> int | None:
-    """The vertices of the connected graph with adjacency rows ``rows`` whose
-    degree is below the transmission floor 2(n-1) - D(u), u a vertex of
-    maximum degree (module docstring), or None when ``left`` more edges
-    cannot lift them all to it: one of them is more than ``left`` short, or
-    all together more than 2 * ``left``."""
-    degrees = list(map(int.bit_count, rows))
+def _below_floor(rows: list[int], degrees: list[int], touch: list[list[int]], left: int
+                 ) -> tuple[int, int] | None:
+    """The vertices of the connected graph with adjacency rows ``rows`` and
+    ``degrees`` that are below the transmission floor f = 2(n-1) - D(u), u
+    a vertex of maximum degree, and the largest next index that leaves each
+    one, of degree d, the f - d edges it lacks: the (f - d)-th last of its
+    ``touch`` indices (n^2, past them all, with none).  None when ``left``
+    more edges cannot lift them all to f: one is more than ``left`` short,
+    or all together more than 2 * ``left`` (module docstring)."""
     floor = 2 * (len(rows) - 1) - _transmission(rows, degrees.index(max(degrees)))
-    low = min(degrees)
-    if low >= floor:
-        return 0
-    if floor - low > left or sum(floor - d for d in degrees if d < floor) > 2 * left:
-        return None
-    return sum(1 << v for v, d in enumerate(degrees) if d < floor)
+    must = short = 0
+    cut = len(rows) ** 2
+    for v, d in enumerate(degrees):
+        if d < floor:
+            gap = floor - d
+            if gap > left:
+                return None
+            must |= 1 << v
+            short += gap
+            if touch[v][-gap] < cut:
+                cut = touch[v][-gap]
+    return None if short > 2 * left else (must, cut)
 
 
-def _level(adj: tuple[int, ...], setup: tuple[list, list[int]], k: int, tables: _ImageTables,
+def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]]], k: int, tables: _ImageTables,
            deadline: float | None, all_witnesses: bool,
            ) -> tuple[list[tuple[int, ...]], int, int, bool]:
     """Balance-test the k-subsets of the complement edges in lex order,
@@ -297,46 +309,39 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[int]], k: int, tables: 
     whole subtree, and so is one whose prefix graph ``_below_floor`` rules
     out; a level whose input it rules out is skipped.  Otherwise the
     vertices it returns for a node's prefix graph, and only those, must be
-    touched: the next edge is picked only up to the last index that touches
-    each of them, and a leaf is visited only when its edge touches all of
-    them (module docstring).  Leaves take the path of the other nodes, with
-    the balance test in place of the floor.  The clock is read every
-    _DEADLINE_STRIDE nodes; a range that is cut is never visited.
+    touched: the next edge is picked only up to the cut it returns, which
+    leaves each of them as many edges as it lacks, and a leaf is visited
+    only when its edge touches all of them (module docstring).  The rows
+    and their degrees are kept in place.  Leaves take the path of the other
+    nodes, with the balance test in place of the floor.  The clock is read
+    every _DEADLINE_STRIDE nodes; a range that is cut is never visited.
 
     Returns the hits as index sets, the lex count, the leaves balance-tested
     and whether the deadline passed.  The lex count runs up to and including
     the first hit (the whole level without one, or with ``all_witnesses``);
     on a timeout it is the number of subsets before the node being visited.
     """
-    flips, last = setup
+    flips, touch = setup
     n_comp = len(flips)
     rows = list(adj)
     if not k:
         return ([()] if _transmission_regular(rows) else []), 1, 1, False
-    must = _below_floor(rows, k)
-    if must is None:
+    degrees = list(map(int.bit_count, rows))
+    below = _below_floor(rows, degrees, touch, k)
+    if below is None:
         return [], comb(n_comp, k), 0, False
-
-    def cut(must: int) -> int:
-        # the largest next index that leaves an edge touching each vertex of ``must``
-        last_touch = n_comp
-        while must:
-            low = must & -must
-            last_touch = min(last_touch, last[low.bit_length() - 1])
-            must ^= low
-        return last_touch
-
+    must, cut = below
     reps, cols, ones = tables.reps, tables.cols, tables.ones
     held, image = tables.guards, 0
     hits: list[tuple[int, ...]] = []
     chosen: list[int] = []
-    cuts = [cut(must)]  # per depth, of the prefix graph
+    cuts = [cut]  # per depth, of the prefix graph
     visited = tested = i = 0
     leaf_depth = k - 1
     while True:
         depth = len(chosen)
-        # i can still start the rest of a subset and leave an edge for each
-        # vertex that must be touched
+        # i can still start the rest of a subset and leave each vertex below
+        # the floor the edges it lacks
         if i <= n_comp - k + depth and i <= cuts[-1]:
             u, bu, v, bv = flips[i]
             if depth == leaf_depth and must & ~(bu | bv):
@@ -348,6 +353,8 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[int]], k: int, tables: 
             visited += 1
             rows[u] ^= bv
             rows[v] ^= bu
+            degrees[u] += 1
+            degrees[v] += 1
             held ^= reps[i]
             image ^= cols[i]
             chosen.append(i)
@@ -361,9 +368,10 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[int]], k: int, tables: 
                         if not all_witnesses:
                             return hits, _lex_rank(chosen, n_comp, k) + 1, tested, False
                 else:
-                    must = _below_floor(rows, k - 1 - depth)
-                    if must is not None:
-                        cuts.append(cut(must))
+                    below = _below_floor(rows, degrees, touch, k - 1 - depth)
+                    if below is not None:
+                        must, cut = below
+                        cuts.append(cut)
                         i += 1
                         continue
             # a leaf is done; else a permutation maps the prefix
@@ -376,6 +384,8 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[int]], k: int, tables: 
         u, bu, v, bv = flips[i]
         rows[u] ^= bv
         rows[v] ^= bu
+        degrees[u] -= 1
+        degrees[v] -= 1
         held ^= reps[i]
         image ^= cols[i]
         i += 1

@@ -1,21 +1,50 @@
-"""The checks that take over a second each, against the closed form and the
-naive search, which rests on no theorem.  Run them with
+"""The checks on inputs larger than tier-1's, against the closed form and
+the naive search, which rests on no theorem.  Run them with
 
     python -m pytest -q tests/slow_checks.py --durations=0
 
-(20-30 s on one CPU).  Tier-1 does not collect this file, whose name does
+(about 15 s on one CPU).  Tier-1 does not collect this file, whose name does
 not match ``test_*.py``; the CI workflow runs it by path."""
+
+import random
 
 import pytest
 
 import helpers
 from helpers import run_cli, run_json
+from distbalance import FamilyTag, canonical_family_tree, relabel, write_edge_list
+from distbalance.closure import _additions
 
 
 @pytest.mark.parametrize("spec", helpers.FAMILY_TREES[13], ids=lambda spec: spec[2])
 def test_family_tree_searches_at_order_13(tmp_path, spec):
-    """s3 with m = 10 takes most of the time (about 7 s on one CPU)."""
+    """s3 with m = 10, whose hub has eccentricity 3, is the slowest naive
+    search of the five (about 0.05 s on one CPU)."""
     helpers.check_family_tree_search(tmp_path / "tree.el", *spec)
+
+
+def _shuffled(tree, seed):
+    perm = list(range(tree.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(tree, perm)
+
+
+@pytest.mark.parametrize("tree", [
+    canonical_family_tree(FamilyTag.S3, 12),
+    _shuffled(canonical_family_tree(FamilyTag.S22, 12), 2),
+], ids=["s3", "s22_shuffled"])
+def test_naive_search_at_order_15_keeps_a_short_budget(tmp_path, tree):
+    """The naive minimum of canonical s3 and of an s22 relabelled at random,
+    both with m = 12, is the closed form r n / 2 - (n - 1) = 90 - 14 = 76,
+    inside a 5 s budget.  Each takes well under a second; a walk that cuts
+    each vertex's range only at its last complement edge took more than
+    60 s and about 25 s."""
+    path = tmp_path / "tree.el"
+    write_edge_list(tree, path)
+    code, report = run_json(["closure", str(path), "--mode", "search", "--budget", "5",
+                             "--json"])
+    assert code == 0
+    assert report["result"]["min_added_edges"] == _additions(15, 12, 14) == 76
 
 
 # the seven trees of order 9 with maximum degree n - 4 = 5, which no family

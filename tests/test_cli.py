@@ -443,7 +443,8 @@ class TestClosure:
             "closure", star63_file, "--mode", "search", "--budget", "60", "--json"])
         assert code == 0
         assert report["result"]["min_added_edges"] == 1953
-        monkeypatch.setattr(search, "_below_floor", lambda rows, left: 0)
+        monkeypatch.setattr(search, "_below_floor",
+                            lambda rows, degrees, touch, left: (0, len(rows) ** 2))
         assert main(["closure", star63_file, "--mode", "search",
                      "--budget", "0.5"]) == 4
         assert capsys.readouterr().err.startswith("budget exceeded: min added edges >= ")
@@ -493,8 +494,8 @@ class TestVerify:
         assert row["min_added_edges"] == 7
         assert row["oracle"] == 7
 
-    def test_oracle_is_the_naive_search_up_to_order_11(self, monkeypatch):
-        """``verify --oracle`` checks every row with n <= 11 by the naive
+    def test_oracle_is_the_naive_search_up_to_order_20(self, monkeypatch):
+        """``verify --oracle`` checks every row with n <= 20 by the naive
         search, which does not rest on the paper's theorem, and leaves
         larger rows without an oracle."""
         searched = []
@@ -505,14 +506,16 @@ class TestVerify:
             return real(g, config)
 
         monkeypatch.setattr(cli, "search_minimum_additions", spy)
-        code, report = run_json(["verify", "--family", "broom", "--m", "4..9",
-                                 "--oracle", "--json"])
-        assert code == 0
-        rows = report["result"]["rows"]
+        rows = []
+        for m_range in "4..9", "17..18":
+            code, report = run_json(["verify", "--family", "broom", "--m", m_range,
+                                     "--oracle", "--json"])
+            assert code == 0
+            rows += report["result"]["rows"]
         assert [(row["n"], row["oracle"]) for row in rows] == [
-            (7, 8), (8, 13), (9, 19), (10, 26), (11, 34), (12, None)]
+            (7, 8), (8, 13), (9, 19), (10, 26), (11, 34), (12, 43), (20, 151), (21, None)]
         assert all(row["oracle"] in (None, row["min_added_edges"]) for row in rows)
-        assert searched == [(n, "naive") for n in range(7, 12)]
+        assert searched == [(n, "naive") for n in (*range(7, 13), 20)]
 
     def test_single_m(self):
         code, report = run_json(["verify", "--family", "star", "--m", "5", "--json"])

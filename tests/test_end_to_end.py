@@ -44,11 +44,11 @@ def test_readme_examples(tmp_path, monkeypatch):
 
 def test_family_survey_against_the_naive_search():
     """The README's survey, ``verify --family all --m 3..12 --oracle``: each of
-    the 33 rows with n <= 11 carries the naive search's minimum, which rests
-    on no theorem, and every row passes."""
+    its 50 rows, n <= 15, carries the naive search's minimum, which rests on
+    no theorem, and every row passes."""
     code, report = run_json(["verify", "--family", "all", "--m", "3..12", "--oracle", "--json"])
     assert code == 0 and report["result"]["all_pass"] is True
-    assert sum(row["oracle"] is not None for row in report["result"]["rows"]) == 33
+    assert sum(row["oracle"] is not None for row in report["result"]["rows"]) == 50
 
 
 def _szeged(path: str, balance_code: int) -> tuple[int, dict]:

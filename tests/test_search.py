@@ -391,8 +391,10 @@ def _dominated_vertices(g, added=()) -> set[int]:
 
 
 def _without_floor(monkeypatch):
-    """Patch the transmission floor out of the walk: no vertex is below it."""
-    monkeypatch.setattr(search, "_below_floor", lambda rows, left: 0)
+    """Patch the transmission floor out of the walk: no vertex is below it,
+    and the next index is cut at n^2, past every complement edge."""
+    monkeypatch.setattr(search, "_below_floor",
+                        lambda rows, degrees, touch, left: (0, len(rows) ** 2))
 
 
 class TestProgress:
@@ -894,17 +896,31 @@ def _floor_gaps(g, added=()):
 
 
 def _lifted(gaps, left):
-    """The vertices of ``gaps``, or None when ``left`` more edges cannot
-    lift them all to the floor."""
+    """``gaps``, or None when ``left`` more edges cannot lift every vertex
+    in it to the floor."""
     if any(gap > left for gap in gaps.values()) or sum(gaps.values()) > 2 * left:
         return None
-    return set(gaps)
+    return gaps
 
 
 def _short_of_floor(g, added, left):
-    """The vertices of ``g`` plus the edges ``added`` below the transmission
-    floor; None when ``left`` more edges cannot lift them all to it."""
+    """How far each vertex of ``g`` plus the edges ``added`` is below the
+    transmission floor; None when ``left`` more edges cannot lift them all
+    to it."""
     return _lifted(_floor_gaps(g, added), left)
+
+
+def _touching(g, comp):
+    """Per vertex of ``g``, the ascending indices of the edges of ``comp``
+    that touch it."""
+    return [[j for j, e in enumerate(comp) if x in e] for x in range(g.n)]
+
+
+def _floor_cut(gaps, touching):
+    """The largest next index that leaves each vertex of ``gaps`` as many
+    later touching edges as it is short of the floor: the gap-th last of
+    its ``touching`` indices.  n^2 when no vertex is short."""
+    return min((touching[x][-gap] for x, gap in gaps.items()), default=len(touching) ** 2)
 
 
 def _walk(g, comp, k, perms, floor=True):
@@ -916,11 +932,10 @@ def _walk(g, comp, k, perms, floor=True):
     vertices to touch are those of its graph below the floor, and only
     those.  With the floor, a prefix is visited only when its last edge
     touches every vertex the shorter prefix must touch (a whole k-subset)
-    or comes no later than the last edge that touches each of them (a
-    shorter prefix), and a level whose input the floor rules out visits
-    nothing."""
-    last_touch = [max((j for j, e in enumerate(comp) if x in e), default=-1)
-                  for x in range(g.n)]
+    or, for each of them, comes no later than the gap-th last edge that
+    touches it, gap how far it is below the floor (a shorter prefix); and
+    a level whose input the floor rules out visits nothing."""
+    touching = _touching(g, comp)
     musts = {}
 
     def must(prefix):  # None when the floor rules the prefix out
@@ -936,9 +951,9 @@ def _walk(g, comp, k, perms, floor=True):
             prefix = cand[:depth]
             if floor:
                 before, pick = must(prefix[:-1]), prefix[-1]
-                if depth == k and not before <= set(comp[pick]):
+                if depth == k and not before.keys() <= set(comp[pick]):
                     break
-                if depth < k and any(pick > last_touch[x] for x in before):
+                if depth < k and pick > _floor_cut(before, touching):
                     break
             if prefix not in seen:
                 seen.add(prefix)
@@ -1048,7 +1063,7 @@ class TestSubtreePruning:
     def test_budget_holds_while_subtrees_are_dropped(self, monkeypatch, late_read):
         """The clock is read before every _DEADLINE_STRIDE-th node the walk
         visits, dropped ones included.  Level 5 of the spider, the first
-        level the walk enters, visits 73 nodes, which a stride of 16 reads at
+        level the walk enters, visits 67 nodes, which a stride of 16 reads at
         five of them.  With the transmission floor patched out it is the
         first level of more than one stride: it visits 1,065.  A clock that
         turns late at a later read inside it stops the search at the node
@@ -1057,7 +1072,7 @@ class TestSubtreePruning:
         level = 5
         comp = complement_edges(SPIDER)
         levels = _spy_levels(monkeypatch)
-        for floor, stride, count in ((True, 16, 73), (False, search._DEADLINE_STRIDE, 1065)):
+        for floor, stride, count in ((True, 16, 67), (False, search._DEADLINE_STRIDE, 1065)):
             if not floor:
                 _without_floor(monkeypatch)
             monkeypatch.setattr(search, "_DEADLINE_STRIDE", stride)
@@ -1085,7 +1100,7 @@ class TestSubtreePruning:
         node of a level below the witness level (so pruned by the
         automorphisms even with every witness wanted) stops the search at
         that node, a leaf or a shorter prefix, dropped or not.  Level 5 of
-        the spider has 73 nodes, 6 of them leaves.  Level 3 of the m = 4
+        the spider has 67 nodes, 6 of them leaves.  Level 3 of the m = 4
         star has none: its spokes are 3 below the floor of 4.  With the
         transmission floor patched out it has 12, 4 of them leaves.
         ``explored``
@@ -1095,7 +1110,7 @@ class TestSubtreePruning:
         assert _walk(star, complement_edges(star), 3, search._generators(star)) == []
         monkeypatch.setattr(search, "_DEADLINE_STRIDE", 1)
         levels = _spy_levels(monkeypatch)
-        for g, level, floor, count, leaves in (SPIDER, 5, True, 73, 6), (star, 3, False, 12, 4):
+        for g, level, floor, count, leaves in (SPIDER, 5, True, 67, 6), (star, 3, False, 12, 4):
             if not floor:
                 _without_floor(monkeypatch)
             comp = complement_edges(g)
@@ -1223,18 +1238,24 @@ class TestTransmissionFloor:
         """For every connected graph with n <= 6 and every number of edges
         left, from 0 to its missing edges, ``_below_floor`` rules the graph
         out exactly when ``_short_of_floor`` does, and otherwise returns
-        the same vertices, at most twice as many as the edges left: each is
-        at least one edge short."""
+        the same vertices, at most twice as many as the edges left (each is
+        at least one edge short), and the model's cut (``_floor_cut``)."""
         for n, graphs in small_connected_graphs.items():
             for g in graphs:
                 gaps = _floor_gaps(g)  # one BFS per graph, judged for every left
-                for left in range(comb(n, 2) - g.edge_count + 1):
+                comp = complement_edges(g)
+                touching = _touching(g, comp)
+                _, touch = search._setup(g.adj, comp)
+                degrees = g.degrees()
+                for left in range(len(comp) + 1):
                     want = _lifted(gaps, left)
-                    got = search._below_floor(list(g.adj), left)
+                    got = search._below_floor(list(g.adj), degrees, touch, left)
                     assert (got is None) is (want is None), (g, left)
                     if want is not None:
-                        assert set(graph._bits(got)) == want, (g, left)
+                        must, cut = got
+                        assert set(graph._bits(must)) == want.keys(), (g, left)
                         assert len(want) <= 2 * left, (g, left)
+                        assert cut == _floor_cut(want, touching), (g, left)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_floor_changes_no_search_result(self, small_connected_graphs, production_runs, n):
@@ -1254,8 +1275,8 @@ class TestTransmissionFloor:
         lex-smaller; with the transmission floor and with it patched out.
         A node must touch only the vertices below its own floor: the tree
         0-5, 1-2, 2-3, 2-5, 4-5 tells this walk from one whose nodes also
-        keep those of their parent that their edge misses, which visits 16
-        nodes at k = 4, not 18, and balance-tests the same 2 leaves."""
+        keep those of their parent that their edge misses, which visits 15
+        nodes at k = 4, not 17, and balance-tests the same 2 leaves."""
         graphs = [g for n in range(1, 6) for g in small_connected_graphs[n]]
         graphs += [g for t in helpers.all_trees(6) for g in _two_labelings(t)]
         reads = []
