@@ -78,12 +78,12 @@ def _checked(kind, accept, rule: str):
     return parse
 
 
-def _input_summary(path: str, g: Graph, diam: int) -> dict:
+def _input_summary(path: str, g: Graph, diam: int, max_degree: int) -> dict:
     return {
         "path": str(path),
         "n": g.n,
         "edge_count": g.edge_count,
-        "max_degree": g.max_degree(),
+        "max_degree": max_degree,
         "diameter": diam,
     }
 
@@ -115,7 +115,8 @@ def _cmd_check(args, started: float) -> int:
         result = {"balanced": worst is None, "worst_edge": worst}
         if args.report:
             result["records"] = rows
-        _emit_json("check", _input_summary(args.path, g, diam), result, started)
+        _emit_json("check", _input_summary(args.path, g, diam, g.max_degree()), result,
+                   started)
     else:
         print(f"distance-balanced: {str(worst is None).lower()}")
         if args.report:
@@ -130,7 +131,7 @@ def _cmd_szeged(args, started: float) -> int:
     g = read_edge_list(args.path)
     value, diam = szeged_with_diameter(g)
     if args.json:
-        _emit_json("szeged", _input_summary(args.path, g, diam),
+        _emit_json("szeged", _input_summary(args.path, g, diam, g.max_degree()),
                    {"szeged_index": value}, started)
     else:
         print(value)
@@ -200,6 +201,7 @@ def _cmd_closure(args, started: float) -> int:
         if given:
             raise ValueError(f"{', '.join(given)}: need --mode search")
         fields, added, failed, diam = _construct(g)
+        max_deg = fields["m"]  # the classifier's max degree, dominant inputs' n-1 too
         if args.json:
             result = {"mode": "construct", **fields}
             pairs["added_edges"] = added
@@ -219,7 +221,7 @@ def _cmd_closure(args, started: float) -> int:
         )
         res = search_minimum_additions(g, config)
         if args.json:
-            diam = diameter(g)
+            diam, max_deg = diameter(g), g.max_degree()
             result = {
                 "mode": "search",
                 "prune": res.mode_used,
@@ -234,7 +236,8 @@ def _cmd_closure(args, started: float) -> int:
             if args.all_witnesses:
                 print(f"witness count: {len(res.witnesses)}")
     if args.json:
-        _emit_json("closure", _input_summary(args.path, g, diam), result, started, **pairs)
+        _emit_json("closure", _input_summary(args.path, g, diam, max_deg), result, started,
+                   **pairs)
     if args.mode == "construct" and failed:  # after the report, which shows why
         raise GraphError(f"certificate failed: {', '.join(failed)}")
     return EXIT_OK

@@ -45,6 +45,19 @@ up to the (f - d)-th last complement edge that touches each such vertex,
 which exists since f <= n-1, and a last edge must touch all of them, at
 most 2.
 
+A prefix graph is the input plus the chosen edges, so its floor, its
+vertices below f, their largest and total gap and its cut depend on that
+edge set alone: only the comparison with the edges still to pick depends
+on the level k and the depth.  Iterative deepening walks the short
+prefixes again at every level, so each search keeps one table of these
+profiles, keyed by the bits of the chosen complement-edge indices, and a
+node whose edge set the search has met before reads it instead of a BFS;
+the input's profile, key 0, makes a skipped level cost one lookup.  The
+table takes about _FLOOR_ENTRY_BYTES = 164 bytes per entry and stops
+growing at _MAX_FLOOR_BYTES, 2^16 entries or about 10 MiB; a prefix it
+has no room for is profiled each time it is met, and the table is dropped
+with the search.  It changes no node, hit or count of the walk.
+
 Every witness survives the floor, so the witnesses, their order and
 ``explored`` are unchanged.  The m = 6 star balance-tests 325 of its 2^15
 candidates under the automorphisms alone, which fall into 156 orbits, and
@@ -92,6 +105,10 @@ _DEADLINE_STRIDE = 512
 # bound on the packed image tables, which take about 2 W^2 bits per
 # permutation for W - 1 complement edges: 4 MiB, or 4 of the m = 63 star's 62
 _MAX_TABLE_BITS = 1 << 25
+# bound on a search's table of floor profiles, at about _FLOOR_ENTRY_BYTES
+# per entry (159-189 bytes on n = 10 trees): 2^16 entries, about 10 MiB
+_FLOOR_ENTRY_BYTES = 164
+_MAX_FLOOR_BYTES = _FLOOR_ENTRY_BYTES << 16
 
 Edge = tuple[int, int]
 Witness = tuple[Edge, ...]
@@ -264,75 +281,91 @@ def _lex_rank(prefix: Sequence[int], n_comp: int, k: int) -> int:
 
 
 def _setup(adj: tuple[int, ...], comp: list[Edge]
-           ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+           ) -> tuple[list[tuple[int, ...]], list[list[int]], dict[int, tuple[int, ...]]]:
     """The per-search data of ``_level`` for the rows ``adj`` and the
     complement edges ``comp``: per complement edge (u, 1 << u, v, 1 << v),
-    and per vertex the ascending indices of the complement edges that touch
-    it."""
+    per vertex the ascending indices of the complement edges that touch
+    it, and an empty table of floor profiles (``_floor_profile``), keyed
+    by the bits of the chosen indices, that the levels of one search
+    share."""
     touch: list[list[int]] = [[] for _ in adj]
     for j, (u, v) in enumerate(comp):
         touch[u].append(j)
         touch[v].append(j)
-    return [(u, 1 << u, v, 1 << v) for u, v in comp], touch
+    return [(u, 1 << u, v, 1 << v) for u, v in comp], touch, {}
 
 
-def _below_floor(rows: list[int], degrees: list[int], touch: list[list[int]], left: int
-                 ) -> tuple[int, int] | None:
-    """The vertices of the connected graph with adjacency rows ``rows`` and
-    ``degrees`` that are below the transmission floor f = 2(n-1) - D(u), u
-    a vertex of maximum degree, and the largest next index that leaves each
-    one, of degree d, the f - d edges it lacks: the (f - d)-th last of its
-    ``touch`` indices (n^2, past them all, with none).  None when ``left``
-    more edges cannot lift them all to f: one is more than ``left`` short,
-    or all together more than 2 * ``left`` (module docstring)."""
+def _floor_profile(rows: list[int], touch: list[list[int]]) -> tuple[int, int, int, int]:
+    """The floor profile of the connected graph with adjacency rows
+    ``rows``: for the vertices below the transmission floor f = 2(n-1) -
+    D(u), u a vertex of maximum degree, the largest and the total of
+    their gaps f - d, d the degree, their mask, and the largest next
+    index that leaves each one the f - d edges it lacks: the (f - d)-th
+    last of its ``touch`` indices (n^2, past them all, with none).  With
+    ``left`` more edges to pick, the graph has no balanced completion when
+    the largest gap is more than ``left`` or the total more than 2 *
+    ``left`` (module docstring); the profile itself does not depend on
+    ``left``."""
+    degrees = list(map(int.bit_count, rows))
     floor = 2 * (len(rows) - 1) - _transmission(rows, degrees.index(max(degrees)))
-    must = short = 0
+    largest = total = must = 0
     cut = len(rows) ** 2
     for v, d in enumerate(degrees):
         if d < floor:
             gap = floor - d
-            if gap > left:
-                return None
+            if gap > largest:
+                largest = gap
+            total += gap
             must |= 1 << v
-            short += gap
             if touch[v][-gap] < cut:
                 cut = touch[v][-gap]
-    return None if short > 2 * left else (must, cut)
+    return largest, total, must, cut
 
 
-def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]]], k: int, tables: _ImageTables,
-           deadline: float | None, all_witnesses: bool,
+def _stored_profile(floors: dict[int, tuple[int, ...]], key: int, rows: list[int],
+                    touch: list[list[int]]) -> tuple[int, int, int, int]:
+    """``_floor_profile`` of the prefix graph ``rows`` with the chosen bits
+    ``key``, stored in the table ``floors`` while it is below
+    _MAX_FLOOR_BYTES."""
+    profile = _floor_profile(rows, touch)
+    if len(floors) < _MAX_FLOOR_BYTES // _FLOOR_ENTRY_BYTES:
+        floors[key] = profile
+    return profile
+
+
+def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]], dict], k: int,
+           tables: _ImageTables, deadline: float | None, all_witnesses: bool,
            ) -> tuple[list[tuple[int, ...]], int, int, bool]:
     """Balance-test the k-subsets of the complement edges in lex order,
     depth first, setting each chosen edge in the rows in place.  A prefix
     that a permutation of ``tables`` maps lex-smaller is dropped with its
-    whole subtree, and so is one whose prefix graph ``_below_floor`` rules
+    whole subtree, and so is one whose prefix graph's floor profile rules
     out; a level whose input it rules out is skipped.  Otherwise the
-    vertices it returns for a node's prefix graph, and only those, must be
-    touched: the next edge is picked only up to the cut it returns, which
+    vertices below the floor of a node's prefix graph, and only those, must
+    be touched: the next edge is picked only up to the profile's cut, which
     leaves each of them as many edges as it lacks, and a leaf is visited
-    only when its edge touches all of them (module docstring).  The rows
-    and their degrees are kept in place.  Leaves take the path of the other
-    nodes, with the balance test in place of the floor.  The clock is read
-    every _DEADLINE_STRIDE nodes; a range that is cut is never visited.
+    only when its edge touches all of them (module docstring).  A profile
+    is read from the search's table, keyed by the bits of the chosen
+    indices, or computed and stored there by ``_stored_profile``.  Leaves
+    take the path of the other nodes, with the balance test in place of
+    the floor.  The clock is read every _DEADLINE_STRIDE nodes; a range
+    that is cut is never visited.
 
     Returns the hits as index sets, the lex count, the leaves balance-tested
     and whether the deadline passed.  The lex count runs up to and including
     the first hit (the whole level without one, or with ``all_witnesses``);
     on a timeout it is the number of subsets before the node being visited.
     """
-    flips, touch = setup
+    flips, touch, floors = setup
     n_comp = len(flips)
     rows = list(adj)
     if not k:
         return ([()] if _transmission_regular(rows) else []), 1, 1, False
-    degrees = list(map(int.bit_count, rows))
-    below = _below_floor(rows, degrees, touch, k)
-    if below is None:
+    largest, total, must, cut = floors.get(0) or _stored_profile(floors, 0, rows, touch)
+    if largest > k or total > 2 * k:
         return [], comb(n_comp, k), 0, False
-    must, cut = below
     reps, cols, ones = tables.reps, tables.cols, tables.ones
-    held, image = tables.guards, 0
+    held, image, key = tables.guards, 0, 0
     hits: list[tuple[int, ...]] = []
     chosen: list[int] = []
     cuts = [cut]  # per depth, of the prefix graph
@@ -353,10 +386,9 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]]], k: int, ta
             visited += 1
             rows[u] ^= bv
             rows[v] ^= bu
-            degrees[u] += 1
-            degrees[v] += 1
             held ^= reps[i]
             image ^= cols[i]
+            key ^= 1 << i
             chosen.append(i)
             d = held ^ image  # the survival test of _ImageTables
             low = d ^ (d & (d - ones))
@@ -368,10 +400,11 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]]], k: int, ta
                         if not all_witnesses:
                             return hits, _lex_rank(chosen, n_comp, k) + 1, tested, False
                 else:
-                    below = _below_floor(rows, degrees, touch, k - 1 - depth)
-                    if below is not None:
-                        must, cut = below
-                        cuts.append(cut)
+                    profile = floors.get(key) or _stored_profile(floors, key, rows, touch)
+                    left = k - 1 - depth
+                    if profile[0] <= left and profile[1] <= 2 * left:
+                        must = profile[2]
+                        cuts.append(profile[3])
                         i += 1
                         continue
             # a leaf is done; else a permutation maps the prefix
@@ -384,10 +417,9 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]]], k: int, ta
         u, bu, v, bv = flips[i]
         rows[u] ^= bv
         rows[v] ^= bu
-        degrees[u] -= 1
-        degrees[v] -= 1
         held ^= reps[i]
         image ^= cols[i]
+        key ^= 1 << i
         i += 1
 
 

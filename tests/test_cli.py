@@ -32,6 +32,7 @@ from distbalance import (
     StarlikeSpec,
 )
 from distbalance.cli import main
+from distbalance.graph import Graph
 
 
 @pytest.fixture
@@ -155,6 +156,27 @@ def test_one_bfs_pass_per_closure(monkeypatch, capsys, tmp_path, g, passes):
     assert json.loads(capsys.readouterr().out)["input"]["diameter"] == \
         helpers.plain_check_oracle(g)[2]
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize("g", [
+    _shuffled(canonical_family_tree(FamilyTag.S3, 40)),
+    _shuffled(canonical_family_tree(FamilyTag.S3, 4)),
+    from_edge_list(7, [(0, v) for v in range(1, 7)] + [(1, 2)]),
+], ids=["s3_40", "degenerate_s3_4", "dominant"])
+def test_one_degree_list_per_closure_input(monkeypatch, capsys, tmp_path, g):
+    """``closure --json`` builds the input's degree list once, in the
+    classifier or in the dominant-vertex test, and its input summary takes
+    ``max_degree`` from the classifier's m; the closure's own degree list
+    is the certificate's."""
+    built = []
+    degrees = Graph.degrees
+    monkeypatch.setattr(Graph, "degrees", lambda h: built.append(h.adj) or degrees(h))
+    path = tmp_path / "g.el"
+    write_edge_list(g, path)
+    assert main(["closure", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"]["max_degree"] == max(degrees(g))
+    assert built.count(g.adj) == 1
+    assert len(built) == 2
 
 
 class TestSzeged:
@@ -443,8 +465,8 @@ class TestClosure:
             "closure", star63_file, "--mode", "search", "--budget", "60", "--json"])
         assert code == 0
         assert report["result"]["min_added_edges"] == 1953
-        monkeypatch.setattr(search, "_below_floor",
-                            lambda rows, degrees, touch, left: (0, len(rows) ** 2))
+        monkeypatch.setattr(search, "_floor_profile",
+                            lambda rows, touch: (0, 0, 0, len(rows) ** 2))
         assert main(["closure", star63_file, "--mode", "search",
                      "--budget", "0.5"]) == 4
         assert capsys.readouterr().err.startswith("budget exceeded: min added edges >= ")

@@ -391,10 +391,11 @@ def _dominated_vertices(g, added=()) -> set[int]:
 
 
 def _without_floor(monkeypatch):
-    """Patch the transmission floor out of the walk: no vertex is below it,
-    and the next index is cut at n^2, past every complement edge."""
-    monkeypatch.setattr(search, "_below_floor",
-                        lambda rows, degrees, touch, left: (0, len(rows) ** 2))
+    """Patch the transmission floor out of the walk: every prefix graph's
+    profile has no vertex below it, so no gap rules out any ``left``, and
+    the next index is cut at n^2, past every complement edge."""
+    monkeypatch.setattr(search, "_floor_profile",
+                        lambda rows, touch: (0, 0, 0, len(rows) ** 2))
 
 
 class TestProgress:
@@ -1236,23 +1237,23 @@ class TestTransmissionFloor:
 
     def test_below_floor_matches_its_model(self, small_connected_graphs):
         """For every connected graph with n <= 6 and every number of edges
-        left, from 0 to its missing edges, ``_below_floor`` rules the graph
-        out exactly when ``_short_of_floor`` does, and otherwise returns
-        the same vertices, at most twice as many as the edges left (each is
-        at least one edge short), and the model's cut (``_floor_cut``)."""
+        left, from 0 to its missing edges, the walk's test on the graph's
+        ``_floor_profile`` (largest gap > left, or total > 2 * left) rules
+        the graph out exactly when ``_short_of_floor`` does, and otherwise
+        the profile holds the same vertices, at most twice as many as the
+        edges left (each is at least one edge short), and the model's cut
+        (``_floor_cut``)."""
         for n, graphs in small_connected_graphs.items():
             for g in graphs:
                 gaps = _floor_gaps(g)  # one BFS per graph, judged for every left
                 comp = complement_edges(g)
                 touching = _touching(g, comp)
-                _, touch = search._setup(g.adj, comp)
-                degrees = g.degrees()
+                _, touch, _ = search._setup(g.adj, comp)
+                largest, total, must, cut = search._floor_profile(list(g.adj), touch)
                 for left in range(len(comp) + 1):
                     want = _lifted(gaps, left)
-                    got = search._below_floor(list(g.adj), degrees, touch, left)
-                    assert (got is None) is (want is None), (g, left)
+                    assert (largest > left or total > 2 * left) is (want is None), (g, left)
                     if want is not None:
-                        must, cut = got
                         assert set(graph._bits(must)) == want.keys(), (g, left)
                         assert len(want) <= 2 * left, (g, left)
                         assert cut == _floor_cut(want, touching), (g, left)
@@ -1299,3 +1300,64 @@ class TestTransmissionFloor:
                               if len(p) == k and not _dropped(comp, p, perms)]
                     assert (len(reads), tested, lex, timed_out) == \
                         (len(nodes), len(leaves), comb(len(comp), k), False), (g, k, floor)
+
+
+def _spy_tables(monkeypatch) -> list[dict]:
+    """Record the table of floor profiles that ``_setup`` returns to each
+    search, in call order, and check that it is empty then; the entries
+    are those the search stored."""
+    tables = []
+    real = search._setup
+
+    def spy(adj, comp):
+        out = real(adj, comp)
+        assert out[2] == {}, "a search starts from a filled table"
+        tables.append(out[2])
+        return out
+
+    monkeypatch.setattr(search, "_setup", spy)
+    return tables
+
+
+class TestFloorTable:
+    """Each search keeps one table of floor profiles, keyed by the bits of
+    the chosen complement-edge indices and shared by its levels; a profile
+    does not depend on the edges left, so the table changes no node, hit
+    or count, and it stops growing at _MAX_FLOOR_BYTES."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tableless_walk_changes_no_search_result(self, small_connected_graphs,
+                                                     production_runs, n):
+        """With the bound patched to 0 no profile is stored, so every node
+        computes its own; on every labelled connected graph with n <= 6 the
+        searches and their level walks (``_level_runs``) are those of the
+        unpatched search."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_MAX_FLOOR_BYTES", 0)
+            tables = _spy_tables(patch)
+            tableless = _level_runs(patch, small_connected_graphs[n])
+        assert len(tables) == len(small_connected_graphs[n])
+        assert not any(tables)
+        assert production_runs(n) == tableless
+
+    def test_table_keeps_its_bound(self, monkeypatch):
+        """The spider's first-witness search stores 83 profiles.  With room
+        for 10 and a few bytes more, the table stops at 10 and the search
+        returns the same result."""
+        tables = _spy_tables(monkeypatch)
+        whole = search_minimum_additions(SPIDER)
+        assert len(tables[0]) == 83
+        monkeypatch.setattr(search, "_MAX_FLOOR_BYTES", 10 * search._FLOOR_ENTRY_BYTES + 5)
+        assert search_minimum_additions(SPIDER) == whole
+        assert len(tables[1]) * search._FLOOR_ENTRY_BYTES <= search._MAX_FLOOR_BYTES
+        assert len(tables[1]) == 10
+        assert tables[1].items() <= tables[0].items()
+
+    def test_table_is_new_on_every_call(self, monkeypatch):
+        """Each search starts from an empty table of its own: a second
+        search of the same graph stores the same profiles again, in a new
+        table."""
+        tables = _spy_tables(monkeypatch)
+        assert search_minimum_additions(SPIDER) == search_minimum_additions(SPIDER)
+        assert len(tables) == 2 and tables[0] is not tables[1]
+        assert tables[0] == tables[1] and len(tables[0]) == 83
