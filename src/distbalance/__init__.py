@@ -63,6 +63,7 @@ from .closure import (
 )
 from .search import (
     MAX_SEARCH_VERTICES,
+    LevelStats,
     SearchConfig,
     SearchResult,
     search_minimum_additions,
@@ -85,6 +86,6 @@ __all__ = [
     "canonical_family_tree", "classify_tree", "is_tree", "starlike",
     "Certificate", "ClosureResult", "construct_closure",
     "minimum_additions_formula", "verify_closure",
-    "MAX_SEARCH_VERTICES", "SearchConfig", "SearchResult",
+    "MAX_SEARCH_VERTICES", "LevelStats", "SearchConfig", "SearchResult",
     "search_minimum_additions",
 ]

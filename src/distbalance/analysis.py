@@ -12,7 +12,8 @@ Every report takes one call of ``graph._ball_sweep``, and its diameter
 comes from the same call.  In general that is an all-sources ball sweep that
 XORs v's balls B_d(v) (within distance d) over d = 0, 1, ... into A(v), the
 vertices at one parity of distance; on an edge xy each |d(x, w) - d(y, w)| <=
-1, so |closer to x| = (|A(x) ^ A(y)| + D(y) - D(x)) / 2 by the identity.
+1, so |closer to x| = (|A(x) ^ A(y)| + D(y) - D(x)) / 2 by the identity,
+and a balanced graph's report reuses that list for |closer to y|.
 Three kinds of graph take shorter routes (see the ``graph`` module):
 those with 2 delta >= n - 1 or a dominant vertex, trees and bipartite
 graphs.  The search's balance test takes one vertex's D at a time from
@@ -59,6 +60,8 @@ def _closer_counts(g: Graph) -> tuple[list[Edge], list[int], list[int], list[int
     each, the transmissions and the diameter, from one ball sweep."""
     edges = g.edges()
     trans, diam, near = _ball_sweep(g.adj, edges)
+    if min(trans) == max(trans):  # |closer to x| - |closer to y| = D(y) - D(x) = 0
+        return edges, near, near, trans, diam
     far = [c + trans[x] - trans[y] for (x, y), c in zip(edges, near)]
     return edges, near, far, trans, diam
 

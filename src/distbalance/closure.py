@@ -154,7 +154,7 @@ def _certified_closure(t: Graph) -> tuple[Graph, TreeFamily, Certificate, bool, 
     if removed is None:
         # degenerate cycles: S is what the walk's first completion leaves out
         comp = complement_edges(t)
-        hits, _ = _regular_level(t.adj, comp, r, None, False)
+        hits, _, _ = _regular_level(t.adj, comp, r, None, False)
         if not hits:
             raise GraphError(f"no {r}-regular completion avoids the input")
         pairs = [pair for i, pair in enumerate(comp) if i not in hits[0]]

@@ -29,7 +29,10 @@ picked from vertex 0's BFS levels, taken anyway to refuse a disconnected graph:
   without its parity sets: no vertex is equidistant from the ends of an
   edge (Ilic, Klavzar and Milanovic, Eur. J. Combin. 31 (2010));
 - every other graph takes ``_sweep``, which grows the balls of every vertex
-  at once and XORs each vertex's balls into one parity set.
+  at once, B_{d+1}(u) the union of B_d(w) over w in N(u), and XORs each
+  vertex's balls into one parity set.  For d >= 1 that union holds B_d(u)
+  itself: u is in B_1(w), a subset of B_d(w), and any other x within d + 1
+  of u is within d of the next vertex on a shortest u-x path.
 On an edge xy, |d(x, w) - d(y, w)| <= 1, so w is equidistant from x and y
 exactly when the two distances have the same parity.  The closer counts sum
 to the s vertices of differing parity (n off the sweep), and |closer to x| =
@@ -324,14 +327,16 @@ def _sweep(adj, degrees, edges=()) -> tuple[list[int], int, list[int]]:
     (transmissions, the diameter, |A(x) ^ A(y)| of each (x, y) in ``edges``).
 
     B_d(u), the vertices within distance d of u, starts at the closed row
-    B_1(u) and grows by B_{d+1}(u) = the union of B_d(w) over w in N[u],
-    until every ball is full.  D(u) is the sum over d of n - |B_d(u)|, and
-    the diameter is the first d at which every ball is full.  The parity set
-    A(u), the XOR of the nested B_0(u) = {u}, ..., B_T(u) with T the last d,
-    holds the w with T - d(u, w) even; on an edge xy, |d(x, w) - d(y, w)| <=
-    1, so |A(x) ^ A(y)| counts the w not equidistant from x and y.  Distances
-    are symmetric, so the ball columns run in blocks of ``_BLOCK``; the
-    blocks' sums add up, and the diameter is the largest of their last d.
+    B_1(u) and grows by B_{d+1}(u) = the union of B_d(w) over w in N(u),
+    which holds B_d(u) for d >= 1 (module docstring), until every ball is
+    full: a step gathers the first neighbour column and ORs in the others.
+    D(u) is the sum over d of n - |B_d(u)|, and the diameter is the first d
+    at which every ball is full.  The parity set A(u), the XOR of the nested
+    B_0(u) = {u}, ..., B_T(u) with T the last d, holds the w with T - d(u, w)
+    even; on an edge xy, |d(x, w) - d(y, w)| <= 1, so |A(x) ^ A(y)| counts
+    the w not equidistant from x and y.  Distances are symmetric, so the
+    ball columns run in blocks of ``_BLOCK``; the blocks' sums add up, and
+    the diameter is the largest of their last d.
     """
     n = len(adj)
     # positions by falling degree, so the vertices with a j-th neighbour are
@@ -358,7 +363,7 @@ def _sweep(adj, degrees, edges=()) -> tuple[list[int], int, list[int]]:
             counted += width
             sizes = list(map(add, sizes, map(int.bit_count, balls)))
             prev, d, k = balls, d + 1, n
-            balls = list(map(or_, prev, first(prev)))
+            balls = list(first(prev))
             for j in count():
                 if d == 2 and 2 * k > n and balls.count(full) == n:  # first step only
                     break  # the other slots would add nothing
@@ -369,7 +374,10 @@ def _sweep(adj, degrees, edges=()) -> tuple[list[int], int, list[int]]:
                     k = col.index(None) if col[-1] is None else n
                     slots.append((k, itemgetter(*col[:k], 0)))  # 0: a tuple if k = 1
                 k, gather = slots[j]
-                balls[:k] = map(or_, balls[:k], gather(prev))
+                if k == n:
+                    balls = list(map(or_, balls, gather(prev)))
+                else:
+                    balls[:k] = map(or_, balls[:k], gather(prev))
             if edges:
                 parity = list(map(xor, parity, balls))
         split = list(map(add, split, map(int.bit_count, map(

@@ -134,6 +134,25 @@ class SearchConfig(NamedTuple):
     time_budget: float | None = None
 
 
+class LevelStats(NamedTuple):
+    """What a search did at one level k, from the counts its walk keeps.
+
+    skipped: no node was visited: the handshake rule (regular mode) or the
+        transmission floor (naive mode) ruled the whole level out.
+    lex: the level's share of ``explored``.
+    visited: walk nodes visited, leaves included (naive mode: the input
+        alone at k = 0).
+    tested: candidates balance-tested by the walk; the images that
+        all_witnesses adds are tested apart from it.
+    """
+
+    k: int
+    skipped: bool
+    lex: int
+    visited: int
+    tested: int
+
+
 class SearchResult(NamedTuple):
     """Outcome of a completed search.
 
@@ -144,12 +163,14 @@ class SearchResult(NamedTuple):
         last level with all_witnesses): k-subsets in lex order in naive
         mode, regular completions in regular mode (1 for a first witness).
     mode_used: the prune mode that produced the result.
+    levels: one record per k from 0 to min_additions.
     """
 
     min_additions: int
     witnesses: tuple[Witness, ...]
     explored: int
     mode_used: str
+    levels: tuple[LevelStats, ...]
 
 
 def _twin_swaps(adj: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -335,7 +356,7 @@ def _stored_profile(floors: dict[int, tuple[int, ...]], key: int, rows: list[int
 
 def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]], dict], k: int,
            tables: _ImageTables, deadline: float | None, all_witnesses: bool,
-           ) -> tuple[list[tuple[int, ...]], int, int, bool]:
+           ) -> tuple[list[tuple[int, ...]], int, int, int, bool]:
     """Balance-test the k-subsets of the complement edges in lex order,
     depth first, setting each chosen edge in the rows in place.  A prefix
     that a permutation of ``tables`` maps lex-smaller is dropped with its
@@ -351,19 +372,20 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]], dict], k: i
     the floor.  The clock is read every _DEADLINE_STRIDE nodes; a range
     that is cut is never visited.
 
-    Returns the hits as index sets, the lex count, the leaves balance-tested
-    and whether the deadline passed.  The lex count runs up to and including
-    the first hit (the whole level without one, or with ``all_witnesses``);
-    on a timeout it is the number of subsets before the node being visited.
+    Returns the hits as index sets, the lex count, the nodes visited, the
+    leaves balance-tested and whether the deadline passed.  The lex count
+    runs up to and including the first hit (the whole level without one, or
+    with ``all_witnesses``); on a timeout it is the number of subsets before
+    the node being visited.
     """
     flips, touch, floors = setup
     n_comp = len(flips)
     rows = list(adj)
     if not k:
-        return ([()] if _transmission_regular(rows) else []), 1, 1, False
+        return ([()] if _transmission_regular(rows) else []), 1, 1, 1, False
     largest, total, must, cut = floors.get(0) or _stored_profile(floors, 0, rows, touch)
     if largest > k or total > 2 * k:
-        return [], comb(n_comp, k), 0, False
+        return [], comb(n_comp, k), 0, 0, False
     reps, cols, ones = tables.reps, tables.cols, tables.ones
     held, image, key = tables.guards, 0, 0
     hits: list[tuple[int, ...]] = []
@@ -382,7 +404,7 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]], dict], k: i
                 continue
             if (deadline is not None and not visited % _DEADLINE_STRIDE
                     and time.monotonic() > deadline):
-                return hits, _lex_rank(chosen + [i], n_comp, k), tested, True
+                return hits, _lex_rank(chosen + [i], n_comp, k), visited, tested, True
             visited += 1
             rows[u] ^= bv
             rows[v] ^= bu
@@ -398,7 +420,8 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]], dict], k: i
                     if _transmission_regular(rows):
                         hits.append(tuple(chosen))
                         if not all_witnesses:
-                            return hits, _lex_rank(chosen, n_comp, k) + 1, tested, False
+                            return (hits, _lex_rank(chosen, n_comp, k) + 1, visited, tested,
+                                    False)
                 else:
                     profile = floors.get(key) or _stored_profile(floors, key, rows, touch)
                     left = k - 1 - depth
@@ -412,7 +435,7 @@ def _level(adj: tuple[int, ...], setup: tuple[list, list[list[int]], dict], k: i
         elif chosen:
             cuts.pop()
         else:
-            return hits, comb(n_comp, k), tested, False
+            return hits, comb(n_comp, k), visited, tested, False
         i = chosen.pop()
         u, bu, v, bv = flips[i]
         rows[u] ^= bv
@@ -452,7 +475,7 @@ def _orbits(g: Graph, comp: list[Edge], tables: _ImageTables, hits: list[tuple[i
 
 
 def _regular_level(adj: tuple[int, ...], comp: list[Edge], r: int, deadline: float | None,
-                   all_witnesses: bool) -> tuple[list[tuple[int, ...]], bool]:
+                   all_witnesses: bool) -> tuple[list[tuple[int, ...]], int, bool]:
     """Balance-test the r-regular completions of the rows ``adj``, r < n:
     K_n minus an s-factor S of the complement ``comp``, s = n-1-r.
 
@@ -464,7 +487,8 @@ def _regular_level(adj: tuple[int, ...], comp: list[Edge], r: int, deadline: flo
     it needs.  Each completion is balance-tested, as an independent check:
     the first that fails raises GraphError, naming r and k.  The clock is
     read every _DEADLINE_STRIDE nodes, the first one included.  Returns the
-    hits as index sets into ``comp`` and whether the deadline passed.
+    hits as index sets into ``comp``, the nodes visited and whether the
+    deadline passed.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -506,7 +530,7 @@ def _regular_level(adj: tuple[int, ...], comp: list[Edge], r: int, deadline: flo
 
     free = [full ^ row ^ 1 << v for v, row in enumerate(adj)]  # pairs that may join S
     stopped = walk(free, [0] * n, [n - 1 - r] * n, [])  # and those of S
-    return hits, stopped and (all_witnesses or not hits)
+    return hits, visited, stopped and (all_witnesses or not hits)
 
 
 def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) -> SearchResult:
@@ -542,26 +566,30 @@ def search_minimum_additions(g: Graph, config: SearchConfig = SearchConfig()) ->
         tables, setup = _image_tables(_generators(g), comp), _setup(g.adj, comp)
     explored = 0
     exhausted = -1
+    levels: list[LevelStats] = []
     for k in range(k_cap + 1):
         if regular:
             r, odd = divmod(2 * (g.edge_count + k), g.n)
             if odd or r < max_deg:  # no regular supergraph has this many edges
+                levels.append(LevelStats(k, True, 0, 0, 0))
                 exhausted = k
                 continue
-            hits, timed_out = _regular_level(g.adj, comp, r, deadline, config.all_witnesses)
-            explored += len(hits)
+            hits, visited, timed_out = _regular_level(g.adj, comp, r, deadline,
+                                                      config.all_witnesses)
+            lex = tested = len(hits)  # a completion that fails raises
         else:
-            hits, lex, _, timed_out = _level(g.adj, setup, k, tables, deadline,
-                                             config.all_witnesses)
+            hits, lex, visited, tested, timed_out = _level(g.adj, setup, k, tables, deadline,
+                                                           config.all_witnesses)
             if hits and config.all_witnesses:
                 hits, timed_out = _orbits(g, comp, tables, hits, deadline)
-            explored += lex
+        explored += lex
+        levels.append(LevelStats(k, not visited, lex, visited, tested))
         if timed_out:
             raise SearchBudgetError(
                 f"time budget exhausted inside level k={k}", exhausted, explored)
         if hits:
             witnesses = tuple(tuple(comp[i] for i in hit) for hit in hits)
-            return SearchResult(k, witnesses, explored, config.prune_mode)
+            return SearchResult(k, witnesses, explored, config.prune_mode, tuple(levels))
         exhausted = k
         if deadline is not None and time.monotonic() > deadline:
             raise SearchBudgetError(

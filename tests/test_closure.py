@@ -114,7 +114,7 @@ class TestConstruct:
         tree = canonical_family_tree(FamilyTag.S3, 3)  # 4 completions, r = 3
         with monkeypatch.context() as patch:
             patch.setattr(closure, "_regular_level", lambda adj, comp, r, deadline, every:
-                          ([], False))
+                          ([], 0, False))
             with pytest.raises(GraphError, match="no 3-regular completion avoids the input"):
                 construct_closure(tree)
 

@@ -26,7 +26,8 @@ FIELDS = {
     "ClosureResult": ("closure", "added_edges", "min_additions", "certificate",
                       "family", "via_search"),
     "SearchConfig": ("prune_mode", "max_k", "all_witnesses", "time_budget"),
-    "SearchResult": ("min_additions", "witnesses", "explored", "mode_used"),
+    "LevelStats": ("k", "skipped", "lex", "visited", "tested"),
+    "SearchResult": ("min_additions", "witnesses", "explored", "mode_used", "levels"),
 }
 
 
@@ -43,6 +44,7 @@ def _instance(name):
         "Certificate": closure.certificate,
         "ClosureResult": closure,
         "SearchConfig": SearchConfig(),
+        "LevelStats": search_minimum_additions(g, SearchConfig()).levels[0],
         "SearchResult": search_minimum_additions(g, SearchConfig()),
     }[name]
 

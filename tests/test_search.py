@@ -39,6 +39,12 @@ from distbalance.analysis import _transmission_regular
 from distbalance.trees import FAMILIES
 
 
+def _outcome(res):
+    """A search result without its per-level records: the part that no
+    pruning may change, since the records count the pruned walk's work."""
+    return res._replace(levels=None)
+
+
 class TestBasics:
     def test_already_balanced(self):
         res = search_minimum_additions(cycle_graph(4))
@@ -142,7 +148,7 @@ def _degree_feasible(g, r, every=True):
         return []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_transmission_regular", lambda rows: True)
-        hits, timed_out = search._regular_level(g.adj, complement_edges(g), r, None, every)
+        hits, _, timed_out = search._regular_level(g.adj, complement_edges(g), r, None, every)
     assert timed_out is False
     return hits
 
@@ -311,9 +317,9 @@ class TestAllWitnesses:
         no orbit to close: the same witnesses in the same order, and the
         same ``explored``."""
         config = SearchConfig(all_witnesses=True)
-        pruned = [res for res, _ in production_runs(n)]
+        pruned = [_outcome(res) for res, _ in production_runs(n)]
         monkeypatch.setattr(search, "_generators", lambda g: [])
-        assert [search_minimum_additions(g, config)
+        assert [_outcome(search_minimum_additions(g, config))
                 for g in small_connected_graphs[n]] == pruned
 
     def test_orbits_of_truncated_tables(self, monkeypatch):
@@ -327,7 +333,7 @@ class TestAllWitnesses:
         monkeypatch.setattr(search, "_MAX_TABLE_BITS", 2 * (len(comp) + 1) ** 2)
         assert search._image_tables(search._generators(tree), comp).ones.bit_count() == 1
         assert len(search._generators(tree)) == 2
-        assert search_minimum_additions(tree, config) == whole
+        assert _outcome(search_minimum_additions(tree, config)) == _outcome(whole)
 
     def test_an_unbalanced_image_raises(self, monkeypatch):
         """Each image that the orbits add is balance-tested: one that fails
@@ -404,6 +410,37 @@ class TestProgress:
         res = search_minimum_additions(path_graph(5))
         assert levels[-1][0] == res.min_additions
         assert sum(counted for _, counted in levels) == res.explored
+
+
+class TestLevelRecords:
+    """``SearchResult.levels``: one record per k, from the counts the level
+    walks keep."""
+
+    def test_floor_skips_the_star_levels_below_15(self):
+        """The m = 6 star's spokes are each 5 below the floor of 6, which no
+        level below 15 can lift: levels 1 to 14 visit no node, and level 0
+        only tests the input."""
+        res = search_minimum_additions(canonical_family_tree(FamilyTag.STAR, 6))
+        assert [level.k for level in res.levels] == list(range(16))
+        assert [level.skipped for level in res.levels] == [False] + [True] * 14 + [False]
+        assert all(level.visited == level.tested == 0 for level in res.levels[1:15])
+        assert [level.lex for level in res.levels] == [comb(15, k) for k in range(16)]
+
+    def test_handshake_skips_the_regular_levels(self):
+        """In regular mode the m = 6 star's 6 + k edges make a 6-regular graph
+        on 7 vertices only at k = 15; the one completion is K_7."""
+        res = search_minimum_additions(canonical_family_tree(FamilyTag.STAR, 6),
+                                       SearchConfig(prune_mode="regular"))
+        assert [level.skipped for level in res.levels] == [True] * 15 + [False]
+        assert res.levels[-1] == search.LevelStats(15, False, 1, 1, 1)
+
+    def test_lex_counts_sum_to_explored(self):
+        """On the spider (the ``oracle`` workload's spider_2_2_2) the walk
+        enters levels 5 to 8 only, and its lex counts add up to ``explored``."""
+        res = search_minimum_additions(SPIDER)
+        assert sum(level.lex for level in res.levels) == res.explored == 19274
+        assert [level.skipped for level in res.levels] == [False] + [True] * 4 + [False] * 4
+        assert all(level.visited >= level.tested for level in res.levels)
 
 
 class TestModeAgreement:
@@ -555,7 +592,7 @@ def test_minimality_spot_check_on_acceptance_instances():
     for tag, m, expected in CLOSED_FORM_INSTANCES:
         tree = canonical_family_tree(tag, m)
         comp = complement_edges(tree)
-        hits, counted, _, timed_out = search._level(
+        hits, counted, _, _, timed_out = search._level(
             tree.adj, search._setup(tree.adj, comp), expected - 1,
             search._image_tables([], comp), None, True)
         assert (hits, counted, timed_out) == ([], comb(len(comp), expected - 1), False), (tag, m)
@@ -842,7 +879,7 @@ class TestTwinPruning:
             calls.clear()
             results.append(search_minimum_additions(star))
             tests.append(len(calls))
-        assert results[0] == results[1]
+        assert _outcome(results[0]) == _outcome(results[1])
         assert results[0].explored == 2 ** 15
         assert tests == [2, 325]
         comp, perms = complement_edges(star), search._generators(star)
@@ -1056,9 +1093,10 @@ class TestSubtreePruning:
             calls.clear()
             results.append(search_minimum_additions(SPIDER))
             tests.append(len(calls))
-        assert results[0] == results[1]
+        assert _outcome(results[0]) == _outcome(results[1])
         assert results[0].explored == 19274
         assert tests == [8, 3999]
+        assert [sum(level.tested for level in res.levels) for res in results] == tests
 
     @pytest.mark.parametrize("late_read", [2, 3])
     def test_budget_holds_while_subtrees_are_dropped(self, monkeypatch, late_read):
@@ -1177,7 +1215,7 @@ def _level_runs(monkeypatch, graphs):
 
     def spy(*args):
         out = real(*args)
-        calls.append((out[0], out[1], out[3]))
+        calls.append((out[0], out[1], out[4]))
         return out
 
     monkeypatch.setattr(search, "_level", spy)
@@ -1266,13 +1304,15 @@ class TestTransmissionFloor:
         with pytest.MonkeyPatch.context() as patch:
             _without_floor(patch)
             floorless = _level_runs(patch, small_connected_graphs[n])
-        assert production_runs(n) == floorless
+        assert [(_outcome(res), calls) for res, calls in production_runs(n)] == \
+            [(_outcome(res), calls) for res, calls in floorless]
 
     def test_walk_visits_the_model_nodes(self, monkeypatch, small_connected_graphs):
         """With the clock read at every node, the walk of every level of
         every connected graph with n <= 5, and of every tree with n = 6
         under two labelings, reads it once per node of ``_walk``'s model,
-        and balance-tests exactly its leaves that no permutation maps
+        returns that many nodes visited, and balance-tests exactly its
+        leaves that no permutation maps
         lex-smaller; with the transmission floor and with it patched out.
         A node must touch only the vertices below its own floor: the tree
         0-5, 1-2, 2-3, 2-5, 4-5 tells this walk from one whose nodes also
@@ -1293,13 +1333,14 @@ class TestTransmissionFloor:
                 tables = search._image_tables(perms, comp)
                 for k in range(1, len(comp) + 1):
                     reads.clear()
-                    _, lex, tested, timed_out = search._level(
+                    _, lex, visited, tested, timed_out = search._level(
                         g.adj, setup, k, tables, 1.0, True)
                     nodes = [prefix for prefix, _ in _walk(g, comp, k, perms, floor=floor)]
                     leaves = [p for p in nodes
                               if len(p) == k and not _dropped(comp, p, perms)]
-                    assert (len(reads), tested, lex, timed_out) == \
-                        (len(nodes), len(leaves), comb(len(comp), k), False), (g, k, floor)
+                    assert (len(reads), visited, tested, lex, timed_out) == \
+                        (len(nodes), len(nodes), len(leaves), comb(len(comp), k), False), \
+                        (g, k, floor)
 
 
 def _spy_tables(monkeypatch) -> list[dict]:

@@ -106,6 +106,21 @@ def test_odd_block_inputs_take_the_parity_sets(monkeypatch):
             _ball_sweep(g.adj, g.edges())
 
 
+@pytest.mark.parametrize("g", [cycle_graph(71), torus(5, 12)], ids=["C71", "T5x12"])
+def test_sweep_step_ors_each_neighbour_column_after_the_first(monkeypatch, g):
+    """For d >= 1 the union of B_d(w) over w in N(u) holds B_d(u), so a step
+    starts from the first neighbour column's gather: on an r-regular graph in
+    one block it makes n (r - 1) ORs, where ORing each ball with its own
+    previous ball too made n r.  The diameter - 1 steps end at the diameter."""
+    real, calls = graph.or_, []
+    monkeypatch.setattr(graph, "or_", lambda a, b: calls.append(1) or real(a, b))
+    r = g.max_degree()
+    assert g.min_degree() == r and g.n <= graph._BLOCK
+    diam = _ball_sweep(g.adj, g.edges())[1]
+    assert diam == {71: 35, 60: 8}[g.n]
+    assert len(calls) == (diam - 1) * g.n * (r - 1)
+
+
 def ring_of_cliques(cliques: int, size: int) -> Graph:
     """``cliques`` copies of K_size in a ring, each joined to the next by one edge."""
     return from_edge_list(cliques * size, [
@@ -128,6 +143,22 @@ def test_dense_long_diameter_inputs_match_the_oracle(monkeypatch, width):
     for g in (ring_of_cliques(11, 6), ring_of_cliques(12, 5), lollipop(33), lollipop(36)):
         assert not _takes_the_route(g)
         assert_matches_oracle(g)
+
+
+@pytest.mark.parametrize("g,balanced", [
+    (cycle_graph(71), True), (hypercube(5), True), (complete_graph(9), True),
+    (random_tree(40, random.Random(40)), False), (lollipop(33), False),
+], ids=["C71", "Q5", "K9", "tree40", "lollipop33"])
+def test_balanced_reports_reuse_one_count_list(g, balanced):
+    """On a transmission-regular graph |closer to x| - |closer to y| = D(y) -
+    D(x) = 0 on every edge, so one list holds both sides' counts; on any
+    other graph the far side is a list of its own.  Either way the records
+    and the Szeged index are the per-edge definition's."""
+    edges, near, far, _, _ = analysis._closer_counts(g)
+    assert (near is far) is balanced
+    expected = helpers.edge_balance_oracle(g)
+    assert [(x, y, cx, cy) for (x, y), cx, cy in zip(edges, near, far)] == expected
+    assert_matches_oracle(g)
 
 
 def _cli_results(capsys, tmp_path, g):
